@@ -188,18 +188,14 @@ def run_point(
     tree = catalog.planted_tree()
     tree_s = time.perf_counter() - t0
 
-    # The bitset universe at 1M items would dwarf the postings; the
-    # extreme tier measures the succinct representation only.
     t0 = time.perf_counter()
-    indexes = SnapshotIndexes(
-        tree, instance, variant, use_bitset=False, tree_repr="succinct"
-    )
+    indexes = SnapshotIndexes(tree, instance, variant)
     index_s = time.perf_counter() - t0
 
-    post_var = getattr(indexes, "_post_var", {}) or {}
-    place_var = getattr(indexes, "_place_var", {}) or {}
-    postings_bytes = sum(len(b) for b in post_var.values()) + sum(
-        len(b) for b in place_var.values()
+    postings_bytes = sum(
+        len(shard._views[name])
+        for shard in indexes._shards
+        for name in ("item_post_var", "item_place_var")
     )
     snapshot_bytes = postings_bytes + 64 * len(tree)
 

@@ -23,9 +23,9 @@ Written to ``benchmarks/BENCH_querycat.json``:
    hammer ``engine.categorize_query`` closed-loop while a coordinator
    republishes the CURRENT snapshot at the halfway mark; p50/p95/p99
    latency, throughput, and an **asserted zero errors** across the flip.
-4. **Backend identity gate**: every held-out prediction is recomputed on
-   the mmap-backed ``MmapSnapshotIndexes`` and asserted equal to the
-   in-memory result, dict for dict.
+4. **Identity gate**: every held-out prediction is recomputed by the
+   reader over the store's mapped files (``MmapSnapshotIndexes``) and
+   asserted equal to the in-process buffer's result, dict for dict.
 
 ``--tiny`` runs a seconds-scale version on dataset A for CI smoke (own
 file ``BENCH_querycat_tiny.json``; identity and zero-error assertions
@@ -201,7 +201,7 @@ def run(tiny: bool = False) -> dict:
         engine = ServingEngine.from_snapshot(loaded)
         indexes = engine.current.indexes
 
-        # -- held-out accuracy over the in-memory backend --------------------
+        # -- held-out accuracy over the in-process buffer --------------------
         records = _held_out_predictions(indexes, test)
         accuracy = {
             str(d): round(_accuracy_at_depth(records, d), 4) for d in DEPTHS
@@ -214,12 +214,12 @@ def run(tiny: bool = False) -> dict:
             stages.get("backoff", 0) / len(records) if records else 0.0
         )
 
-        # -- backend identity gate: mmap must answer dict-for-dict -----------
+        # -- identity gate: the mapping must answer dict-for-dict ------------
         flat_paths = store.flat_paths(info.snapshot_id)
         with MmapSnapshotIndexes(flat_paths) as mm:
             for r in records:
                 assert categorize_query(mm, r["label"]) == r["result"], (
-                    f"mmap backend diverged on {r['label']!r}"
+                    f"mapped reader diverged on {r['label']!r}"
                 )
 
         # -- latency under load with a mid-run hot swap ----------------------

@@ -24,8 +24,7 @@ Three experiments over one snapshotted CTCR tree, all written to
 The payload also records the snapshot's on-disk footprint: per-section
 flat-file bytes summed across shards (``snapshot_sections``) and the
 RSS the flat mappings keep resident after a read sweep
-(``mapped_resident_bytes``, ``null`` off-Linux) — the representation
-comparison itself lives in ``bench_serving_succinct.py``.
+(``mapped_resident_bytes``, ``null`` off-Linux).
 
 ``--tiny`` runs a seconds-scale version on dataset A for CI smoke (own
 file ``BENCH_serving_tiny.json``; the zero-error assertion still holds).
@@ -43,10 +42,6 @@ _ROOT = Path(__file__).resolve().parents[1]
 if str(_ROOT) not in sys.path:  # allow `python benchmarks/bench_...py`
     sys.path.insert(0, str(_ROOT))
 
-from benchmarks.bench_serving_succinct import (
-    mapped_resident_bytes,
-    section_accounting,
-)
 from benchmarks.common import bench_report, write_bench_json
 from benchmarks.conftest import instance_for
 from repro.algorithms import CTCR
@@ -57,6 +52,7 @@ from repro.serving import (
     ServingEngine,
     SnapshotStore,
     build_workload,
+    describe_flat,
     prepare_mmap_generation,
     run_loadgen,
 )
@@ -117,7 +113,7 @@ def run(tiny: bool = False) -> dict:
 
         # -- snapshot footprint: per-section bytes + mapped residency --------
         flat_paths = store.flat_paths(info.snapshot_id)
-        snapshot_sections, _ = section_accounting(flat_paths)
+        snapshot_sections = section_bytes(flat_paths)
         mmap_generation = prepare_mmap_generation(store)
         for item in list(loaded.instance.universe)[:200]:
             mmap_generation.indexes.placements(item)  # touch the pages
@@ -167,6 +163,32 @@ def run(tiny: bool = False) -> dict:
     }
     write_bench_json("serving_tiny" if tiny else "serving", payload)
     return payload
+
+
+def section_bytes(paths) -> dict[str, int]:
+    """Per-section bytes, summed across shard files."""
+    sections: dict[str, int] = {}
+    for path in paths:
+        for sec in describe_flat(path)["sections"]:
+            sections[sec["name"]] = sections.get(sec["name"], 0) + sec["bytes"]
+    return sections
+
+
+def mapped_resident_bytes(paths) -> int | None:
+    """RSS attributed to the given files in /proc/self/smaps (Linux)."""
+    smaps = Path("/proc/self/smaps")
+    if not smaps.exists():  # pragma: no cover - non-Linux
+        return None
+    names = {p.name for p in paths}
+    total = 0
+    tracking = False
+    for line in smaps.read_text().splitlines():
+        first = line.split(None, 1)[0] if line else ""
+        if "-" in first:  # an address-range header line
+            tracking = any(line.endswith(name) for name in names)
+        elif tracking and line.startswith("Rss:"):
+            total += int(line.split()[1]) * 1024
+    return total
 
 
 def test_serving_load(benchmark):

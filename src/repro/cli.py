@@ -310,10 +310,14 @@ def cmd_preprocess(args) -> int:
 def cmd_serve(args) -> int:
     """Serve a category tree over HTTP (snapshot-backed, hot-swappable)."""
     from repro.labeling import apply_label_suggestions, suggest_labels
-    from repro.serving import ServingEngine, SnapshotStore, make_server
+    from repro.serving import (
+        ServingEngine,
+        SnapshotStore,
+        make_server,
+        prepare_mmap_generation,
+    )
 
     store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
-    use_bitset = {"auto": None, "on": True, "off": False}[args.bitset]
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
@@ -329,41 +333,37 @@ def cmd_serve(args) -> int:
         return 2
 
     if store is not None and store.current_id() is not None:
-        loaded = store.load()
+        info = store.info(store.current_id())
         print(
-            f"loaded snapshot {loaded.info.snapshot_id} "
-            f"(variant {loaded.info.variant}, score {loaded.info.score:.4f})"
-        )
-        engine = ServingEngine.from_snapshot(
-            loaded, cache_size=args.cache_size, use_bitset=use_bitset,
-            tree_repr=args.tree_repr,
+            f"loaded snapshot {info.snapshot_id} "
+            f"(variant {info.variant}, score {info.score:.4f})"
         )
     else:
         instance, dataset, variant = _load(args)
         builder = _builder(args.algorithm, dataset, args)
         tree = builder.build(instance, variant)
         apply_label_suggestions(tree, suggest_labels(tree, instance, variant))
-        if store is not None:
-            info = store.save(tree, instance, variant, flat_shards=args.shards)
-            print(f"built and saved snapshot {info.snapshot_id}")
-            engine = ServingEngine.from_snapshot(
-                store.load(info.snapshot_id),
-                cache_size=args.cache_size, use_bitset=use_bitset,
-                tree_repr=args.tree_repr,
-            )
-        else:
+        if store is None:
             engine = ServingEngine.from_tree(
-                tree, instance, variant,
-                cache_size=args.cache_size, use_bitset=use_bitset,
-                tree_repr=args.tree_repr,
+                tree, instance, variant, cache_size=args.cache_size
             )
+            server = make_server(
+                engine, host=args.host, port=args.port,
+                max_requests=args.max_requests,
+            )
+            return _serve_loop(server, engine)
+        info = store.save(tree, instance, variant, flat_shards=args.shards)
+        print(f"built and saved snapshot {info.snapshot_id}")
 
+    # The workers map the store's files themselves: the parent never
+    # holds an engine of its own.
     if args.workers > 1:
         return _serve_multi(args, store)
+    engine = ServingEngine(cache_size=args.cache_size)
+    engine.publish(prepare_mmap_generation(store, info.snapshot_id))
     server = make_server(
         engine, host=args.host, port=args.port,
         store=store, max_requests=args.max_requests,
-        tree_repr=args.tree_repr,
     )
     return _serve_loop(server, engine)
 
@@ -372,7 +372,6 @@ def _serve_multi(args, store) -> int:
     """Run N SO_REUSEPORT worker processes on one mmap'd snapshot."""
     from repro.serving.supervisor import ServingSupervisor
 
-    use_bitset = {"auto": None, "on": True, "off": False}[args.bitset]
     # Sharding is fixed at compile time; ensure the flat layout exists
     # with the requested shard count before the workers map it.
     paths = store.ensure_flat(store.current_id(), shards=args.shards)
@@ -382,10 +381,8 @@ def _serve_multi(args, store) -> int:
         host=args.host,
         port=args.port,
         cache_size=args.cache_size,
-        use_bitset=use_bitset,
         poll_interval=args.poll_interval,
         max_requests=args.max_requests,
-        tree_repr=args.tree_repr,
     )
     supervisor.start()
     print(
@@ -445,7 +442,6 @@ def _query_engine(args):
     from repro.labeling import apply_label_suggestions, suggest_labels
     from repro.serving import ServingEngine, SnapshotStore
 
-    use_bitset = {"auto": None, "on": True, "off": False}[args.bitset]
     store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
     if store is not None and store.current_id() is not None:
         loaded = store.load()
@@ -453,9 +449,7 @@ def _query_engine(args):
             f"loaded snapshot {loaded.info.snapshot_id} "
             f"(variant {loaded.info.variant})"
         )
-        return ServingEngine.from_snapshot(
-            loaded, use_bitset=use_bitset, tree_repr=args.tree_repr
-        )
+        return ServingEngine.from_snapshot(loaded)
     instance, dataset, variant = _load(args)
     builder = _builder(args.algorithm, dataset, args)
     tree = builder.build(instance, variant)
@@ -463,14 +457,8 @@ def _query_engine(args):
     if store is not None:
         info = store.save(tree, instance, variant)
         print(f"built and saved snapshot {info.snapshot_id}")
-        return ServingEngine.from_snapshot(
-            store.load(info.snapshot_id),
-            use_bitset=use_bitset, tree_repr=args.tree_repr,
-        )
-    return ServingEngine.from_tree(
-        tree, instance, variant,
-        use_bitset=use_bitset, tree_repr=args.tree_repr,
-    )
+        return ServingEngine.from_snapshot(store.load(info.snapshot_id))
+    return ServingEngine.from_tree(tree, instance, variant)
 
 
 def cmd_categorize_query(args) -> int:
@@ -485,6 +473,11 @@ def cmd_categorize_query(args) -> int:
         print(
             "error: give at least one --query or a --queries-file",
             file=sys.stderr,
+        )
+        return 2
+    if args.top_k is not None and args.top_k < 1:
+        print(
+            f"error: --top-k must be >= 1, got {args.top_k}", file=sys.stderr
         )
         return 2
     engine = _query_engine(args)
@@ -607,7 +600,6 @@ def cmd_inspect_snapshot(args) -> int:
         header = info["header"]
         print(
             f"{path.name}: format v{info['format_version']}, "
-            f"reprs {'+'.join(header.get('reprs', ['flat']))}, "
             f"shard {header['shard_index'] + 1}/{header['shard_count']}, "
             f"{info['file_bytes']} bytes on disk"
         )
@@ -641,19 +633,6 @@ def cmd_inspect_snapshot(args) -> int:
             ],
         )
     )
-    # The headline of the succinct read path: tree+postings bytes of the
-    # dense layout vs. the Euler/varint layout, when both are present.
-    dense = group_totals.get("dense", 0)
-    succinct = sum(
-        group_totals.get(g, 0)
-        for g in ("succinct_tree", "succinct_postings")
-    )
-    if dense and succinct:
-        print(
-            f"dense postings+bitset: {dense} bytes; succinct "
-            f"euler+varint: {succinct} bytes "
-            f"({dense / succinct:.1f}x smaller)"
-        )
     unknown = set(group_totals) - set(SECTION_GROUPS) - {"?"}
     if unknown:  # pragma: no cover - future formats
         print(f"note: unrecognized groups {sorted(unknown)}")
@@ -958,14 +937,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="how often workers poll the store's CURRENT pointer for "
         "hot swaps (default: 0.25)",
     )
-    p_serve.add_argument(
-        "--tree-repr",
-        choices=["flat", "succinct"],
-        default="flat",
-        help="read-path representation: the flat pointer-chase layout "
-        "(default) or the succinct Euler-tour/varint structures "
-        "(identical answers, smaller indexes, batched-LCA categorize)",
-    )
     p_serve.set_defaults(func=cmd_serve)
 
     p_querycat = sub.add_parser(
@@ -1012,13 +983,7 @@ def make_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="label-search candidates feeding the overlap and back-off "
-        "stages (default: 10)",
-    )
-    p_querycat.add_argument(
-        "--tree-repr",
-        choices=["flat", "succinct"],
-        default="flat",
-        help="read-path representation (answers are identical)",
+        "stages, at least 1 (default: 10)",
     )
     p_querycat.add_argument(
         "--json",

@@ -44,7 +44,10 @@ from repro.observability.tracer import NullTracer, Tracer
 # shaping (runs, removed, hub_splits, width_pruned, quality_given_up,
 # met) emitted by repro.shaping.TreeShaper and the HotSwapper
 # shape-then-publish path.
-SCHEMA_VERSION = 8
+# v9: serving.succinct.requests (equal to serving.requests now that every
+# generation reads the succinct layout) and serving.succinct.bitset_fanin
+# (its dense-kernel path is gone) are no longer emitted.
+SCHEMA_VERSION = 9
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource

@@ -1,24 +1,24 @@
 """Serving: snapshot-based query serving over built category trees.
 
 The offline pipeline (CTCR/CCT) *builds* trees; this subsystem *serves*
-them: versioned on-disk snapshots (:mod:`repro.serving.snapshot`),
-read-optimized per-snapshot indexes (:mod:`repro.serving.indexes`), a
-thread-safe query engine with an LRU result cache
-(:mod:`repro.serving.engine`), atomic hot swaps of rebuilt trees
+them: versioned on-disk snapshots (:mod:`repro.serving.snapshot`), one
+versioned flat binary snapshot layout (:mod:`repro.serving.shm`) with a
+succinct tree representation — pre-order subtree intervals and
+delta-compressed varint postings (:mod:`repro.serving.succinct`) — and
+one reader over it (:mod:`repro.serving.indexes`), which opens either
+an in-process buffer compiled from a tree or the store's files mapped
+read-only. On top sit a thread-safe query engine with an LRU result
+cache (:mod:`repro.serving.engine`), atomic hot swaps of rebuilt trees
 (:mod:`repro.serving.hotswap`), a zero-dependency HTTP/JSON frontend
 (:mod:`repro.serving.http`, CLI: ``python -m repro serve``), a
-deterministic closed-loop load generator
-(:mod:`repro.serving.loadgen`, benchmark: ``benchmarks/bench_serving.py``),
-a versioned flat binary snapshot layout mapped read-only across worker
-processes (:mod:`repro.serving.shm`), a multi-process SO_REUSEPORT
-supervisor serving it (:mod:`repro.serving.supervisor`, CLI:
-``python -m repro serve --workers N``), and a succinct tree-retrieval
-read path — Euler-tour intervals, sparse-table LCA, delta-compressed
-varint postings — behind the ``tree_repr="succinct"`` knob
-(:mod:`repro.serving.succinct`, bit-identical to the flat answers), and
-staged free-text query categorization with confidence-thresholded
-back-off up the hierarchy (:mod:`repro.serving.querycat`, CLI:
-``python -m repro categorize-query``).
+deterministic closed-loop load generator (:mod:`repro.serving.loadgen`,
+benchmark: ``benchmarks/bench_serving.py``), a multi-process
+SO_REUSEPORT supervisor whose workers map the same files
+(:mod:`repro.serving.supervisor`, CLI: ``python -m repro serve
+--workers N``), and staged free-text query categorization with
+confidence-thresholded back-off up the hierarchy
+(:mod:`repro.serving.querycat`, CLI: ``python -m repro
+categorize-query``).
 
 Quickstart::
 
@@ -40,7 +40,7 @@ from repro.serving.engine import (
 )
 from repro.serving.hotswap import HotSwapper
 from repro.serving.http import ServingHTTPServer, make_server, serve_in_background
-from repro.serving.indexes import BaseSnapshotIndexes, BestCategory, SnapshotIndexes
+from repro.serving.indexes import BestCategory, MmapSnapshotIndexes, SnapshotIndexes
 from repro.serving.loadgen import (
     DEFAULT_MIX,
     HttpLoadGenResult,
@@ -60,7 +60,6 @@ from repro.serving.querycat import (
 from repro.serving.shm import (
     FLAT_FORMAT_VERSION,
     SECTION_GROUPS,
-    MmapSnapshotIndexes,
     compile_flat_indexes,
     describe_flat,
     flat_format_version,
@@ -77,18 +76,10 @@ from repro.serving.snapshot import (
     variant_from_spec,
     variant_spec,
 )
-from repro.serving.succinct import (
-    BITSET_FANIN_THRESHOLD,
-    TREE_REPRS,
-    EulerTour,
-    decode_postings,
-    encode_postings,
-)
+from repro.serving.succinct import EulerTour, decode_postings, encode_postings
 from repro.serving.supervisor import ServingSupervisor, WorkerConfig
 
 __all__ = [
-    "BITSET_FANIN_THRESHOLD",
-    "BaseSnapshotIndexes",
     "BestCategory",
     "DEFAULT_CONFIDENCE_THRESHOLD",
     "DEFAULT_MIX",
@@ -112,7 +103,6 @@ __all__ = [
     "SnapshotIndexes",
     "SnapshotInfo",
     "SnapshotStore",
-    "TREE_REPRS",
     "WorkerConfig",
     "build_workload",
     "categorize_query",

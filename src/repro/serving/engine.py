@@ -31,7 +31,7 @@ from repro.core.input_sets import OCTInstance
 from repro.core.tree import CategoryTree
 from repro.core.variants import Variant
 from repro.observability import get_tracer
-from repro.serving.indexes import BaseSnapshotIndexes, BestCategory, SnapshotIndexes
+from repro.serving.indexes import BestCategory, SnapshotIndexes
 from repro.serving.querycat import categorize_query as _categorize_query
 from repro.serving.querycat import record_query_counters
 from repro.serving.snapshot import LoadedSnapshot
@@ -49,16 +49,16 @@ class Generation:
 
     ``number`` is assigned by :meth:`ServingEngine.publish` (monotonic,
     starting at 1); before publication it is 0. ``tree`` and
-    ``instance`` are None for mmap-backed generations
-    (:func:`repro.serving.shm.prepare_mmap_generation`): worker
-    processes never deserialize them — the indexes alone answer every
-    read op.
+    ``instance`` are None for store-sourced generations
+    (:func:`repro.serving.shm.prepare_mmap_generation`), which map the
+    store's flat files instead of deserializing them — the indexes alone
+    answer every read op.
     """
 
     tree: CategoryTree | None
     instance: OCTInstance | None
     variant: Variant
-    indexes: BaseSnapshotIndexes
+    indexes: SnapshotIndexes
     snapshot_id: str = ""
     number: int = 0
     published_at: float = 0.0
@@ -69,22 +69,16 @@ def prepare_generation(
     instance: OCTInstance,
     variant: Variant,
     snapshot_id: str = "",
-    use_bitset: bool | None = None,
-    tree_repr: str = "flat",
 ) -> Generation:
-    """Build the read-side indexes for a tree (expensive; off-path).
+    """Compile a tree into an in-process buffer and open it (off-path).
 
     This is the slow half of a hot swap — run it in the background (or
     before serving starts) and hand the result to
-    :meth:`ServingEngine.publish`. ``tree_repr="succinct"`` builds the
-    Euler-tour/varint read path (identical answers, smaller indexes).
+    :meth:`ServingEngine.publish`.
     """
     tracer = get_tracer()
     with tracer.span("serving.prepare"):
-        indexes = SnapshotIndexes(
-            tree, instance, variant, use_bitset=use_bitset,
-            tree_repr=tree_repr,
-        )
+        indexes = SnapshotIndexes(tree, instance, variant)
     return Generation(
         tree=tree,
         instance=instance,
@@ -161,8 +155,6 @@ class ServingEngine:
         cls,
         loaded: LoadedSnapshot,
         cache_size: int = 4096,
-        use_bitset: bool | None = None,
-        tree_repr: str = "flat",
     ) -> "ServingEngine":
         """An engine serving one loaded snapshot (generation 1)."""
         engine = cls(cache_size=cache_size)
@@ -172,8 +164,6 @@ class ServingEngine:
                 loaded.instance,
                 loaded.variant,
                 snapshot_id=loaded.info.snapshot_id,
-                use_bitset=use_bitset,
-                tree_repr=tree_repr,
             )
         )
         return engine
@@ -185,17 +175,10 @@ class ServingEngine:
         instance: OCTInstance,
         variant: Variant,
         cache_size: int = 4096,
-        use_bitset: bool | None = None,
-        tree_repr: str = "flat",
     ) -> "ServingEngine":
         """An engine serving an in-memory tree (no snapshot store)."""
         engine = cls(cache_size=cache_size)
-        engine.publish(
-            prepare_generation(
-                tree, instance, variant, use_bitset=use_bitset,
-                tree_repr=tree_repr,
-            )
-        )
+        engine.publish(prepare_generation(tree, instance, variant))
         return engine
 
     def publish(self, generation: Generation) -> Generation:
@@ -284,8 +267,6 @@ class ServingEngine:
             tracer.count("serving.requests")
             tracer.count(f"serving.op.{op}")
             tracer.count("serving.latency_us", int(wall * 1e6))
-            if gen.indexes.tree_repr == "succinct":
-                tracer.count("serving.succinct.requests")
 
     # -- read operations ----------------------------------------------------
 
@@ -313,9 +294,9 @@ class ServingEngine:
         """Batched :meth:`categorize_item`: one result list per item.
 
         All placement paths resolve through one
-        :meth:`~repro.serving.indexes.BaseSnapshotIndexes.paths_to_root_batch`
-        call, so a succinct-backed generation shares every common path
-        prefix via a single LCA sweep instead of one root walk per item.
+        :meth:`~repro.serving.indexes.SnapshotIndexes.paths_to_root_batch`
+        call, which shares every common path prefix in a single pre-order
+        sweep instead of one root walk per item.
         Results are exactly what the per-item op returns, in input order.
         """
         batch = tuple(items)
@@ -514,7 +495,6 @@ class ServingEngine:
             "snapshot_id": gen.snapshot_id if gen is not None else "",
             "variant": gen.variant.describe() if gen is not None else "",
             "n_categories": gen.indexes.n_categories if gen is not None else 0,
-            "uses_bitset": gen.indexes.uses_bitset if gen is not None else False,
             "cache": {
                 "size": len(cache),
                 "maxsize": cache.maxsize,

@@ -2,8 +2,8 @@
 
 A swap has two halves with very different costs:
 
-1. **prepare** — load or rebuild a tree and compute its
-   :class:`~repro.serving.indexes.SnapshotIndexes`. Arbitrarily slow;
+1. **prepare** — map a stored snapshot, or rebuild a tree and compile
+   its :class:`~repro.serving.indexes.SnapshotIndexes`. Arbitrarily slow;
    runs on a background thread (or before serving starts), never holding
    any lock the read path touches.
 2. **publish** — :meth:`ServingEngine.publish`: assign the next
@@ -32,6 +32,7 @@ from repro.core.input_sets import OCTInstance
 from repro.core.variants import Variant
 from repro.observability import get_tracer
 from repro.serving.engine import Generation, ServingEngine, prepare_generation
+from repro.serving.shm import prepare_mmap_generation
 from repro.serving.snapshot import SnapshotStore
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -53,22 +54,10 @@ class HotSwapper:
     def __init__(
         self,
         engine: ServingEngine,
-        use_bitset: bool | None = None,
-        backend: str = "object",
-        tree_repr: str | None = None,
         shaping_budget: "ShapingBudget | None" = None,
         cost_model: "CostModel | None" = None,
     ) -> None:
-        if backend not in ("object", "mmap"):
-            raise ValueError(
-                f"backend must be 'object' or 'mmap', got {backend!r}"
-            )
         self.engine = engine
-        self.use_bitset = use_bitset
-        self.backend = backend
-        # None = each backend's default ("flat" for object generations,
-        # auto-resolution for mmap'ed flat files).
-        self.tree_repr = tree_repr
         self.shaping_budget = shaping_budget
         self.cost_model = cost_model
         self.last_shaping: "ShapingResult | None" = None
@@ -98,26 +87,10 @@ class HotSwapper:
     ) -> Generation:
         """Prepare (not publish) a generation from a stored snapshot.
 
-        With ``backend="mmap"`` the snapshot's flat layout is mapped
-        read-only instead of deserializing the JSON payloads — the
-        worker-process path (:mod:`repro.serving.supervisor`).
+        The snapshot's flat files are mapped read-only instead of
+        deserializing its JSON payloads.
         """
-        if self.backend == "mmap":
-            from repro.serving.shm import prepare_mmap_generation
-
-            return prepare_mmap_generation(
-                store, snapshot_id, use_bitset=self.use_bitset,
-                tree_repr=self.tree_repr,
-            )
-        loaded = store.load(snapshot_id)
-        return prepare_generation(
-            loaded.tree,
-            loaded.instance,
-            loaded.variant,
-            snapshot_id=loaded.info.snapshot_id,
-            use_bitset=self.use_bitset,
-            tree_repr=self.tree_repr or "flat",
-        )
+        return prepare_mmap_generation(store, snapshot_id)
 
     def generation_from_build(
         self,
@@ -135,17 +108,12 @@ class HotSwapper:
         with tracer.span("serving.rebuild"):
             tree = builder.build(instance, variant)
         tree = self._maybe_shape(tree, instance, variant)
-        snapshot_id = ""
         if store is not None:
             snapshot_id = store.save(tree, instance, variant).snapshot_id
             # Serve the snapshot's canonical (round-tripped) form, so a
             # later reload from disk is indistinguishable from this build.
             return self.generation_from_store(store, snapshot_id)
-        return prepare_generation(
-            tree, instance, variant,
-            snapshot_id=snapshot_id, use_bitset=self.use_bitset,
-            tree_repr=self.tree_repr or "flat",
-        )
+        return prepare_generation(tree, instance, variant)
 
     def generation_from_delta(
         self,
@@ -195,11 +163,7 @@ class HotSwapper:
             snapshot_id = store.save(tree, instance, variant).snapshot_id
             IncrementalStateStore(store.root).save(snapshot_id, new_state)
             return self.generation_from_store(store, snapshot_id)
-        return prepare_generation(
-            tree, instance, variant,
-            snapshot_id="", use_bitset=self.use_bitset,
-            tree_repr=self.tree_repr or "flat",
-        )
+        return prepare_generation(tree, instance, variant)
 
     # -- swapping ------------------------------------------------------------
 

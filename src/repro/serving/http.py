@@ -13,8 +13,8 @@ Endpoints (all JSON):
 ``GET /categorize?item=`` the item's branch placements
 ``GET /categorize-batch?items=a,b,c``
                           batched categorize: one placement list per
-                          item (succinct generations share path
-                          prefixes through one LCA sweep)
+                          item (path prefixes are shared through one
+                          pre-order sweep)
 ``GET /best-category?items=a,b,c[&delta=0.7][&variant=spec]``
                           best-scoring category for a query result set
 ``GET /browse[?cid=N]``   one navigation page (root when ``cid`` omitted)
@@ -25,15 +25,16 @@ Endpoints (all JSON):
                           staged free-text query categorization (exact
                           label hit -> token overlap -> hierarchy
                           back-off); optional ``threshold=0.5`` and
-                          ``top_k=N`` knobs, ``queries`` (pipe-
-                          separated) for a batch
+                          ``top_k=N`` (N >= 1) knobs, ``queries``
+                          (pipe-separated) for a batch
 ``POST /admin/swap``      hot-swap to a stored snapshot
                           (body: ``{"snapshot_id": "..."}``; empty body
                           reloads the store's CURRENT snapshot)
 ========================  =====================================================
 
-Errors: 400 on malformed parameters, 404 on unknown paths/cids, 409 when
-``/admin/swap`` is called on a server without a snapshot store.
+Errors: 400 on malformed parameters (including ``top_k < 1``), 404 on
+unknown paths/cids, 409 when ``/admin/swap`` is called on a server
+without a snapshot store.
 """
 
 from __future__ import annotations
@@ -76,8 +77,6 @@ class ServingHTTPServer(ThreadingHTTPServer):
         quiet: bool = True,
         reuse_port: bool = False,
         worker_id: int | None = None,
-        backend: str = "object",
-        tree_repr: str | None = None,
     ) -> None:
         # server_bind runs inside super().__init__, so the bind options
         # must be set first.
@@ -85,7 +84,7 @@ class ServingHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.engine = engine
         self.store = store
-        self.swapper = HotSwapper(engine, backend=backend, tree_repr=tree_repr)
+        self.swapper = HotSwapper(engine)
         self.quiet = quiet
         self.max_requests = max_requests
         self.worker_id = worker_id
@@ -178,6 +177,12 @@ class _Handler(BaseHTTPRequestHandler):
             return int(raw)
         except ValueError:
             raise _BadRequest(f"{name} must be an integer, got {raw!r}") from None
+
+    def _top_k_param(self, params: dict[str, str]) -> int:
+        top_k = self._int_param(params, "top_k")
+        if top_k < 1:
+            raise _BadRequest(f"top_k must be >= 1, got {top_k}")
+        return top_k
 
     def _float_param(self, params: dict[str, str], name: str) -> float:
         raw = self._require(params, name)
@@ -315,9 +320,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _get_search(self) -> None:
         params = self._params()
         query = self._require(params, "q")
-        top_k = 10
-        if "top_k" in params:
-            top_k = self._int_param(params, "top_k")
+        top_k = self._top_k_param(params) if "top_k" in params else 10
         self._reply(
             200,
             {"q": query, "hits": self.server.engine.find_categories(query, top_k)},
@@ -330,7 +333,7 @@ class _Handler(BaseHTTPRequestHandler):
             if "threshold" in params
             else None
         )
-        top_k = self._int_param(params, "top_k") if "top_k" in params else None
+        top_k = self._top_k_param(params) if "top_k" in params else None
         if "queries" in params:
             queries = [q for q in params["queries"].split("|") if q.strip()]
             if not queries:
@@ -390,23 +393,17 @@ def make_server(
     quiet: bool = True,
     reuse_port: bool = False,
     worker_id: int | None = None,
-    backend: str = "object",
-    tree_repr: str | None = None,
 ) -> ServingHTTPServer:
     """Bind a serving HTTP server (``port=0`` picks a free port).
 
     The caller drives it: ``serve_forever()`` inline, or on a thread via
     :func:`serve_in_background`. The bound port is ``server.server_port``.
-    ``backend="mmap"`` makes ``/admin/swap`` reload snapshots through the
-    flat mmap layout instead of deserializing them; ``tree_repr``
-    selects the representation swapped-in generations use (None = the
-    backend default).
+    ``/admin/swap`` maps the store's flat files for the new generation.
     """
     return ServingHTTPServer(
         (host, port), engine, store=store,
         max_requests=max_requests, quiet=quiet,
-        reuse_port=reuse_port, worker_id=worker_id, backend=backend,
-        tree_repr=tree_repr,
+        reuse_port=reuse_port, worker_id=worker_id,
     )
 
 

@@ -1,48 +1,60 @@
-"""Read-optimized per-snapshot index structures.
+"""The one snapshot reader: every read op over the flat snapshot layout.
 
-A :class:`SnapshotIndexes` is computed once when a snapshot is loaded
-(off the request path — see :mod:`repro.serving.hotswap`) and answers
-every read-side question without walking or mutating the tree:
+A :class:`SnapshotIndexes` answers every read-side question from the
+sections of a compiled flat snapshot (:mod:`repro.serving.shm`), without
+walking or mutating the tree:
 
 * **item -> category postings** — for each item, the categories that
   contain it (pre-order) and the *minimal* (most-specific) ones, i.e.
-  the item's branch/leaf placements;
-* **label lookup** — a :class:`repro.search.SearchEngine` over category
-  labels, so free-text navigation queries resolve to categories;
-* **packed category bitsets** — each category's item set packed into a
-  :class:`repro.core.bitset.BitsetUniverse` row, so ``best_category``
-  scores a query against *all* categories with one AND+popcount pass of
-  the PR 1 kernel instead of per-category Python set ops.
+  the item's branch/leaf placements, stored as delta varints;
+* **label lookup** — free-text label search with the same tokenization
+  and TF-IDF arithmetic as :class:`repro.search.SearchEngine`;
+* **tree navigation** — sizes, depths, parents, children, and root
+  paths over pre-order subtree intervals
+  (:class:`repro.serving.succinct.EulerTour`).
+
+The reader is built one of two ways, and both construct this class:
+``SnapshotIndexes(tree, instance, variant)`` compiles the tree into an
+in-process ``bytes`` buffer, and :func:`MmapSnapshotIndexes` maps a
+store's shard files read-only. "In-memory vs mmap" is only "buffer vs
+mapping", so the answers of the two are identical by construction.
 
 Scoring reuses the scalar
 :func:`repro.core.similarity.variant_score_from_sizes` on the
-intersection counts, so both the bitset and the postings path return
-bit-identical scores to the offline :func:`repro.core.scoring.score_tree`
-reference (the differential test in ``tests/test_serving_engine.py``
-pins this). Ties between equally scoring categories break exactly like
-the offline scorer — higher precision, then greater depth — with the
-lower cid as the final deterministic tie-break.
+intersection counts, so ``best_category`` returns bit-identical scores
+to the offline :func:`repro.core.scoring.score_tree` reference. Ties
+between equally scoring categories break exactly like the offline
+scorer — higher precision, then greater depth — with the lower cid as
+the final deterministic tie-break.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from pathlib import Path
+from typing import Hashable, Iterable, Sequence
 
-from repro.core import bitset
 from repro.core.input_sets import OCTInstance
 from repro.core.similarity import variant_score_from_sizes
-from repro.core.tree import Category, CategoryTree
+from repro.core.tree import CategoryTree
 from repro.core.variants import Variant
 from repro.observability import get_tracer
-from repro.search.engine import SearchEngine
-from repro.serving.succinct import (
-    BITSET_FANIN_THRESHOLD,
-    EulerTour,
-    decode_postings,
-    encode_postings,
-    validate_tree_repr,
+from repro.search.analyzer import tokenize
+from repro.search.engine import SearchHit
+from repro.serving.shm import (
+    FlatCategory,
+    _ChildrenMapping,
+    _decode_rows,
+    _FlatShard,
+    _ParentMapping,
+    _RowMapping,
+    compile_flat_indexes,
+    encode_item,
+    shard_of,
 )
+from repro.serving.snapshot import SnapshotError, variant_from_spec
+from repro.serving.succinct import EulerTour
 
 Item = Hashable
 
@@ -58,92 +70,245 @@ class BestCategory:
     depth: int
 
 
-class BaseSnapshotIndexes:
-    """The backend-independent half of the snapshot read API.
+class SnapshotIndexes:
+    """Immutable read-side indexes over one compiled flat snapshot.
 
-    Both the in-memory :class:`SnapshotIndexes` and the mmap-backed
-    :class:`repro.serving.shm.MmapSnapshotIndexes` inherit the scoring
-    loop and the path walk from here, so "bit-identical answers" is a
-    structural property — the two backends literally run the same
-    ``best_category`` code over their own ``intersection_counts`` /
-    ``sizes`` / ``depths`` / ``parent_of`` / ``label_of`` primitives.
+    All per-category state is read through zero-copy views of the
+    snapshot's sections; the only per-process memory beyond the buffer
+    or mapping is this object and the tiny header dicts.
     """
 
-    variant: Variant
-    sizes: "object"  # cid -> |items| mapping (dict or flat-array view)
-    depths: "object"  # cid -> depth mapping
-    parent_of: "object"  # cid -> parent cid | None mapping
-    # Set by succinct-backed subclasses; None keeps every default on the
-    # flat pointer-chase code paths.
-    tree_repr: str = "flat"
-    _euler: "EulerTour | None" = None
+    def __init__(
+        self, tree: CategoryTree, instance: OCTInstance, variant: Variant
+    ) -> None:
+        """Compile ``tree`` into one in-process buffer and open it.
 
-    def label_of(self, cid: int) -> str:  # pragma: no cover - abstract
-        raise NotImplementedError
+        ``instance`` is accepted for symmetry with the snapshot payload;
+        the indexes are a function of the tree and variant alone.
+        """
+        self._open(compile_flat_indexes(tree, variant))
 
-    def intersection_counts(
-        self, items: frozenset
-    ) -> dict[int, int]:  # pragma: no cover - abstract
-        raise NotImplementedError
+    @classmethod
+    def open(cls, sources: Sequence[str | Path | bytes]) -> "SnapshotIndexes":
+        """Open compiled shards: ``bytes`` buffers or shard file paths."""
+        indexes = cls.__new__(cls)
+        indexes._open(sources)
+        return indexes
 
-    def _row_of(self, cid: int) -> int:  # pragma: no cover - abstract
-        """The pre-order row of a cid (succinct backends only)."""
-        raise NotImplementedError
+    def _open(self, sources: Sequence[str | Path | bytes]) -> None:
+        if not sources:
+            raise SnapshotError("no flat snapshot shard files to map")
+        shards: list[_FlatShard] = []
+        try:
+            for source in sources:
+                shards.append(_FlatShard(source))
+            shards.sort(key=lambda s: s.header["shard_index"])
+            first = shards[0].header
+            expected = first["shard_count"]
+            if len(shards) != expected or [
+                s.header["shard_index"] for s in shards
+            ] != list(range(expected)):
+                raise SnapshotError(
+                    f"expected {expected} flat shards, got "
+                    f"{[s.header['shard_index'] for s in shards]}"
+                )
+            for shard in shards[1:]:
+                for field in ("variant", "root_cid", "n_categories",
+                              "universe_size", "shard_count"):
+                    if shard.header[field] != first[field]:
+                        raise SnapshotError(
+                            f"flat shard {shard.path} disagrees with "
+                            f"{shards[0].path} on {field!r}"
+                        )
+        except Exception:
+            for shard in shards:
+                shard.close()
+            raise
+        self._shards = shards
+        tree_shard = shards[0]  # category/token sections: any shard
+        self._tree_shard = tree_shard
+        views = tree_shard._views
+        self._cat_cids = views["cat_cids"]
+        self.variant = variant_from_spec(first["variant"])
+        self.root_cid = int(first["root_cid"])
+        self._n_categories = int(first["n_categories"])
+        self._n_label_docs = int(first["n_label_docs"])
+        self.sizes = _RowMapping(tree_shard, "cat_size")
+        self.depths = _RowMapping(tree_shard, "cat_depth")
+        self.parent_of = _ParentMapping(tree_shard, "cat_parent")
+        self.children_of = _ChildrenMapping(tree_shard)
+        self._euler = EulerTour(views["cat_parent"], views["cat_tout"])
 
-    def _cid_of(self, row: int) -> int:  # pragma: no cover - abstract
-        """The cid at a pre-order row (succinct backends only)."""
-        raise NotImplementedError
+    # -- simple lookups ------------------------------------------------------
+
+    @property
+    def n_categories(self) -> int:
+        return self._n_categories
+
+    @property
+    def uses_bitset(self) -> bool:
+        """Always False: the dense bitset kernel is not part of serving."""
+        return False
+
+    @property
+    def shard_count(self) -> int:
+        return len(self._shards)
+
+    def _row(self, cid: int) -> int:
+        return self.sizes._row(cid)
+
+    def _raw_label(self, row: int) -> str:
+        views = self._tree_shard._views
+        offsets = views["cat_label_off"]
+        return bytes(
+            views["cat_labels"][offsets[row]: offsets[row + 1]]
+        ).decode("utf-8")
+
+    def category(self, cid: int) -> FlatCategory:
+        """The category view for a cid; raises ``KeyError`` when unknown."""
+        row = self._row(cid)
+        views = self._tree_shard._views
+        return FlatCategory(
+            cid=cid,
+            label=self._raw_label(row) or None,
+            depth=views["cat_depth"][row],
+            n_items=views["cat_size"][row],
+        )
+
+    def label_of(self, cid: int) -> str:
+        return self._raw_label(self._row(cid)) or f"C{cid}"
+
+    def _item_rows(self, item: Item, placements: bool) -> Sequence[int]:
+        key = encode_item(item)
+        if key is None:
+            return ()
+        shard = self._shards[shard_of(key, len(self._shards))]
+        code = shard.find_item(key)
+        if code is None:
+            return ()
+        get_tracer().count("serving.succinct.postings_decoded")
+        return _decode_rows(*(shard.place if placements else shard.post), code)
+
+    def placements(self, item: Item) -> tuple[int, ...]:
+        """The most-specific categories containing an item (pre-order)."""
+        cat_cids = self._cat_cids
+        return tuple(cat_cids[row] for row in self._item_rows(item, True))
+
+    def postings(self, item: Item) -> tuple[int, ...]:
+        """All categories containing an item (pre-order)."""
+        cat_cids = self._cat_cids
+        return tuple(cat_cids[row] for row in self._item_rows(item, False))
+
+    # -- tree navigation -----------------------------------------------------
 
     def path_to_root(self, cid: int) -> list[int]:
         """Root-to-``cid`` cid path, inclusive (no scan: O(answer))."""
-        if self._euler is not None:
-            cid_of = self._cid_of
-            return [
-                cid_of(row)
-                for row in self._euler.walk_to_root(self._row_of(cid))
-            ]
-        path = [cid]
-        parent = self.parent_of[cid]
-        while parent is not None:
-            path.append(parent)
-            parent = self.parent_of[parent]
-        path.reverse()
-        return path
+        cat_cids = self._cat_cids
+        rows = self._euler.walk_to_root(self._row(cid))
+        return [cat_cids[row] for row in rows]
 
     def is_ancestor(self, ancestor_cid: int, cid: int) -> bool:
         """Whether ``ancestor_cid`` lies on ``cid``'s root path (inclusive).
 
-        Succinct backends answer with one Euler-interval range check;
-        flat backends walk the (short) root path. Both agree exactly —
-        the property tier pins the equivalence on random trees.
+        One pre-order interval range check.
         """
-        if self._euler is not None:
-            return self._euler.is_ancestor(
-                self._row_of(ancestor_cid), self._row_of(cid)
-            )
-        return ancestor_cid in self.path_to_root(cid)
+        return self._euler.is_ancestor(
+            self._row(ancestor_cid), self._row(cid)
+        )
 
     def paths_to_root_batch(
         self, cids: Iterable[int]
     ) -> dict[int, list[int]]:
         """Root paths for many cids at once (batched ``categorize``).
 
-        Succinct backends share every common path prefix through one
-        LCA sweep (:meth:`EulerTour.root_paths`); flat backends fall
-        back to one pointer chase per cid. Returns exactly what calling
+        Every common path prefix is shared through one pre-order sweep
+        (:meth:`EulerTour.root_paths`). Returns exactly what calling
         :meth:`path_to_root` per cid would.
         """
-        cids = set(cids)
-        if self._euler is None:
-            return {cid: self.path_to_root(cid) for cid in cids}
-        rows = {cid: self._row_of(cid) for cid in cids}
-        get_tracer().count("serving.succinct.batched_lca", max(0, len(rows) - 1))
+        rows = {cid: self._row(cid) for cid in set(cids)}
+        get_tracer().count(
+            "serving.succinct.batched_lca", max(0, len(rows) - 1)
+        )
         row_paths = self._euler.root_paths(rows.values())
-        cid_of = self._cid_of
+        cat_cids = self._cat_cids
         return {
-            cid: [cid_of(r) for r in row_paths[row]]
+            cid: [cat_cids[r] for r in row_paths[row]]
             for cid, row in rows.items()
         }
+
+    # -- label search --------------------------------------------------------
+
+    def _idf(self, df: int) -> float:
+        # Identical arithmetic to repro.search.index.InvertedIndex.idf.
+        return math.log(1.0 + self._n_label_docs / (1.0 + df))
+
+    def find_labels(self, query: str, top_k: int | None = 10):
+        """Scored label hits, replicating ``SearchEngine.search`` exactly.
+
+        Same tokenization, same idf smoothing, same (sorted-token) weight
+        accumulation order — so relevance floats match the offline
+        engine bit for bit, in any process.
+        """
+        shard = self._tree_shard
+        tokens = tokenize(query)
+        if not tokens:
+            return []
+        weights: dict[str, float] = {}
+        token_ids: dict[str, int | None] = {}
+        for token in sorted(set(tokens)):
+            ti = shard.find_token(token)
+            token_ids[token] = ti
+            df = shard._views["tok_df"][ti] if ti is not None else 0
+            weights[token] = self._idf(df)
+        best_possible = sum(weights.values())
+        if best_possible <= 0:
+            return []
+        cat_cids = self._cat_cids
+        tok_post = shard._views["tok_post"]
+        tok_post_off = shard._views["tok_post_off"]
+        scores: dict[int, float] = {}
+        for token, weight in weights.items():
+            ti = token_ids[token]
+            if ti is None:
+                continue
+            for i in range(tok_post_off[ti], tok_post_off[ti + 1]):
+                doc_id = cat_cids[tok_post[i]]
+                scores[doc_id] = scores.get(doc_id, 0.0) + weight
+        hits = [
+            SearchHit(doc_id=doc_id, relevance=score / best_possible)
+            for doc_id, score in scores.items()
+        ]
+        hits.sort(key=lambda h: (-h.relevance, str(h.doc_id)))
+        if top_k is not None:
+            hits = hits[:top_k]
+        return hits
+
+    # -- query scoring -------------------------------------------------------
+
+    def intersection_counts(self, items: frozenset) -> dict[int, int]:
+        """``{cid: |q ∩ C|}`` for the nonzero categories, pre-order.
+
+        Each item resolves in its owning shard and contributes one count
+        per decoded posting row; counts sum exactly across shards.
+        """
+        n_shards = len(self._shards)
+        counts: dict[int, int] = {}
+        n_known = 0
+        for item in items:
+            key = encode_item(item)
+            if key is None:
+                continue
+            shard = self._shards[shard_of(key, n_shards)]
+            code = shard.find_item(key)
+            if code is None:
+                continue
+            n_known += 1
+            for row in _decode_rows(*shard.post, code):
+                counts[row] = counts.get(row, 0) + 1
+        if n_known:
+            get_tracer().count("serving.succinct.postings_decoded", n_known)
+        cat_cids = self._cat_cids
+        return {cat_cids[row]: counts[row] for row in sorted(counts)}
 
     def best_category(
         self,
@@ -185,188 +350,22 @@ class BaseSnapshotIndexes:
                 )
         return best
 
+    # -- lifecycle -----------------------------------------------------------
 
-class SnapshotIndexes(BaseSnapshotIndexes):
-    """Immutable read-side indexes over one (tree, instance, variant)."""
+    def close(self) -> None:
+        """Release the shard file descriptors (mappings follow their views)."""
+        for shard in self._shards:
+            shard.close()
 
-    def __init__(
-        self,
-        tree: CategoryTree,
-        instance: OCTInstance,
-        variant: Variant,
-        use_bitset: bool | None = None,
-        tree_repr: str = "flat",
-    ) -> None:
-        self.variant = variant
-        self.tree_repr = validate_tree_repr(tree_repr)
-        cats = list(tree.categories())  # pre-order, root first
-        self.by_cid: dict[int, Category] = {c.cid: c for c in cats}
-        self.root_cid = tree.root.cid
-        self.sizes: dict[int, int] = {c.cid: len(c.items) for c in cats}
-        self.depths: dict[int, int] = {c.cid: c.depth for c in cats}
-        self.parent_of: dict[int, int | None] = {
-            c.cid: (c.parent.cid if c.parent is not None else None)
-            for c in cats
-        }
-        self.children_of: dict[int, tuple[int, ...]] = {
-            c.cid: tuple(child.cid for child in c.children) for c in cats
-        }
+    def __enter__(self) -> "SnapshotIndexes":
+        return self
 
-        # Item -> containing categories (pre-order) and item -> minimal
-        # (most-specific) categories: the branch placements a bound-k
-        # item occupies. One pass each, mirroring tree.item_branch_counts.
-        postings: dict[Item, list[int]] = {}
-        minimal: dict[Item, list[int]] = {}
-        for cat in cats:
-            covered_by_children: set[Item] = set()
-            for child in cat.children:
-                covered_by_children |= child.items
-            for item in cat.items:
-                postings.setdefault(item, []).append(cat.cid)
-                if item not in covered_by_children:
-                    minimal.setdefault(item, []).append(cat.cid)
-        self._cids = [c.cid for c in cats]
-        self._row_of_map = {cid: row for row, cid in enumerate(self._cids)}
-        if self.tree_repr == "succinct":
-            # Euler-tour intervals + sparse-table LCA over pre-order
-            # rows, and the postings/placements delta-compressed into
-            # varint blobs (decoded on access) instead of tuple dicts —
-            # the in-process mirror of the flat layout's ROCT sections.
-            row_of = self._row_of_map
-            self._euler = EulerTour.build(
-                [
-                    row_of[c.parent.cid] if c.parent is not None else -1
-                    for c in cats
-                ],
-                [c.depth for c in cats],
-            )
-            self._post_var: dict[Item, bytes] = {
-                item: encode_postings(row_of[cid] for cid in cids)
-                for item, cids in postings.items()
-            }
-            self._place_var: dict[Item, bytes] = {
-                item: encode_postings(row_of[cid] for cid in cids)
-                for item, cids in minimal.items()
-            }
-            self.item_postings: dict[Item, tuple[int, ...]] = {}
-            self.item_placements: dict[Item, tuple[int, ...]] = {}
-        else:
-            self.item_postings = {
-                item: tuple(cids) for item, cids in postings.items()
-            }
-            self.item_placements = {
-                item: tuple(cids) for item, cids in minimal.items()
-            }
+    def __exit__(self, *exc) -> None:
+        self.close()
 
-        # Label -> category lookup over the labeled categories.
-        self.label_engine = SearchEngine()
-        for cat in cats:
-            if cat.label:
-                self.label_engine.add_document(cat.cid, cat.label)
 
-        # Packed category bitsets (PR 1 kernel). The universe is the
-        # root's item set: every indexable item is in it, and query items
-        # outside it cannot intersect any category.
-        self._bitset: "bitset.BitsetUniverse | None" = None
-        if bitset.should_use(len(cats), len(tree.root.items), use_bitset):
-            self._bitset = bitset.BitsetUniverse(
-                [c.items for c in cats], universe=tree.root.items
-            )
-
-    # -- simple lookups ------------------------------------------------------
-
-    @property
-    def n_categories(self) -> int:
-        return len(self.by_cid)
-
-    @property
-    def uses_bitset(self) -> bool:
-        return self._bitset is not None
-
-    def category(self, cid: int) -> Category:
-        """The category for a cid; raises ``KeyError`` when unknown."""
-        return self.by_cid[cid]
-
-    def _row_of(self, cid: int) -> int:
-        return self._row_of_map[cid]
-
-    def _cid_of(self, row: int) -> int:
-        return self._cids[row]
-
-    def label_of(self, cid: int) -> str:
-        cat = self.by_cid[cid]
-        return cat.label or f"C{cat.cid}"
-
-    def placements(self, item: Item) -> tuple[int, ...]:
-        """The most-specific categories containing an item ('' when unknown)."""
-        if self.tree_repr == "succinct":
-            blob = self._place_var.get(item)
-            if blob is None:
-                return ()
-            get_tracer().count("serving.succinct.postings_decoded")
-            return tuple(self._cids[row] for row in decode_postings(blob))
-        return self.item_placements.get(item, ())
-
-    def find_labels(self, query: str, top_k: int = 10):
-        """Scored category hits for a free-text label query."""
-        return self.label_engine.search(query, top_k=top_k)
-
-    # -- query scoring -------------------------------------------------------
-
-    def intersection_counts(self, items: frozenset) -> dict[int, int]:
-        """``{cid: |q ∩ C|}`` for the nonzero categories, cid-ascending.
-
-        Uses the packed bitset kernel when available (one AND+popcount
-        pass over all category rows), the item postings otherwise. Both
-        paths return identical dicts.
-        """
-        if self.tree_repr == "succinct":
-            known = [i for i in items if i in self._post_var]
-            if not known:
-                return {}
-            # Large fan-in amortizes the dense AND+popcount pass; small
-            # queries win by decoding a handful of varint rows. Both
-            # arms emit row-ascending (= pre-order = cid-table order).
-            if (
-                self._bitset is not None
-                and len(known) >= BITSET_FANIN_THRESHOLD
-            ):
-                get_tracer().count("serving.succinct.bitset_fanin")
-                sizes = self._bitset.intersection_sizes(
-                    self._bitset.pack(known)
-                )
-                return {
-                    self._cids[row]: int(common)
-                    for row, common in enumerate(sizes.tolist())
-                    if common
-                }
-            get_tracer().count(
-                "serving.succinct.postings_decoded", len(known)
-            )
-            row_counts: dict[int, int] = {}
-            for item in known:
-                for row in decode_postings(self._post_var[item]):
-                    row_counts[row] = row_counts.get(row, 0) + 1
-            return {
-                self._cids[row]: row_counts[row]
-                for row in sorted(row_counts)
-            }
-        if self._bitset is not None:
-            known = [i for i in items if i in self._bitset.index]
-            if not known:
-                return {}
-            sizes = self._bitset.intersection_sizes(self._bitset.pack(known))
-            return {
-                self._cids[row]: int(common)
-                for row, common in enumerate(sizes.tolist())
-                if common
-            }
-        counts: dict[int, int] = {}
-        for item in items:
-            for cid in self.item_postings.get(item, ()):
-                counts[cid] = counts.get(cid, 0) + 1
-        # Postings insert in query-item order; normalize to the bitset
-        # path's pre-order (row) order for dict-level equality.
-        return {
-            cid: counts[cid] for cid in self._cids if cid in counts
-        }
+def MmapSnapshotIndexes(  # noqa: N802 - reads like the class it builds
+    paths: Sequence[str | Path],
+) -> SnapshotIndexes:
+    """Map a snapshot's flat shard files read-only and open the reader."""
+    return SnapshotIndexes.open(list(paths))

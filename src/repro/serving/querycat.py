@@ -18,20 +18,20 @@ Stages, in order:
    (:class:`repro.core.bitset.BitsetUniverse`); the best candidate wins
    outright when its Jaccard reaches the confidence threshold.
 3. **backoff** — otherwise walk the best candidate's root path upward
-   (Euler-tour ancestor tests on succinct backends) and stop at the
+   (pre-order interval ancestor tests) and stop at the
    deepest ancestor whose *subtree* accumulates enough relevance mass
    from all candidates, bottoming out at the root.
 
 Queries with no usable tokens resolve to stage ``empty``; queries whose
 tokens match no label resolve to stage ``nohit`` (both uncategorized).
 
-Everything here is written against the backend-independent
-:class:`~repro.serving.indexes.BaseSnapshotIndexes` API only —
+Everything here is written against a small read API —
 ``find_labels``, ``label_of``, ``path_to_root``, ``is_ancestor``,
-``depths`` — so in-memory, mmap, and sharded-supervisor backends return
-bit-identical results by construction (the differential tier in
-``tests/test_querycat.py`` pins this). Results are JSON-native dicts, so
-an HTTP round trip preserves them exactly.
+``depths`` — which :class:`~repro.serving.indexes.SnapshotIndexes`
+serves identically from a buffer, a mapping or sharded supervisor
+workers (the differential tier in ``tests/test_querycat.py`` checks all
+of them against a brute-force walk of the tree). Results are
+JSON-native dicts, so an HTTP round trip preserves them exactly.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def categorize_query(
     # the relevance mass of all candidates inside its subtree (capped at
     # 1); commit to the deepest ancestor that clears the threshold, or
     # the root if none does. Summation runs in hit order, so the floats
-    # are identical on every backend.
+    # are identical in every process.
     path = indexes.path_to_root(best_cid)
     ancestors = path[:-1] if len(path) > 1 else path
     final_cid = path[0]

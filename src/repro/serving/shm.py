@@ -1,100 +1,85 @@
-"""Flat mmap-able snapshot layout for zero-copy multi-process serving.
+"""The flat snapshot layout: one format, read from a buffer or a mapping.
 
-One ``ThreadingHTTPServer`` process tops out when every read holds the
-GIL; the multi-process tier (:mod:`repro.serving.supervisor`) instead
-runs N workers that all ``mmap`` the *same* read-only flat snapshot
-file, so the kernel shares one page-cache copy of the indexes across
-every worker — no per-process deserialization, no per-process heap.
+Every read op is answered from this layout. The in-process backend
+compiles a tree into ``bytes`` and reads the buffer; worker processes
+(:mod:`repro.serving.supervisor`) ``mmap`` the *same* read-only files
+from the snapshot store, so the kernel shares one page-cache copy of the
+indexes across every worker — no per-process deserialization, no
+per-process heap. Both go through :class:`_FlatShard` and the one reader
+class, :class:`~repro.serving.indexes.SnapshotIndexes`.
 
-The layout is a single self-describing binary file per shard::
+The layout is a single self-describing binary blob per shard::
 
     magic "ROCT" | u32 flat_format_version | u64 header_len
     header JSON  (section table: name -> {offset, count, kind}, plus
                   variant spec, category/item/label counts, shard k-of-S)
-    8-aligned little/native-endian sections (offsets relative to the
-                  8-aligned end of the header)
+    8-aligned native-endian sections (offsets relative to the 8-aligned
+                  end of the header)
     trailer "TROC" | u64 file_size
 
-The trailer is written last and echoes the total file size, so a torn or
+The trailer is written last and echoes the total size, so a torn or
 truncated write is detected structurally before any section is trusted
 (the staged ``os.replace`` publish in :class:`~repro.serving.snapshot.
 SnapshotStore` means readers should never see one, but crash-injection
 tests do).
 
-Sections (``i64``/``u64`` arrays are read through zero-copy
-``memoryview.cast`` views; NumPy is only needed for the packed-bitset
-intersection path and the postings fallback matches it exactly):
+Sections (read through zero-copy ``memoryview.cast`` views):
 
-==================  ========================================================
-``cat_cids``        row -> cid, category pre-order (root first)
-``cat_parent``      row -> parent row (-1 for the root)
-``cat_depth``       row -> depth
-``cat_size``        row -> ``|items|``
-``cat_children``    child rows, ``cat_children_off[row] .. [row+1]``
-``cat_labels``      utf-8 label blob, ``cat_label_off`` byte offsets
-``cid_to_row``      cid -> row (-1 when the cid does not exist)
-``item_keys``       canonical JSON item keys, sorted, ``item_off`` offsets
-``item_post``       item -> containing category rows (``item_post_off``)
-``item_place``      item -> minimal category rows (``item_place_off``)
-``cat_bits``        ``n_categories x n_words`` u64 bit matrix over the
-                    shard's items (bit = sorted item position)
-``tok_blob``        sorted label-search tokens (``tok_off`` offsets)
-``tok_df``          token -> document frequency
-``tok_post``        token -> label doc rows (``tok_post_off``)
-==================  ========================================================
+===================  =======================================================
+``cat_cids``         row -> cid, category pre-order (root first)
+``cat_parent``       row -> parent row (-1 for the root)
+``cat_depth``        row -> depth
+``cat_size``         row -> ``|items|``
+``cat_children``     child rows, ``cat_children_off[row] .. [row+1]``
+``cat_labels``       utf-8 label blob, ``cat_label_off`` byte offsets
+``cid_to_row``       cid -> row (-1 when the cid does not exist)
+``cat_tout``         row -> end of its pre-order subtree interval (i32)
+``item_keys``        canonical JSON item keys, sorted, ``item_off`` offsets
+``item_post_var``    item -> containing category rows, delta varints
+                     (``item_post_voff`` byte offsets)
+``item_place_var``   item -> minimal category rows, delta varints
+                     (``item_place_voff`` byte offsets)
+``tok_blob``         sorted label-search tokens (``tok_off`` offsets)
+``tok_df``           token -> document frequency
+``tok_post``         token -> label doc rows (``tok_post_off``)
+===================  =======================================================
 
-Format version 2 adds the *succinct* section group (see
-:mod:`repro.serving.succinct` and the "Succinct read path" section of
-docs/operations.md): Euler-tour interval arrays (``cat_tin``/``cat_tout``),
-the sparse-table LCA structure (``euler_tour``/``euler_first``/
-``lca_sparse``), and delta-compressed varint postings
-(``item_post_var``/``item_place_var``/``cat_items_var`` with their byte
-offset arrays) that replace the dense i64 row arrays and the bit matrix
-on the sparse read path. The header's ``reprs`` list records which
-groups a file carries ("flat", "succinct", or both); readers pick via
-the ``tree_repr`` knob and :meth:`SnapshotStore.ensure_flat` recompiles
-stale or repr-missing files in place.
+Format version 3 carries exactly these sections. Files of older
+versions (v1, and v2 with its dense postings, bit matrix and sparse
+LCA table) are rejected on open with a hint to run
+:meth:`SnapshotStore.ensure_flat`, which recompiles them in place.
 
 Sharding splits the *item* sections by ``crc32(item key) % shard_count``;
 the category tree and label-search sections are replicated into every
 shard, so any single shard answers ``browse``/``path``/``search`` alone
-and :class:`MmapSnapshotIndexes` only fans out item lookups.
-:meth:`MmapSnapshotIndexes.intersection_counts` sums the per-shard
-integer counts, which is exact — sharded and unsharded answers are
-identical, as the differential tests in ``tests/test_serving_shm.py``
-assert against the in-memory :class:`~repro.serving.indexes.
-SnapshotIndexes` for every read op.
+and the reader only fans out item lookups. Per-shard intersection counts
+sum exactly, so sharded and unsharded answers are identical — the
+differential tests in ``tests/`` check every read op against a
+brute-force walk of the tree (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import mmap
 import struct
 import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
-from repro.core import bitset
+from repro.core.tree import CategoryTree
+from repro.core.variants import Variant
 from repro.observability import get_tracer
-from repro.search.analyzer import tokenize
-from repro.search.engine import SearchHit
-from repro.serving.indexes import BaseSnapshotIndexes, SnapshotIndexes
-from repro.serving.snapshot import SnapshotError, variant_from_spec, variant_spec
-from repro.serving.succinct import (
-    BITSET_FANIN_THRESHOLD,
-    EulerTour,
-    concat_postings,
-    decode_postings,
-)
+from repro.search.engine import SearchEngine
+from repro.serving.snapshot import SnapshotError, variant_spec
+from repro.serving.succinct import EulerTour, concat_postings, decode_postings
 
 Item = Hashable
 
 FLAT_MAGIC = b"ROCT"
-FLAT_FORMAT_VERSION = 2
+FLAT_FORMAT_VERSION = 3
 _TRAILER_MAGIC = b"TROC"
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header byte length
 _TRAILER = struct.Struct("<4sQ")  # trailer magic, total file size
@@ -103,40 +88,20 @@ _TRAILER = struct.Struct("<4sQ")  # trailer magic, total file size
 _KINDS = {"i64": ("q", 8), "u64": ("Q", 8), "u8": ("B", 1), "i32": ("i", 4)}
 
 # Logical section groups: byte accounting for `repro inspect-snapshot`
-# and the benchmarks, and (via _GROUPS_FOR) required-section validation.
-# "tree"/"items"/"tokens" appear in every file; "dense" only when the
-# header's `reprs` includes "flat", "succinct_*" only with "succinct".
+# and the required-section check on open. Every group is in every file.
 SECTION_GROUPS: dict[str, tuple[str, ...]] = {
     "tree": (
         "cat_cids", "cat_parent", "cat_depth", "cat_size",
         "cat_children_off", "cat_children", "cat_label_off", "cat_labels",
-        "cid_to_row",
+        "cid_to_row", "cat_tout",
     ),
     "items": ("item_off", "item_keys"),
-    "dense": (
-        "item_post_off", "item_post", "item_place_off", "item_place",
-        "cat_bits",
-    ),
-    "succinct_tree": (
-        "cat_tin", "cat_tout", "euler_tour", "euler_first", "lca_sparse",
-    ),
-    "succinct_postings": (
+    "postings": (
         "item_post_voff", "item_post_var", "item_place_voff",
-        "item_place_var", "cat_items_voff", "cat_items_var",
+        "item_place_var",
     ),
     "tokens": ("tok_off", "tok_blob", "tok_df", "tok_post_off", "tok_post"),
 }
-
-
-def _groups_for(reprs: Sequence[str]) -> list[str]:
-    """The section groups a file with these representations must carry."""
-    groups = ["tree", "items"]
-    if "flat" in reprs:
-        groups.append("dense")
-    if "succinct" in reprs:
-        groups += ["succinct_tree", "succinct_postings"]
-    groups.append("tokens")
-    return groups
 
 
 def _align8(n: int) -> int:
@@ -189,11 +154,6 @@ class _SectionWriter:
             name, "i64", struct.pack(f"<{len(values)}q", *values), len(values)
         )
 
-    def add_u64(self, name: str, values: Sequence[int]) -> None:
-        self.add(
-            name, "u64", struct.pack(f"<{len(values)}Q", *values), len(values)
-        )
-
     def add_i32(self, name: str, values: Sequence[int]) -> None:
         self.add(
             name, "i32", struct.pack(f"<{len(values)}i", *values), len(values)
@@ -224,83 +184,72 @@ def _offsets(lengths: Sequence[int]) -> list[int]:
 
 
 def compile_flat_indexes(
-    indexes: SnapshotIndexes, shards: int = 1, tree_repr: str = "both"
+    tree: CategoryTree, variant: Variant, shards: int = 1
 ) -> list[bytes]:
-    """Serialize in-memory snapshot indexes into flat shard files.
+    """Compile a tree into ``shards`` flat snapshot blobs.
 
-    Compiling *from* a built :class:`SnapshotIndexes` (rather than from
-    the tree directly) guarantees the flat file encodes exactly what the
-    in-memory read path would answer — the differential tests then pin
-    the mmap reader to it.
-
-    ``tree_repr`` selects the emitted section groups: ``"flat"`` (dense
-    i64 postings + bit matrix), ``"succinct"`` (Euler-tour intervals,
-    sparse-table LCA, delta-compressed varint postings), or ``"both"``
-    (the default — any reader knob works against the file).
+    Item postings are every category containing the item (pre-order);
+    placements are the *minimal* (most-specific) ones, i.e. the item's
+    branch placements. The variant only stamps the header: it is the
+    default scoring variant of ``best_category``.
     """
     if shards < 1:
         raise SnapshotError(f"shard count must be >= 1, got {shards}")
-    if tree_repr not in ("flat", "succinct", "both"):
-        raise SnapshotError(
-            f"tree_repr must be 'flat', 'succinct' or 'both', "
-            f"got {tree_repr!r}"
-        )
-    if indexes.tree_repr != "flat":
-        raise SnapshotError(
-            "compile_flat_indexes needs flat-repr indexes (the dense "
-            "postings dicts are the compilation source); got "
-            f"tree_repr={indexes.tree_repr!r}"
-        )
-    reprs = ["flat", "succinct"] if tree_repr == "both" else [tree_repr]
     tracer = get_tracer()
     with tracer.span("serving.compile_flat"):
-        cids = list(indexes._cids)  # category pre-order, root first
+        cats = list(tree.categories())  # pre-order, root first
+        cids = [cat.cid for cat in cats]
         if any(cid < 0 for cid in cids):
             raise SnapshotError("flat snapshot layout requires cids >= 0")
         row_of = {cid: row for row, cid in enumerate(cids)}
         n_cats = len(cids)
-        max_cid = max(cids) if cids else -1
+        max_cid = max(cids)
+        parents = [
+            row_of[cat.parent.cid] if cat.parent is not None else -1
+            for cat in cats
+        ]
+        tout = EulerTour.build(parents).tout
 
-        labels = []
-        for cid in cids:
-            cat = indexes.by_cid[cid]
-            labels.append((cat.label or "").encode("utf-8"))
-        label_offsets = _offsets([len(b) for b in labels])
+        labels = [(cat.label or "").encode("utf-8") for cat in cats]
         cid_to_row = [-1] * (max_cid + 1)
         for row, cid in enumerate(cids):
             cid_to_row[cid] = row
+        children = [
+            [row_of[child.cid] for child in cat.children] for cat in cats
+        ]
 
-        # Token sections (replicated per shard): sorted token order makes
-        # the per-token binary search possible; posting order within a
-        # token is irrelevant to the (sorted) search results.
-        tok_index = indexes.label_engine.index
+        # Label search (replicated per shard): the same SearchEngine the
+        # offline search uses, so tokenization and document frequencies
+        # agree. Sorted token order makes the per-token binary search
+        # possible; posting order within a token does not affect scores.
+        engine = SearchEngine()
+        for cat in cats:
+            if cat.label:
+                engine.add_document(cat.cid, cat.label)
+        tok_index = engine.index
         tokens = sorted(tok_index.postings)
         tok_blobs = [t.encode("utf-8") for t in tokens]
-        tok_offsets = _offsets([len(b) for b in tok_blobs])
-        tok_df = [len(tok_index.postings[t]) for t in tokens]
         tok_posts = [
             sorted(row_of[doc_id] for doc_id in tok_index.postings[t])
             for t in tokens
         ]
-        tok_post_offsets = _offsets([len(p) for p in tok_posts])
-        n_label_docs = len(tok_index.doc_lengths)
 
-        # Succinct tree structure (replicated per shard, like the other
-        # category sections): built once from the pre-order parent array.
-        euler: EulerTour | None = None
-        if "succinct" in reprs:
-            euler = EulerTour.build(
-                [
-                    row_of[p] if (p := indexes.parent_of[cid]) is not None
-                    else -1
-                    for cid in cids
-                ],
-                [indexes.depths[cid] for cid in cids],
-            )
+        # Item -> containing rows and item -> minimal rows, both strictly
+        # increasing because rows are visited in pre-order.
+        postings: dict[Item, list[int]] = {}
+        placements: dict[Item, list[int]] = {}
+        for row, cat in enumerate(cats):
+            covered: set[Item] = set()
+            for child in cat.children:
+                covered |= child.items
+            for item in cat.items:
+                postings.setdefault(item, []).append(row)
+                if item not in covered:
+                    placements.setdefault(item, []).append(row)
 
         # Items, partitioned by key shard and sorted by key within it.
         per_shard: list[list[tuple[bytes, Item]]] = [[] for _ in range(shards)]
-        for item in indexes.item_postings:
+        for item in postings:
             key = encode_item(item)
             if key is None:
                 raise SnapshotError(
@@ -308,94 +257,43 @@ def compile_flat_indexes(
                     f"items, got {type(item).__name__}: {item!r}"
                 )
             per_shard[shard_of(key, shards)].append((key, item))
-        universe_size = len(indexes.item_postings)
 
         files: list[bytes] = []
         for shard_index in range(shards):
             entries = sorted(per_shard[shard_index], key=lambda kv: kv[0])
             keys = [key for key, _ in entries]
-            item_offsets = _offsets([len(k) for k in keys])
-            posts = [
-                [row_of[cid] for cid in indexes.item_postings[item]]
-                for _, item in entries
-            ]
-            places = [
-                [row_of[cid] for cid in indexes.item_placements.get(item, ())]
-                for _, item in entries
-            ]
-            n_words = (len(entries) + 63) >> 6
+            post_blob, post_voff = concat_postings(
+                [postings[item] for _, item in entries]
+            )
+            place_blob, place_voff = concat_postings(
+                [placements.get(item, ()) for _, item in entries]
+            )
 
             writer = _SectionWriter()
             writer.add_i64("cat_cids", cids)
-            writer.add_i64(
-                "cat_parent",
-                [
-                    row_of[p] if (p := indexes.parent_of[cid]) is not None
-                    else -1
-                    for cid in cids
-                ],
-            )
-            writer.add_i64("cat_depth", [indexes.depths[cid] for cid in cids])
-            writer.add_i64("cat_size", [indexes.sizes[cid] for cid in cids])
-            children = [
-                [row_of[child] for child in indexes.children_of[cid]]
-                for cid in cids
-            ]
+            writer.add_i64("cat_parent", parents)
+            writer.add_i64("cat_depth", [cat.depth for cat in cats])
+            writer.add_i64("cat_size", [len(cat.items) for cat in cats])
             writer.add_i64("cat_children_off", _offsets(map(len, children)))
             writer.add_i64(
                 "cat_children", [row for per in children for row in per]
             )
-            writer.add_i64("cat_label_off", label_offsets)
+            writer.add_i64("cat_label_off", _offsets(map(len, labels)))
             writer.add_blob("cat_labels", b"".join(labels))
             writer.add_i64("cid_to_row", cid_to_row)
-            writer.add_i64("item_off", item_offsets)
+            writer.add_i32("cat_tout", tout)
+            writer.add_i64("item_off", _offsets(map(len, keys)))
             writer.add_blob("item_keys", b"".join(keys))
-            if "flat" in reprs:
-                # Dense layout: plain i64 row arrays plus the packed
-                # category-membership bit matrix over the shard's items
-                # (bit i of row r <=> item i, sorted order, is in the
-                # category at pre-order row r — exactly the postings
-                # relation, so both read paths agree by layout).
-                words = [0] * (n_cats * n_words)
-                for code, rows in enumerate(posts):
-                    word, bit = code >> 6, 1 << (code & 63)
-                    for row in rows:
-                        words[row * n_words + word] |= bit
-                writer.add_i64(
-                    "item_post_off", _offsets([len(p) for p in posts])
-                )
-                writer.add_i64("item_post", [r for per in posts for r in per])
-                writer.add_i64(
-                    "item_place_off", _offsets([len(p) for p in places])
-                )
-                writer.add_i64(
-                    "item_place", [r for per in places for r in per]
-                )
-                writer.add_u64("cat_bits", words)
-            if euler is not None:
-                for name, values in euler.arrays().items():
-                    writer.add_i32(name, values)
-                # Delta-compressed varint postings: item -> category
-                # rows, item -> minimal rows, and the transpose
-                # (category row -> sorted item codes) replacing the
-                # dense bit matrix on the sparse read path.
-                post_blob, post_voff = concat_postings(posts)
-                place_blob, place_voff = concat_postings(places)
-                cat_items: list[list[int]] = [[] for _ in range(n_cats)]
-                for code, rows in enumerate(posts):
-                    for row in rows:
-                        cat_items[row].append(code)
-                items_blob, items_voff = concat_postings(cat_items)
-                writer.add_i32("item_post_voff", post_voff)
-                writer.add_blob("item_post_var", post_blob)
-                writer.add_i32("item_place_voff", place_voff)
-                writer.add_blob("item_place_var", place_blob)
-                writer.add_i32("cat_items_voff", items_voff)
-                writer.add_blob("cat_items_var", items_blob)
-            writer.add_i64("tok_off", tok_offsets)
+            writer.add_i32("item_post_voff", post_voff)
+            writer.add_blob("item_post_var", post_blob)
+            writer.add_i32("item_place_voff", place_voff)
+            writer.add_blob("item_place_var", place_blob)
+            writer.add_i64("tok_off", _offsets(map(len, tok_blobs)))
             writer.add_blob("tok_blob", b"".join(tok_blobs))
-            writer.add_i64("tok_df", tok_df)
-            writer.add_i64("tok_post_off", tok_post_offsets)
+            writer.add_i64(
+                "tok_df", [len(tok_index.postings[t]) for t in tokens]
+            )
+            writer.add_i64("tok_post_off", _offsets(map(len, tok_posts)))
             writer.add_i64("tok_post", [r for per in tok_posts for r in per])
 
             files.append(
@@ -403,19 +301,15 @@ def compile_flat_indexes(
                     {
                         "format": "repro-flat-snapshot",
                         "byteorder": sys.byteorder,
-                        "variant": variant_spec(indexes.variant),
-                        "root_cid": indexes.root_cid,
+                        "variant": variant_spec(variant),
+                        "root_cid": tree.root.cid,
                         "n_categories": n_cats,
                         "max_cid": max_cid,
-                        "universe_size": universe_size,
-                        "n_label_docs": n_label_docs,
+                        "universe_size": len(postings),
+                        "n_label_docs": len(tok_index.doc_lengths),
                         "shard_index": shard_index,
                         "shard_count": shards,
                         "n_shard_items": len(entries),
-                        "n_words": n_words,
-                        "reprs": reprs,
-                        "n_euler": len(euler.tour) if euler else 0,
-                        "lca_levels": euler.n_levels if euler else 0,
                     }
                 )
             )
@@ -515,48 +409,49 @@ class FlatCategory:
     n_items: int
 
 
-class _FlatShard:
-    """One mapped shard file: validated header + zero-copy section views."""
+def _decode_rows(voff, blob, code: int) -> Sequence[int]:
+    """Decode one item's varint row list."""
+    lo, hi = voff[code], voff[code + 1]
+    if hi - lo == 1:
+        # One posting with gap < 128 — a single byte holding value + 1
+        # (gaps are taken against -1). Placement lists are
+        # overwhelmingly singletons, so skip the decoder loop.
+        return (blob[lo] - 1,)
+    return decode_postings(blob[lo:hi])
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._file = open(self.path, "rb")
+
+class _FlatShard:
+    """One shard: validated header + zero-copy section views.
+
+    ``source`` is either a compiled ``bytes`` buffer (the in-process
+    backend) or the path of a shard file, which is mapped read-only.
+    """
+
+    def __init__(self, source: str | Path | bytes) -> None:
+        self._file = None
+        if isinstance(source, bytes):
+            self.path: str | Path = "<buffer>"
+            data = source
+        else:
+            self.path = Path(source)
+            data = self._map()
         try:
-            size = self.path.stat().st_size
-            if size < _PREFIX.size + _TRAILER.size:
-                raise SnapshotError(
-                    f"flat snapshot {self.path} is truncated "
-                    f"({size} bytes is smaller than any valid file)"
-                )
-            self._mm = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except SnapshotError:
-            self._file.close()
-            raise
-        except OSError as exc:
-            self._file.close()
-            raise SnapshotError(
-                f"cannot map flat snapshot {self.path}: {exc}"
-            ) from exc
-        try:
-            self.header = self._validate(size)
-            view = memoryview(self._mm)
+            self.header = self._validate(data)
+            view = memoryview(data)
             data_start = _align8(_PREFIX.size + len(self._header_bytes))
             self._views: dict[str, memoryview] = {}
             for name, spec in self.header["sections"].items():
                 fmt, width = _KINDS[spec["kind"]]
                 lo = data_start + spec["offset"]
                 hi = lo + spec["count"] * width
-                if hi > size - _TRAILER.size:
+                if hi > len(data) - _TRAILER.size:
                     raise SnapshotError(
                         f"flat snapshot {self.path}: section {name!r} "
                         "extends past the end of the file"
                     )
                 self._views[name] = view[lo:hi].cast(fmt)
-            self.reprs = tuple(self.header.get("reprs", ["flat"]))
-            for group in _groups_for(self.reprs):
-                for name in SECTION_GROUPS[group]:
+            for names in SECTION_GROUPS.values():
+                for name in names:
                     if name not in self._views:
                         raise SnapshotError(
                             f"flat snapshot {self.path} is missing "
@@ -565,13 +460,28 @@ class _FlatShard:
         except Exception:
             self.close()
             raise
-        self._matrix = None  # lazy numpy view over cat_bits
-        self._var_cache: dict[str, tuple[memoryview, memoryview]] = {}
+        views = self._views
+        self.post = (views["item_post_voff"], views["item_post_var"])
+        self.place = (views["item_place_voff"], views["item_place_var"])
 
-    def _validate(self, size: int) -> dict:
-        magic, version, header_len = _PREFIX.unpack(
-            self._mm[: _PREFIX.size]
-        )
+    def _map(self) -> mmap.mmap:
+        self._file = open(self.path, "rb")
+        try:
+            return mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError) as exc:  # ValueError: an empty file
+            self._file.close()
+            raise SnapshotError(
+                f"cannot map flat snapshot {self.path}: {exc}"
+            ) from exc
+
+    def _validate(self, data) -> dict:
+        size = len(data)
+        if size < _PREFIX.size + _TRAILER.size:
+            raise SnapshotError(
+                f"flat snapshot {self.path} is truncated "
+                f"({size} bytes is smaller than any valid file)"
+            )
+        magic, version, header_len = _PREFIX.unpack(data[: _PREFIX.size])
         if magic != FLAT_MAGIC:
             raise SnapshotError(
                 f"{self.path} is not a flat snapshot "
@@ -589,8 +499,7 @@ class _FlatShard:
                 f"(supported: {FLAT_FORMAT_VERSION}); recompile it with "
                 "SnapshotStore.ensure_flat"
             )
-        trailer = self._mm[size - _TRAILER.size:]
-        t_magic, t_size = _TRAILER.unpack(trailer)
+        t_magic, t_size = _TRAILER.unpack(data[size - _TRAILER.size:])
         if t_magic != _TRAILER_MAGIC or t_size != size:
             raise SnapshotError(
                 f"flat snapshot {self.path} is torn or truncated "
@@ -600,7 +509,7 @@ class _FlatShard:
             raise SnapshotError(
                 f"flat snapshot {self.path} header overruns the file"
             )
-        self._header_bytes = self._mm[_PREFIX.size: _PREFIX.size + header_len]
+        self._header_bytes = data[_PREFIX.size: _PREFIX.size + header_len]
         try:
             header = json.loads(self._header_bytes)
         except json.JSONDecodeError as exc:
@@ -615,77 +524,41 @@ class _FlatShard:
             )
         return header
 
-    # -- item lookup -------------------------------------------------------
+    # -- lookups -------------------------------------------------------------
+
+    @staticmethod
+    def _search(offsets, blob, key: bytes) -> int | None:
+        """Binary search a sorted offset-delimited blob; index or None."""
+        lo, hi = 0, len(offsets) - 1
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            probe = bytes(blob[offsets[mid]: offsets[mid + 1]])
+            if probe < key:
+                lo = mid + 1
+            elif probe > key:
+                hi = mid
+            else:
+                return mid
+        return None
 
     def find_item(self, key: bytes) -> int | None:
-        """Binary search the sorted key blob; item code or None."""
-        offsets, blob = self._views["item_off"], self._views["item_keys"]
-        lo, hi = 0, len(offsets) - 1
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            probe = bytes(blob[offsets[mid]: offsets[mid + 1]])
-            if probe < key:
-                lo = mid + 1
-            elif probe > key:
-                hi = mid
-            else:
-                return mid
-        return None
-
-    def item_rows(self, section: str, code: int) -> memoryview:
-        """The ``item_post``/``item_place`` row slice of one item code."""
-        offsets = self._views[f"{section}_off"]
-        return self._views[section][offsets[code]: offsets[code + 1]]
-
-    def var_views(self, section: str) -> tuple[memoryview, memoryview]:
-        """Cached ``(offsets, blob)`` view pair of one varint section."""
-        try:
-            return self._var_cache[section]
-        except KeyError:
-            pair = (
-                self._views[section + "_voff"],
-                self._views[section + "_var"],
-            )
-            self._var_cache[section] = pair
-            return pair
-
-    @property
-    def matrix(self):
-        """The ``(n_categories, n_words)`` uint64 bit matrix (zero copy)."""
-        if self._matrix is None:
-            import numpy as np
-
-            spec = self.header["sections"]["cat_bits"]
-            data_start = _align8(_PREFIX.size + len(self._header_bytes))
-            self._matrix = np.frombuffer(
-                self._mm,
-                dtype=np.uint64,
-                count=spec["count"],
-                offset=data_start + spec["offset"],
-            ).reshape(self.header["n_categories"], self.header["n_words"])
-        return self._matrix
+        """The item code of a canonical item key, or None."""
+        return self._search(
+            self._views["item_off"], self._views["item_keys"], key
+        )
 
     def find_token(self, token: str) -> int | None:
-        """Binary search the sorted token blob; token index or None."""
-        key = token.encode("utf-8")
-        offsets, blob = self._views["tok_off"], self._views["tok_blob"]
-        lo, hi = 0, len(offsets) - 1
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            probe = bytes(blob[offsets[mid]: offsets[mid + 1]])
-            if probe < key:
-                lo = mid + 1
-            elif probe > key:
-                hi = mid
-            else:
-                return mid
-        return None
+        """The index of a label-search token, or None."""
+        return self._search(
+            self._views["tok_off"], self._views["tok_blob"],
+            token.encode("utf-8"),
+        )
 
     def close(self) -> None:
         # Closing the descriptor releases the fd immediately; the mapping
         # itself stays valid for any live views and is reclaimed with
-        # them. Idempotent: a second close is a no-op.
-        if not self._file.closed:
+        # them. Idempotent, and a no-op for buffers.
+        if self._file is not None and not self._file.closed:
             self._file.close()
 
     def __enter__(self) -> "_FlatShard":
@@ -755,337 +628,17 @@ class _ChildrenMapping(_RowMapping):
         )
 
 
-class MmapSnapshotIndexes(BaseSnapshotIndexes):
-    """The :class:`SnapshotIndexes` read API over mmap'ed flat shards.
-
-    Answers are asserted byte-identical to the in-memory indexes (same
-    integers, same IEEE floats — the scoring loop itself is shared via
-    :class:`BaseSnapshotIndexes`). All per-category state is read through
-    zero-copy views of the shared mapping; the only per-process memory is
-    this object and the tiny header dicts.
-    """
-
-    def __init__(
-        self,
-        paths: Sequence[str | Path],
-        use_bitset: bool | None = None,
-        tree_repr: str | None = None,
-    ) -> None:
-        if not paths:
-            raise SnapshotError("no flat snapshot shard files to map")
-        shards = [_FlatShard(p) for p in paths]
-        try:
-            shards.sort(key=lambda s: s.header["shard_index"])
-            first = shards[0].header
-            expected = first["shard_count"]
-            if len(shards) != expected or [
-                s.header["shard_index"] for s in shards
-            ] != list(range(expected)):
-                raise SnapshotError(
-                    f"expected {expected} flat shards, got "
-                    f"{[s.header['shard_index'] for s in shards]}"
-                )
-            for shard in shards[1:]:
-                for field in ("variant", "root_cid", "n_categories",
-                              "universe_size", "shard_count"):
-                    if shard.header[field] != first[field]:
-                        raise SnapshotError(
-                            f"flat shard {shard.path} disagrees with "
-                            f"{shards[0].path} on {field!r}"
-                        )
-            reprs = shards[0].reprs
-            if tree_repr is None:
-                # Auto: prefer the dense layout when present (the
-                # serving default), fall back to whatever the file has.
-                tree_repr = "flat" if "flat" in reprs else "succinct"
-            if tree_repr not in reprs:
-                raise SnapshotError(
-                    f"flat snapshot {shards[0].path} does not carry the "
-                    f"{tree_repr!r} representation (has: {list(reprs)}); "
-                    "recompile with SnapshotStore.ensure_flat"
-                )
-        except Exception:
-            for shard in shards:
-                shard.close()
-            raise
-        self._shards = shards
-        self._tree_shard = shards[0]  # category/token sections: any shard
-        self.tree_repr = tree_repr
-        self.variant = variant_from_spec(first["variant"])
-        self.root_cid = int(first["root_cid"])
-        self._n_categories = int(first["n_categories"])
-        self._n_label_docs = int(first["n_label_docs"])
-        self.sizes = _RowMapping(self._tree_shard, "cat_size")
-        self.depths = _RowMapping(self._tree_shard, "cat_depth")
-        self.parent_of = _ParentMapping(self._tree_shard, "cat_parent")
-        self.children_of = _ChildrenMapping(self._tree_shard)
-        self._use_bitset = "cat_bits" in self._tree_shard._views and (
-            bitset.should_use(
-                self._n_categories, int(first["universe_size"]), use_bitset
-            )
-        )
-        if tree_repr == "succinct":
-            # Zero-copy views drive the exact same EulerTour query code
-            # the in-memory backend runs over plain lists.
-            views = self._tree_shard._views
-            self._euler = EulerTour(
-                parent=views["cat_parent"],
-                depth=views["cat_depth"],
-                tin=views["cat_tin"],
-                tout=views["cat_tout"],
-                tour=views["euler_tour"],
-                first=views["euler_first"],
-                sparse=views["lca_sparse"],
-                n_levels=int(first["lca_levels"]),
-            )
-
-    # -- simple lookups ------------------------------------------------------
-
-    @property
-    def n_categories(self) -> int:
-        return self._n_categories
-
-    @property
-    def uses_bitset(self) -> bool:
-        return self._use_bitset
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def _row(self, cid: int) -> int:
-        return self.sizes._row(cid)
-
-    def _row_of(self, cid: int) -> int:
-        return self.sizes._row(cid)
-
-    def _cid_of(self, row: int) -> int:
-        return self._tree_shard._views["cat_cids"][row]
-
-    @staticmethod
-    def _var_rows(shard: _FlatShard, section: str, code: int) -> Sequence[int]:
-        """Decode one item's varint row list from a succinct section."""
-        voff, blob = shard.var_views(section)
-        lo, hi = voff[code], voff[code + 1]
-        if hi - lo == 1:
-            # One posting with gap < 128 — a single byte holding
-            # value + 1 (gaps are taken against -1). Placements lists
-            # are overwhelmingly singletons, so skip the decoder loop.
-            return (blob[lo] - 1,)
-        return decode_postings(blob[lo:hi])
-
-    def _raw_label(self, row: int) -> str:
-        shard = self._tree_shard
-        offsets = shard._views["cat_label_off"]
-        return bytes(
-            shard._views["cat_labels"][offsets[row]: offsets[row + 1]]
-        ).decode("utf-8")
-
-    def category(self, cid: int) -> FlatCategory:
-        """The category view for a cid; raises ``KeyError`` when unknown."""
-        row = self._row(cid)
-        shard = self._tree_shard
-        return FlatCategory(
-            cid=cid,
-            label=self._raw_label(row) or None,
-            depth=shard._views["cat_depth"][row],
-            n_items=shard._views["cat_size"][row],
-        )
-
-    def label_of(self, cid: int) -> str:
-        return self._raw_label(self._row(cid)) or f"C{cid}"
-
-    def _item_cids(self, item: Item, section: str) -> tuple[int, ...]:
-        key = encode_item(item)
-        if key is None:
-            return ()
-        shard = self._shards[shard_of(key, len(self._shards))]
-        code = shard.find_item(key)
-        if code is None:
-            return ()
-        cat_cids = shard._views["cat_cids"]
-        if self.tree_repr == "succinct":
-            get_tracer().count("serving.succinct.postings_decoded")
-            rows = self._var_rows(shard, section, code)
-        else:
-            rows = shard.item_rows(section, code)
-        return tuple(cat_cids[row] for row in rows)
-
-    def placements(self, item: Item) -> tuple[int, ...]:
-        """The most-specific categories containing an item (pre-order)."""
-        return self._item_cids(item, "item_place")
-
-    def postings(self, item: Item) -> tuple[int, ...]:
-        """All categories containing an item (pre-order)."""
-        return self._item_cids(item, "item_post")
-
-    # -- label search --------------------------------------------------------
-
-    def _idf(self, df: int) -> float:
-        # Identical arithmetic to repro.search.index.InvertedIndex.idf.
-        return math.log(1.0 + self._n_label_docs / (1.0 + df))
-
-    def find_labels(self, query: str, top_k: int | None = 10):
-        """Scored label hits, replicating ``SearchEngine.search`` exactly.
-
-        Same tokenization, same idf smoothing, same (sorted-token) weight
-        accumulation order — so relevance floats match the in-memory
-        engine bit for bit, in any process.
-        """
-        shard = self._tree_shard
-        tokens = tokenize(query)
-        if not tokens:
-            return []
-        weights: dict[str, float] = {}
-        token_ids: dict[str, int | None] = {}
-        for token in sorted(set(tokens)):
-            ti = shard.find_token(token)
-            token_ids[token] = ti
-            df = shard._views["tok_df"][ti] if ti is not None else 0
-            weights[token] = self._idf(df)
-        best_possible = sum(weights.values())
-        if best_possible <= 0:
-            return []
-        cat_cids = shard._views["cat_cids"]
-        tok_post = shard._views["tok_post"]
-        tok_post_off = shard._views["tok_post_off"]
-        scores: dict[int, float] = {}
-        for token, weight in weights.items():
-            ti = token_ids[token]
-            if ti is None:
-                continue
-            for i in range(tok_post_off[ti], tok_post_off[ti + 1]):
-                doc_id = cat_cids[tok_post[i]]
-                scores[doc_id] = scores.get(doc_id, 0.0) + weight
-        hits = [
-            SearchHit(doc_id=doc_id, relevance=score / best_possible)
-            for doc_id, score in scores.items()
-        ]
-        hits.sort(key=lambda h: (-h.relevance, str(h.doc_id)))
-        if top_k is not None:
-            hits = hits[:top_k]
-        return hits
-
-    # -- query scoring -------------------------------------------------------
-
-    def intersection_counts(self, items: frozenset) -> dict[int, int]:
-        """``{cid: |q ∩ C|}`` for the nonzero categories, pre-order.
-
-        Item codes resolve in their owning shard; per-shard counts come
-        from one AND+popcount pass over the mapped bit matrix (or the
-        postings fallback) and sum exactly across shards.
-        """
-        n_shards = len(self._shards)
-        codes_per_shard: list[list[int]] = [[] for _ in range(n_shards)]
-        n_known = 0
-        for item in items:
-            key = encode_item(item)
-            if key is None:
-                continue
-            shard_index = shard_of(key, n_shards)
-            code = self._shards[shard_index].find_item(key)
-            if code is not None:
-                codes_per_shard[shard_index].append(code)
-                n_known += 1
-        if self.tree_repr == "succinct":
-            if not n_known:
-                return {}
-            # Large fan-in amortizes the dense AND+popcount pass (when
-            # the file carries cat_bits); small queries decode a handful
-            # of varint rows. Both arms emit row-ascending dicts.
-            if self._use_bitset and n_known >= BITSET_FANIN_THRESHOLD:
-                get_tracer().count("serving.succinct.bitset_fanin")
-                return self._bitset_counts(codes_per_shard)
-            get_tracer().count(
-                "serving.succinct.postings_decoded", n_known
-            )
-            counts: dict[int, int] = {}
-            for shard_index, codes in enumerate(codes_per_shard):
-                shard = self._shards[shard_index]
-                for code in codes:
-                    for row in self._var_rows(shard, "item_post", code):
-                        counts[row] = counts.get(row, 0) + 1
-            cat_cids = self._tree_shard._views["cat_cids"]
-            return {
-                cat_cids[row]: counts[row] for row in sorted(counts)
-            }
-        if self._use_bitset:
-            return self._bitset_counts(codes_per_shard)
-        counts = {}
-        for shard_index, codes in enumerate(codes_per_shard):
-            shard = self._shards[shard_index]
-            for code in codes:
-                for row in shard.item_rows("item_post", code):
-                    counts[row] = counts.get(row, 0) + 1
-        cat_cids = self._tree_shard._views["cat_cids"]
-        return {
-            cat_cids[row]: counts[row]
-            for row in range(self._n_categories)
-            if row in counts
-        }
-
-    def _bitset_counts(
-        self, codes_per_shard: Sequence[Sequence[int]]
-    ) -> dict[int, int]:
-        """One AND+popcount pass per shard, summed exactly across shards."""
-        import numpy as np
-
-        total = None
-        for shard_index, codes in enumerate(codes_per_shard):
-            if not codes:
-                continue
-            shard = self._shards[shard_index]
-            packed = np.zeros(shard.header["n_words"], dtype=np.uint64)
-            arr = np.asarray(codes, dtype=np.int64)
-            np.bitwise_or.at(
-                packed,
-                arr >> 6,
-                np.uint64(1) << (arr & 63).astype(np.uint64),
-            )
-            sizes = bitset._popcount(shard.matrix & packed).sum(
-                -1, dtype=np.int64
-            )
-            total = sizes if total is None else total + sizes
-        if total is None:
-            return {}
-        cat_cids = self._tree_shard._views["cat_cids"]
-        return {
-            cat_cids[row]: int(common)
-            for row, common in enumerate(total.tolist())
-            if common
-        }
-
-    # `path_to_root` and `best_category` are inherited from
-    # BaseSnapshotIndexes — literally the same code the in-memory
-    # SnapshotIndexes runs.
-
-    def close(self) -> None:
-        """Release the shard file descriptors (mappings follow their views)."""
-        for shard in self._shards:
-            shard.close()
-
-    def __enter__(self) -> "MmapSnapshotIndexes":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def prepare_mmap_generation(
-    store,
-    snapshot_id: str | None = None,
-    use_bitset: bool | None = None,
-    tree_repr: str | None = None,
-):
-    """Prepare (not publish) an mmap-backed generation from a store.
+def prepare_mmap_generation(store, snapshot_id: str | None = None):
+    """Prepare (not publish) a generation over a store's mapped files.
 
     The counterpart of :func:`repro.serving.engine.prepare_generation`
-    for worker processes: no tree or instance is deserialized — the flat
-    shard files are mapped read-only (compiled on demand for stores
-    written before the flat layout existed) and the generation carries
+    for store-sourced generations: no tree or instance is deserialized —
+    the flat shard files are mapped read-only (compiled on demand for
+    stores written before the current format) and the generation carries
     ``tree=None, instance=None``.
     """
     from repro.serving.engine import Generation
+    from repro.serving.indexes import MmapSnapshotIndexes
 
     if snapshot_id is None:
         snapshot_id = store.current_id()
@@ -1093,10 +646,7 @@ def prepare_mmap_generation(
             raise SnapshotError(f"no current snapshot in {store.root}")
     tracer = get_tracer()
     with tracer.span("serving.prepare_mmap"):
-        paths = store.ensure_flat(snapshot_id)
-        indexes = MmapSnapshotIndexes(
-            paths, use_bitset=use_bitset, tree_repr=tree_repr
-        )
+        indexes = MmapSnapshotIndexes(store.ensure_flat(snapshot_id))
     return Generation(
         tree=None,
         instance=None,

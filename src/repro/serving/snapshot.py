@@ -211,7 +211,6 @@ class SnapshotStore:
         build_run_id: str = "",
         activate: bool = True,
         flat_shards: int = 1,
-        tree_repr: str = "both",
     ) -> SnapshotInfo:
         """Persist a built tree as a snapshot; returns its manifest.
 
@@ -225,8 +224,6 @@ class SnapshotStore:
         that many item shards, so the snapshot publishes atomically with
         both formats; ``flat_shards=0`` skips it (the flat files are
         then compiled on first mmap use via :meth:`ensure_flat`).
-        ``tree_repr`` selects the emitted flat section groups ("flat",
-        "succinct", or "both" — the default, so any reader knob works).
         """
         tree_payload = tree_to_dict(tree)
         instance_payload = instance_to_dict(instance)
@@ -260,9 +257,7 @@ class SnapshotStore:
                         encoding="utf-8",
                     )
                 if flat_shards > 0:
-                    self._write_flat(
-                        staging, tree_payload, flat_shards, tree_repr
-                    )
+                    self._write_flat(staging, tree_payload, flat_shards)
                 try:
                     os.replace(staging, target)
                 except OSError:  # pragma: no cover - concurrent save race
@@ -278,38 +273,29 @@ class SnapshotStore:
         return self.info(snapshot_id)
 
     def _write_flat(
-        self,
-        directory: Path,
-        tree_payload: dict,
-        shards: int,
-        tree_repr: str = "both",
+        self, directory: Path, tree_payload: dict, shards: int
     ) -> list[Path]:
         """Compile and write the flat shard files into a snapshot dir.
 
         Compiles from the *round-tripped* tree (the JSON payload a later
-        reload would see) so the mmap read path answers exactly what a
-        reloaded in-memory :class:`~repro.serving.indexes.SnapshotIndexes`
-        would. Each file lands via write-to-temp + ``os.replace``, so a
-        concurrent compiler (two workers racing :meth:`ensure_flat`)
-        just overwrites identical content.
+        reload would see) so the mapped files answer exactly what a
+        reloaded snapshot compiled in process would. Each file lands via
+        write-to-temp + ``os.replace``, so a concurrent compiler (two
+        workers racing :meth:`ensure_flat`) just overwrites identical
+        content.
         """
-        from repro.serving.indexes import SnapshotIndexes
         from repro.serving.shm import compile_flat_indexes
 
         # The variant only stamps the header; read it back from the
-        # manifest when present (staging writes pass the payloads).
+        # manifest (staging writes it before the flat files).
         manifest = json.loads(
             (directory / _MANIFEST).read_text(encoding="utf-8")
         )
         variant = variant_from_spec(manifest["variant"])
         tree = tree_from_dict(tree_payload)
-        instance = instance_from_dict(
-            json.loads((directory / _INSTANCE).read_text(encoding="utf-8"))
-        )
-        indexes = SnapshotIndexes(tree, instance, variant, use_bitset=False)
         paths: list[Path] = []
         for shard_index, blob in enumerate(
-            compile_flat_indexes(indexes, shards=shards, tree_repr=tree_repr)
+            compile_flat_indexes(tree, variant, shards=shards)
         ):
             path = directory / flat_file_name(shard_index, shards)
             tmp = directory / f".{path.name}.tmp-{os.getpid()}"
@@ -322,39 +308,28 @@ class SnapshotStore:
         """The snapshot's flat shard files, sorted (empty when absent)."""
         return sorted((self.root / snapshot_id).glob(_FLAT_GLOB))
 
-    def ensure_flat(
-        self, snapshot_id: str, shards: int = 1, tree_repr: str = "both"
-    ) -> list[Path]:
+    def ensure_flat(self, snapshot_id: str, shards: int = 1) -> list[Path]:
         """The flat shard files, compiling them first when missing.
 
-        Lets worker processes mmap snapshots written before the flat
+        Lets worker processes map snapshots written before the flat
         layout existed (or saved with ``flat_shards=0``): the compile is
         idempotent and each file is published atomically, so concurrent
-        workers race harmlessly. An existing current-version flat set
-        carrying the requested representation(s) is returned as-is
-        whatever its shard count — sharding is fixed at compile time.
-        Files written by an older format version, or missing a section
-        group ``tree_repr`` asks for, are recompiled in place at their
-        existing shard count (the format-version migration path: old
-        stores upgrade on first read, and the atomic per-file replace
-        means concurrent readers only ever see whole files).
+        workers race harmlessly. An existing current-version flat set is
+        returned as-is whatever its shard count — sharding is fixed at
+        compile time. Files written by an older format version are
+        recompiled in place at their existing shard count (the
+        format-version migration path: old stores upgrade on first read,
+        and the atomic per-file replace means concurrent readers only
+        ever see whole files).
         """
-        from repro.serving.shm import FLAT_FORMAT_VERSION, flat_header
+        from repro.serving.shm import FLAT_FORMAT_VERSION, flat_format_version
 
-        wanted = (
-            {"flat", "succinct"} if tree_repr == "both" else {tree_repr}
-        )
         existing = self.flat_paths(snapshot_id)
         if existing:
-            fresh = True
-            for path in existing:
-                version, header = flat_header(path)
-                if version != FLAT_FORMAT_VERSION or not wanted.issubset(
-                    header.get("reprs", ["flat"])
-                ):
-                    fresh = False
-                    break
-            if fresh:
+            if all(
+                flat_format_version(path) == FLAT_FORMAT_VERSION
+                for path in existing
+            ):
                 return existing
             # Recompile at the existing shard count so the new files
             # overwrite the old set exactly (no mixed-version leftovers).
@@ -365,7 +340,7 @@ class SnapshotStore:
         tree_payload = json.loads(
             (directory / _TREE).read_text(encoding="utf-8")
         )
-        return self._write_flat(directory, tree_payload, shards, "both")
+        return self._write_flat(directory, tree_payload, shards)
 
     def activate(self, snapshot_id: str) -> None:
         """Point ``CURRENT`` at an existing snapshot (atomic replace)."""

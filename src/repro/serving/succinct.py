@@ -1,63 +1,29 @@
 """Succinct tree-retrieval structures for the serving read path.
 
-The flat read path (PRs 5 & 7) answers ``browse``/``path``/``categorize``
-by chasing parent pointers and ANDing a dense category×item bit matrix,
-so per-query cost scales with tree size and snapshot memory with the
-full matrix. This module grounds the same three ops in the
-tree-retrieval literature (Belazzougui–Kucherov "Efficient
-tree-structured categorical retrieval"; "The Common Prefix Problem on
-Trees") with three structures:
+The read path answers ``browse``/``path``/``categorize`` over a tree
+laid out the way the tree-retrieval literature suggests
+(Belazzougui–Kucherov "Efficient tree-structured categorical
+retrieval"; "The Common Prefix Problem on Trees"), with two structures:
 
-* **Euler-tour intervals** — the categories are laid out in pre-order,
-  so each node ``v`` owns the half-open row interval
-  ``[tin[v], tout[v])`` covering exactly its subtree.
-  Ancestor/descendant tests and subtree aggregation become two integer
-  comparisons instead of a pointer walk.
-* **Sparse-table LCA** — an Euler tour of the tree (2n-1 entries) plus
-  a range-minimum sparse table over tour depths answers
-  ``lca(u, v)`` in O(1) after O(n log n) preprocessing. Batched
-  multi-item ``categorize`` sorts the requested nodes in pre-order and
-  computes each root path from its predecessor's path plus one LCA —
-  one sweep, sharing every common prefix, instead of per-item root
-  walks.
-* **Delta-compressed varint postings** — item→category and
-  category→item lists are strictly increasing row/code sequences, so
-  they store as LEB128 varints of gaps (~1-2 bytes per posting instead
-  of 8), replacing the dense bitset rows on the sparse read path. The
-  packed bitset is retained for large intersection fan-in
-  (:data:`BITSET_FANIN_THRESHOLD`).
+* **Pre-order intervals** — the categories are laid out in pre-order,
+  so each row ``v`` owns the half-open row interval ``[v, tout[v])``
+  covering exactly its subtree. Ancestor tests become two integer
+  comparisons instead of a pointer walk, and batched multi-item
+  ``categorize`` computes each root path from its pre-order
+  predecessor's path plus one interval binary search — one sweep,
+  sharing every common prefix, instead of per-item root walks.
+* **Delta-compressed varint postings** — item→category lists are
+  strictly increasing row sequences, so they store as LEB128 varints of
+  gaps (~1-2 bytes per posting instead of 8).
 
-Everything here is backend-neutral: :class:`EulerTour` reads its arrays
-through plain indexing, so the in-memory
-:class:`~repro.serving.indexes.SnapshotIndexes` hands it lists while the
-mmap-backed :class:`~repro.serving.shm.MmapSnapshotIndexes` hands it
-zero-copy ``memoryview`` casts of the flat snapshot sections — the same
-code runs over both, which is how "bit-identical answers" stays a
-structural property rather than a test-only promise.
+:class:`EulerTour` reads its arrays through plain indexing, so the same
+code runs over lists and over zero-copy ``memoryview`` casts of a flat
+snapshot's sections (:mod:`repro.serving.shm`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-TREE_REPRS = ("flat", "succinct")
-
-# Queries with at least this many known items use the packed bitset
-# kernel (when compiled in) instead of decoding per-item varint
-# postings: the AND+popcount pass amortizes over large fan-in, the
-# postings walk wins on small queries. Both paths return identical
-# dicts, so the switch is invisible to callers.
-BITSET_FANIN_THRESHOLD = 32
-
-
-def validate_tree_repr(value: str) -> str:
-    """The validated ``tree_repr`` knob value ('flat' or 'succinct')."""
-    if value not in TREE_REPRS:
-        raise ValueError(
-            f"tree_repr must be one of {TREE_REPRS}, got {value!r}"
-        )
-    return value
-
 
 # -- delta-compressed varint postings ----------------------------------------
 
@@ -68,8 +34,8 @@ def encode_postings(values: Iterable[int]) -> bytes:
     The first gap is taken against -1, so any non-negative strictly
     increasing sequence (including one starting at 0) encodes with every
     gap >= 1. Raises ``ValueError`` on a non-increasing input — postings
-    are pre-order row (or sorted item-code) lists, which are strictly
-    increasing by construction.
+    are pre-order row lists, which are strictly increasing by
+    construction.
     """
     out = bytearray()
     prev = -1
@@ -120,61 +86,38 @@ def concat_postings(lists: Sequence[Iterable[int]]) -> tuple[bytes, list[int]]:
     return b"".join(chunks), offsets
 
 
-# -- Euler-tour intervals + sparse-table LCA ---------------------------------
+# -- pre-order intervals -----------------------------------------------------
 
 
 class EulerTour:
-    """Pre-order intervals and O(1) LCA over one category tree.
+    """Pre-order subtree intervals over one category tree.
 
-    Nodes are pre-order rows (root = 0, ``parent[v] < v``). The arrays
-    may be lists (in-memory backend) or ``memoryview`` casts of mmap'ed
-    sections (flat backend); only ``__getitem__`` and ``__len__`` are
-    used, and the same query code runs over both.
+    Nodes are pre-order rows (root = 0, ``parent[v] < v``), so a node's
+    Euler-tour entry time is its row and only the exit time ``tout``
+    needs storing. The arrays may be lists or ``memoryview`` casts of
+    mapped sections; only indexing is used.
     """
 
-    __slots__ = (
-        "parent", "depth", "tin", "tout", "tour", "first",
-        "sparse", "n_levels", "_n_euler",
-    )
+    __slots__ = ("parent", "tout")
 
-    def __init__(
-        self,
-        parent: Sequence[int],
-        depth: Sequence[int],
-        tin: Sequence[int],
-        tout: Sequence[int],
-        tour: Sequence[int],
-        first: Sequence[int],
-        sparse: Sequence[int],
-        n_levels: int,
-    ) -> None:
+    def __init__(self, parent: Sequence[int], tout: Sequence[int]) -> None:
         self.parent = parent
-        self.depth = depth
-        self.tin = tin
         self.tout = tout
-        self.tour = tour
-        self.first = first
-        self.sparse = sparse
-        self.n_levels = n_levels
-        self._n_euler = len(tour)
 
     @classmethod
-    def build(cls, parent: Sequence[int], depth: Sequence[int]) -> "EulerTour":
-        """Build every array from a pre-order parent array.
+    def build(cls, parent: Sequence[int]) -> "EulerTour":
+        """Compute ``tout`` from a pre-order parent array.
 
         ``parent[0]`` must be -1 (the root) and every other node's
-        parent must precede it — exactly the layout ``tree.categories()``
-        and the flat ``cat_parent`` section guarantee.
+        parent must precede it, with each subtree laid out contiguously —
+        exactly the layout ``tree.categories()`` guarantees.
         """
         n = len(parent)
         if n == 0:
             raise ValueError("cannot build an EulerTour over zero nodes")
         if parent[0] != -1:
             raise ValueError("row 0 must be the root (parent -1)")
-
-        # Pre-order intervals: with descendants laid out contiguously
-        # after their ancestor, tin is the row itself and tout follows
-        # from subtree sizes accumulated leaf-to-root.
+        # Subtree sizes accumulated leaf-to-root; tout = row + size.
         size = [1] * n
         for v in range(n - 1, 0, -1):
             p = parent[v]
@@ -183,7 +126,6 @@ class EulerTour:
                     f"row {v} has parent {p}; pre-order requires parent < row"
                 )
             size[p] += size[v]
-        tin = list(range(n))
         tout = [v + size[v] for v in range(n)]
         for v in range(1, n):
             # parent < row alone is only topological order; the interval
@@ -194,90 +136,11 @@ class EulerTour:
                     f"row {v} falls outside its parent's subtree interval; "
                     "the layout is not a contiguous pre-order"
                 )
-
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(1, n):
-            children[parent[v]].append(v)
-
-        # Iterative Euler tour: enter each node once, re-append the
-        # parent after each child subtree -> 2n-1 entries.
-        tour: list[int] = [0]
-        first = [0] * n
-        stack: list[tuple[int, int]] = [(0, 0)]  # (node, next-child index)
-        while stack:
-            v, i = stack[-1]
-            kids = children[v]
-            if i == len(kids):
-                stack.pop()
-                if stack:
-                    tour.append(stack[-1][0])
-            else:
-                stack[-1] = (v, i + 1)
-                child = kids[i]
-                first[child] = len(tour)
-                tour.append(child)
-                stack.append((child, 0))
-
-        m = len(tour)
-        n_levels = m.bit_length()  # floor(log2(m)) + 1 levels, k in [0, L)
-        # Sparse table of argmin-by-depth positions, one padded row of m
-        # entries per level (level 0 is the identity; entries past
-        # m - 2^k + 1 are never queried and stay clamped in-range).
-        sparse = list(range(m))
-        prev_level = sparse
-        for k in range(1, n_levels):
-            half = 1 << (k - 1)
-            level = list(prev_level)
-            limit = m - (1 << k) + 1
-            for i in range(max(0, limit)):
-                a = prev_level[i]
-                b = prev_level[i + half]
-                level[i] = a if depth[tour[a]] <= depth[tour[b]] else b
-            sparse.extend(level)
-            prev_level = level
-        return cls(parent, depth, tin, tout, tour, first, sparse, n_levels)
-
-    # -- queries -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.first)
+        return cls(list(parent), tout)
 
     def is_ancestor(self, u: int, v: int) -> bool:
         """Whether ``u`` is an ancestor of ``v`` (inclusive): a range check."""
-        return self.tin[u] <= self.tin[v] < self.tout[u]
-
-    def subtree_interval(self, v: int) -> tuple[int, int]:
-        """The half-open pre-order row interval covering ``v``'s subtree."""
-        return self.tin[v], self.tout[v]
-
-    def lca(self, u: int, v: int) -> int:
-        """The lowest common ancestor of two rows, in O(1)."""
-        lo, hi = self.first[u], self.first[v]
-        if lo > hi:
-            lo, hi = hi, lo
-        k = (hi - lo + 1).bit_length() - 1
-        m = self._n_euler
-        base = k * m
-        a = self.sparse[base + lo]
-        b = self.sparse[base + hi - (1 << k) + 1]
-        tour = self.tour
-        pos = a if self.depth[tour[a]] <= self.depth[tour[b]] else b
-        return tour[pos]
-
-    def lca_of(self, rows: Iterable[int]) -> int:
-        """The LCA of a whole set of rows: one LCA of its tin extremes."""
-        it = iter(rows)
-        try:
-            lo = hi = next(it)
-        except StopIteration:
-            raise ValueError("lca_of needs at least one row") from None
-        tin = self.tin
-        for v in it:
-            if tin[v] < tin[lo]:
-                lo = v
-            elif tin[v] > tin[hi]:
-                hi = v
-        return self.lca(lo, hi)
+        return u <= v < self.tout[u]
 
     def walk_to_root(self, v: int) -> list[int]:
         """Root-to-``v`` row path via the parent array."""
@@ -290,33 +153,29 @@ class EulerTour:
         return path
 
     def root_paths(self, rows: Iterable[int]) -> dict[int, list[int]]:
-        """Root paths for many rows with one LCA sweep.
+        """Root paths for many rows with one pre-order sweep.
 
         Rows are visited in pre-order; each path is its predecessor's
-        path truncated at their LCA plus the walk up from the row to
-        that LCA — every shared prefix is computed once instead of one
-        full root walk per row. The LCA itself is an interval binary
-        search over the predecessor's chain: chain ``tout`` values are
-        non-increasing and every chain ``tin`` precedes ``tin[v]`` in
-        pre-order, so "deepest ancestor of v" is the rightmost chain
-        entry with ``tout > tin[v]`` — a couple of integer compares,
-        cheaper than the sparse-table constant for point
-        :meth:`lca` queries. Returns exactly what calling
+        path truncated at their lowest common ancestor plus the walk up
+        from the row to that ancestor — every shared prefix is computed
+        once instead of one full root walk per row. The ancestor is an
+        interval binary search over the predecessor's chain: chain
+        ``tout`` values are non-increasing and every chain row precedes
+        ``v``, so "deepest ancestor of v" is the rightmost chain entry
+        with ``tout > v``. Returns exactly what calling
         :meth:`walk_to_root` per row would.
         """
-        tin, tout, parent = self.tin, self.tout, self.parent
-        order = sorted(set(rows), key=tin.__getitem__)
+        tout, parent = self.tout, self.parent
         paths: dict[int, list[int]] = {}
         prev_path: list[int] = []
-        for v in order:
+        for v in sorted(set(rows)):
             if not prev_path:
                 path = self.walk_to_root(v)
             else:
-                tin_v = tin[v]
                 lo, hi = 0, len(prev_path) - 1
                 while lo < hi:
                     mid = (lo + hi + 1) >> 1
-                    if tout[prev_path[mid]] > tin_v:
+                    if tout[prev_path[mid]] > v:
                         lo = mid
                     else:
                         hi = mid - 1
@@ -332,15 +191,3 @@ class EulerTour:
             paths[v] = path
             prev_path = path
         return paths
-
-    # -- serialization -------------------------------------------------------
-
-    def arrays(self) -> dict[str, list[int]]:
-        """The flat-snapshot section payloads of this structure."""
-        return {
-            "cat_tin": list(self.tin),
-            "cat_tout": list(self.tout),
-            "euler_tour": list(self.tour),
-            "euler_first": list(self.first),
-            "lca_sparse": list(self.sparse),
-        }

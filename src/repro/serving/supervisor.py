@@ -11,8 +11,8 @@ exist once in the page cache no matter how many workers serve them.
 Generation flips stay coordinated through the store's ``CURRENT``
 pointer, exactly like the single-process tier: a publisher (any
 process) saves + activates a snapshot, and each worker's poller thread
-notices the pointer change and hot-swaps its engine through the mmap
-backend. Between the publish and the last worker's poll tick, requests
+notices the pointer change and hot-swaps its engine onto the newly
+mapped files. Between the publish and the last worker's poll tick, requests
 are answered by *either* the old or the new generation — never a torn
 mix — and every response says which via its ``X-Repro-Snapshot`` /
 ``X-Repro-Generation`` headers (the cross-process consistency tests
@@ -49,11 +49,9 @@ class WorkerConfig:
     host: str
     port: int
     cache_size: int = 4096
-    use_bitset: bool | None = None
     poll_interval: float = 0.25
     quiet: bool = True
     max_requests: int | None = None
-    tree_repr: str | None = None
 
 
 def _poll_current(server, store: SnapshotStore, interval: float) -> None:
@@ -80,11 +78,7 @@ def _worker_main(config: WorkerConfig, worker_id: int, ready) -> None:
     signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
     store = SnapshotStore(config.store_root)
     engine = ServingEngine(cache_size=config.cache_size)
-    engine.publish(
-        prepare_mmap_generation(
-            store, use_bitset=config.use_bitset, tree_repr=config.tree_repr
-        )
-    )
+    engine.publish(prepare_mmap_generation(store))
     server = make_server(
         engine,
         host=config.host,
@@ -94,8 +88,6 @@ def _worker_main(config: WorkerConfig, worker_id: int, ready) -> None:
         quiet=config.quiet,
         reuse_port=True,
         worker_id=worker_id,
-        backend="mmap",
-        tree_repr=config.tree_repr,
     )
     threading.Thread(
         target=_poll_current,
@@ -130,12 +122,10 @@ class ServingSupervisor:
         host: str = "127.0.0.1",
         port: int = 0,
         cache_size: int = 4096,
-        use_bitset: bool | None = None,
         poll_interval: float = 0.25,
         quiet: bool = True,
         max_requests: int | None = None,
         start_method: str | None = None,
-        tree_repr: str | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -146,11 +136,9 @@ class ServingSupervisor:
         self.host = host
         self.port = port  # 0 -> resolved by start()
         self.cache_size = cache_size
-        self.use_bitset = use_bitset
         self.poll_interval = poll_interval
         self.quiet = quiet
         self.max_requests = max_requests
-        self.tree_repr = tree_repr
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -192,11 +180,9 @@ class ServingSupervisor:
             host=self.host,
             port=self.port,
             cache_size=self.cache_size,
-            use_bitset=self.use_bitset,
             poll_interval=self.poll_interval,
             quiet=self.quiet,
             max_requests=self.max_requests,
-            tree_repr=self.tree_repr,
         )
 
     def _spawn(self, worker_id: int) -> None:

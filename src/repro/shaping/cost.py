@@ -3,7 +3,7 @@
 The shaper needs to predict two things about a candidate tree *without
 publishing it*: the expected per-query latency of the succinct read
 path, and the snapshot bytes it will occupy. Both decompose over the
-workload because :meth:`BaseSnapshotIndexes.best_category` is a loop
+workload because :meth:`SnapshotIndexes.best_category` is a loop
 whose work is proportional to observable counts:
 
 * it touches one **posting** per (query item, containing category) pair
@@ -20,7 +20,7 @@ So the expected per-query cost under a workload with weights ``w`` is::
       + ns_per_path_node * E_w[ best-path nodes ]
 
 :func:`calibrate_cost_model` measures those coefficients by timing the
-real succinct :class:`~repro.serving.indexes.SnapshotIndexes` on
+serving reader, :class:`~repro.serving.indexes.SnapshotIndexes`, on
 sampled workload queries and solving the least-squares fit (numpy),
 clamping coefficients at zero. Snapshot bytes are not modeled — they
 are *measured*, by running every category's item list through the same
@@ -199,8 +199,9 @@ def calibrate_cost_model(
 ) -> CostModel:
     """Fit the ``ns_*`` coefficients by timing the succinct read path.
 
-    Builds an in-memory succinct :class:`SnapshotIndexes` over the
-    tree, times ``best_category`` on up to ``samples`` workload queries
+    Compiles the tree into the same :class:`SnapshotIndexes` reader the
+    serving workers map (here over a buffer), times ``best_category`` on
+    up to ``samples`` workload queries
     (best of ``repeats`` to shed scheduler noise), and least-squares
     fits ``t ≈ base + a·postings + b·candidates + c·path`` with numpy,
     clamping coefficients at zero. Falls back to the default constants
@@ -210,9 +211,7 @@ def calibrate_cost_model(
 
     from repro.serving.indexes import SnapshotIndexes
 
-    indexes = SnapshotIndexes(
-        tree, instance, variant, use_bitset=False, tree_repr="succinct"
-    )
+    indexes = SnapshotIndexes(tree, instance, variant)
     feats = workload_features(tree, instance, variant)
     queries = sorted(instance, key=lambda q: -q.weight)[:samples]
 

@@ -77,7 +77,7 @@ def build_stack():
 
 def label_cids(indexes):
     return {
-        indexes.label_of(cid): cid for cid in indexes.by_cid
+        indexes.label_of(cid): cid for cid in indexes.sizes
     }
 
 

@@ -205,3 +205,49 @@ class TestObservabilityFlags:
         manifest = json.loads(path.read_text())
         assert manifest["tool"] == "repro sweep"
         assert any(s["name"] == "ctcr.build" for s in manifest["spans"])
+
+
+class TestServingCommands:
+    COMMON = ["--dataset", "A", "--scale", "0.01", "--seed", "7"]
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_multi_worker_serve_builds_no_engine(
+        self, tmp_path, monkeypatch, stored
+    ):
+        # The workers map the store's files; the parent process must not
+        # hold an engine of its own for the server's lifetime.
+        import repro.cli as cli
+        from repro.serving import ServingEngine
+
+        store_dir = tmp_path / "store"
+        if stored:
+            # Builds the tree and saves it as the store's CURRENT.
+            assert main(
+                ["categorize-query", *self.COMMON,
+                 "--snapshot-dir", str(store_dir), "--query", "shirt"]
+            ) == 0
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the multi-worker path built an engine")
+
+        served = []
+        monkeypatch.setattr(ServingEngine, "from_snapshot", no_engine)
+        monkeypatch.setattr(ServingEngine, "from_tree", no_engine)
+        monkeypatch.setattr(
+            cli, "_serve_multi", lambda args, store: served.append(store) or 0
+        )
+        rc = main(
+            ["serve", *self.COMMON, "--snapshot-dir", str(store_dir),
+             "--workers", "2"]
+        )
+        assert rc == 0
+        assert len(served) == 1 and served[0].current_id() is not None
+
+    @pytest.mark.parametrize("top_k", ["0", "-3"])
+    def test_categorize_query_top_k_below_one(self, capsys, top_k):
+        rc = main(
+            ["categorize-query", *self.COMMON, "--query", "shirt",
+             "--top-k", top_k]
+        )
+        assert rc == 2
+        assert "--top-k must be >= 1" in capsys.readouterr().err

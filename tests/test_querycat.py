@@ -5,11 +5,12 @@ tree shape is known — exact label hits, overlap wins, low-confidence
 back-off (one level and all the way to the root), empty-token and
 no-hit queries, and deterministic tie-breaks.
 
-Differential tier: the same query batch answered by the in-memory
-``SnapshotIndexes``, the mmap ``MmapSnapshotIndexes`` (sharded flat
-layout), and real sharded-supervisor worker processes over HTTP — all
-results must be *equal dicts*, which together with JSON round-tripping
-makes "bit-identical across backends" a checked property, not a hope.
+Differential tier: the same query batch answered by a brute-force walk
+of the tree (``tests/oracles.py``), the reader over a compiled buffer,
+over mapped shard files, and real sharded-supervisor worker processes
+over HTTP — all results must be *equal dicts*, which together with JSON
+round-tripping makes "bit-identical in every process" a checked
+property, not a hope.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.serving import (
     make_server,
     serve_in_background,
 )
+from tests.oracles import TreeOracle
 
 VARIANT = Variant.threshold_jaccard(0.6)
 
@@ -77,11 +79,11 @@ def shop_instance():
     )
 
 
-def build_indexes(tree_repr="flat"):
+def build_indexes():
     instance = shop_instance()
     tree = CTCR().build(instance, VARIANT)
     apply_label_suggestions(tree, suggest_labels(tree, instance, VARIANT))
-    return SnapshotIndexes(tree, instance, VARIANT, tree_repr=tree_repr), tree
+    return SnapshotIndexes(tree, instance, VARIANT), tree
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +93,7 @@ def indexes():
 
 def cid_of(indexes, label):
     (cid,) = [
-        c for c in indexes.by_cid if indexes.label_of(c) == label
+        c for c in indexes.sizes if indexes.label_of(c) == label
     ]
     return cid
 
@@ -182,12 +184,15 @@ class TestStages:
             assert json.loads(json.dumps(result)) == result
 
     def test_succinct_repr_is_identical(self, indexes):
-        succinct, _tree = build_indexes(tree_repr="succinct")
+        # The succinct reader decides exactly like a brute-force walk of
+        # the same tree.
+        _indexes, tree = build_indexes()
+        oracle = TreeOracle(tree, VARIANT)
         for text in QUERIES:
             for threshold in (0.3, 0.5, 0.8, 0.99):
                 assert categorize_query(
-                    succinct, text, threshold=threshold
-                ) == categorize_query(indexes, text, threshold=threshold)
+                    indexes, text, threshold=threshold
+                ) == categorize_query(oracle, text, threshold=threshold)
 
 
 class TestEngineOps:
@@ -301,9 +306,20 @@ class TestHTTPEndpoint:
             == 400
         )
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_is_400(self, server, top_k):
+        _engine, base = server
+        for path in (
+            f"/categorize-query?q=shoes&top_k={top_k}",
+            f"/categorize-query?queries=shoes|red&top_k={top_k}",
+        ):
+            status, body = self.get_error(base + path)
+            assert status == 400
+            assert "top_k must be >= 1" in body["error"]
+
 
 class TestDifferential:
-    """In-memory == mmap == sharded supervisor, for the same batch."""
+    """Oracle == buffer == mapping == sharded supervisor, for one batch."""
 
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory):
@@ -316,12 +332,16 @@ class TestDifferential:
         info = store.save(tree, instance, VARIANT, flat_shards=2)
         return store, info
 
-    def reference(self, store_info, tree_repr="flat"):
+    def reference(self, store_info, buffered=False):
+        """Answers of the oracle, or of the reader over a buffer."""
         store, info = store_info
         loaded = store.load(info.snapshot_id)
-        indexes = SnapshotIndexes(
-            loaded.tree, loaded.instance, loaded.variant, tree_repr=tree_repr
-        )
+        if buffered:
+            indexes = SnapshotIndexes(
+                loaded.tree, loaded.instance, loaded.variant
+            )
+        else:
+            indexes = TreeOracle(loaded.tree, loaded.variant)
         return [
             categorize_query(indexes, text, threshold=0.8)
             for text in QUERIES
@@ -331,16 +351,15 @@ class TestDifferential:
         expected = self.reference(store)
         _store, info = store
         paths = _store.flat_paths(info.snapshot_id)
-        for tree_repr in (None, "succinct"):
-            with MmapSnapshotIndexes(paths, tree_repr=tree_repr) as mm:
-                got = [
-                    categorize_query(mm, text, threshold=0.8)
-                    for text in QUERIES
-                ]
-            assert got == expected
+        with MmapSnapshotIndexes(paths) as mm:
+            got = [
+                categorize_query(mm, text, threshold=0.8)
+                for text in QUERIES
+            ]
+        assert got == expected
 
-    def test_succinct_in_memory_matches_flat(self, store):
-        assert self.reference(store, "succinct") == self.reference(store)
+    def test_buffer_matches_oracle(self, store):
+        assert self.reference(store, buffered=True) == self.reference(store)
 
     def test_supervisor_matches_in_memory(self, store):
         expected = self.reference(store)

@@ -2,8 +2,8 @@
 
 The acceptance bar for the serving layer is *bit-identical* agreement
 with the offline scorer: for every variant, the engine's best_category
-must reproduce ``score_tree``'s per-set score/precision/depth exactly,
-on both the packed-bitset and the postings scoring paths.
+must reproduce ``score_tree``'s per-set score/precision exactly, and the
+brute-force oracle's (``tests/oracles.py``) whole answer.
 """
 
 import threading
@@ -20,6 +20,7 @@ from repro.serving import (
     SnapshotStore,
     prepare_generation,
 )
+from tests.oracles import TreeOracle
 
 
 @pytest.fixture()
@@ -38,13 +39,13 @@ def engine(built):
 class TestDifferentialScoring:
     """Engine answers must match the offline score_tree reference."""
 
-    def _assert_matches_reference(self, tree, instance, variant, use_bitset):
-        indexes = SnapshotIndexes(
-            tree, instance, variant, use_bitset=use_bitset
-        )
+    def _assert_matches_reference(self, tree, instance, variant):
+        indexes = SnapshotIndexes(tree, instance, variant)
         report = score_tree(tree, instance, variant)
+        oracle = TreeOracle(tree, variant)
         for q in instance:
             best = indexes.best_category(q.items)
+            assert best == oracle.best_category(q.items)
             entry = report.per_set[q.sid]
             if entry.covered:
                 assert best is not None, (variant.describe(), q.sid)
@@ -58,10 +59,7 @@ class TestDifferentialScoring:
     ):
         for variant in all_variants:
             tree = CTCR().build(figure2_instance, variant)
-            for use_bitset in (False, True):
-                self._assert_matches_reference(
-                    tree, figure2_instance, variant, use_bitset
-                )
+            self._assert_matches_reference(tree, figure2_instance, variant)
 
     def test_dataset_scale_matches_offline_scorer(self, tiny_dataset):
         from repro.pipeline import preprocess
@@ -69,25 +67,7 @@ class TestDifferentialScoring:
         variant = Variant.threshold_jaccard(0.8)
         instance, _ = preprocess(tiny_dataset, variant)
         tree = CTCR().build(instance, variant)
-        for use_bitset in (False, True):
-            self._assert_matches_reference(
-                tree, instance, variant, use_bitset
-            )
-
-    def test_bitset_and_postings_paths_identical(self, built):
-        tree, instance, variant = built
-        on = SnapshotIndexes(tree, instance, variant, use_bitset=True)
-        off = SnapshotIndexes(tree, instance, variant, use_bitset=False)
-        assert on.uses_bitset and not off.uses_bitset
-        queries = [q.items for q in instance] + [
-            frozenset({"a"}),
-            frozenset({"a", "zzz-unknown"}),
-            frozenset({"zzz-unknown"}),
-            frozenset(instance.universe),
-        ]
-        for q in queries:
-            assert on.intersection_counts(q) == off.intersection_counts(q)
-            assert on.best_category(q) == off.best_category(q)
+        self._assert_matches_reference(tree, instance, variant)
 
     def test_tie_break_is_deterministic_lowest_cid(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)

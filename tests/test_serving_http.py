@@ -138,6 +138,9 @@ class TestErrorMapping:
         assert _get(server, "/best-category?items=a&delta=x")[0] == 400
         assert _get(server, "/best-category?items=a&variant=bogus")[0] == 400
         assert _get(server, "/browse?cid=notanint")[0] == 400
+        # A non-positive top_k would slice the hit list from the end.
+        assert _get(server, "/search?q=shirt&top_k=0")[0] == 400
+        assert _get(server, "/search?q=shirt&top_k=-1")[0] == 400
         assert _post(server, "/admin/swap", {"snapshot_id": "snap-missing"})[
             0
         ] == 404

@@ -1,13 +1,14 @@
-"""Cross-process consistency tier, part 1: the flat mmap snapshot layout.
+"""Cross-process consistency tier, part 1: the flat snapshot layout.
 
-The multi-process serving design only works if the mmap'd flat layout is
-*bit-identical* to the in-memory indexes — same integers, same IEEE-754
-floats, same dict orders — because N worker processes answering the same
-request must be indistinguishable. These tests pin that:
+The multi-process serving design only works if every process answers a
+request identically — same integers, same IEEE-754 floats, same dict
+orders — because N worker processes answering the same request must be
+indistinguishable. These tests pin that:
 
-- differential: every read op of :class:`MmapSnapshotIndexes` equals
-  :class:`SnapshotIndexes` on the paper examples, a real dataset, all
-  variants, sharded and unsharded, bitset kernel on and off;
+- differential: every read op of the one reader equals a brute-force
+  walk of the tree (``tests/oracles.py``) on the paper examples, a real
+  dataset, all variants, a ``repro.scale`` catalog shaped like the
+  serve_cold benchmark, over a buffer, a mapping, and several shards;
 - crash injection: torn, truncated, wrong-magic, corrupt-header and
   future-version flat files are rejected structurally (never a wrong
   answer, never a leaked fd);
@@ -16,6 +17,8 @@ request must be indistinguishable. These tests pin that:
 
 from __future__ import annotations
 
+import dataclasses
+import random
 import struct
 
 import pytest
@@ -23,19 +26,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import CTCR
-from repro.core import Variant, make_instance
+from repro.core import Variant, make_instance, score_tree
+from repro.core.input_sets import OCTInstance
 from repro.labeling import apply_label_suggestions, suggest_labels
+from repro.scale import ExtremeCatalog, scaled_spec
 from repro.serving import (
     FLAT_FORMAT_VERSION,
     MmapSnapshotIndexes,
+    ServingEngine,
     SnapshotError,
+    SnapshotIndexes,
     SnapshotStore,
     compile_flat_indexes,
     flat_file_name,
     prepare_mmap_generation,
 )
-from repro.serving.indexes import SnapshotIndexes
 from repro.serving.shm import FLAT_MAGIC, _PREFIX, encode_item, shard_of
+from tests.oracles import TreeOracle, assert_reads_match, queries_for
 
 
 def build_labeled_tree(instance, variant):
@@ -44,11 +51,11 @@ def build_labeled_tree(instance, variant):
     return tree
 
 
-def write_flat(tmp_path, indexes, shards=1):
+def write_flat(tmp_path, tree, variant, shards=1):
     """Compile and write flat shard files; returns their paths."""
     paths = []
     for shard_index, blob in enumerate(
-        compile_flat_indexes(indexes, shards=shards)
+        compile_flat_indexes(tree, variant, shards=shards)
     ):
         path = tmp_path / flat_file_name(shard_index, shards)
         path.write_bytes(blob)
@@ -56,99 +63,59 @@ def write_flat(tmp_path, indexes, shards=1):
     return paths
 
 
-def assert_identical(mem: SnapshotIndexes, mm: MmapSnapshotIndexes, queries):
-    """Every read op must agree exactly (values, floats, and dict order)."""
-    assert mm.root_cid == mem.root_cid
-    assert mm.n_categories == mem.n_categories
-    assert mm.variant == mem.variant
-    assert list(mm.sizes) == list(mem._cids)
-
-    for cid in mem._cids:
-        assert mm.sizes[cid] == mem.sizes[cid]
-        assert mm.depths[cid] == mem.depths[cid]
-        assert mm.parent_of[cid] == mem.parent_of[cid]
-        assert mm.children_of[cid] == mem.children_of[cid]
-        assert mm.label_of(cid) == mem.label_of(cid)
-        assert mm.path_to_root(cid) == mem.path_to_root(cid)
-        cat = mm.category(cid)
-        assert cat.label == mem.by_cid[cid].label
-        assert cat.depth == mem.depths[cid]
-        assert cat.n_items == mem.sizes[cid]
-
-    items = sorted(mem.item_postings, key=str)
-    for item in items + ["__definitely_not_an_item__", ("un", "hashable")]:
-        assert mm.placements(item) == mem.placements(item)
-        assert mm.postings(item) == mem.item_postings.get(item, ())
-
-    for query in queries:
-        got = mm.intersection_counts(frozenset(query))
-        want = mem.intersection_counts(frozenset(query))
-        assert got == want
-        assert list(got) == list(want)  # same (pre-)order, not just equal
-        best_mm = mm.best_category(frozenset(query))
-        best_mem = mem.best_category(frozenset(query))
-        assert best_mm == best_mem  # exact float equality via dataclass eq
-
-    for text in ["shirt", "black shirt", "nike", "category", "zzz missing"]:
-        assert mm.find_labels(text) == mem.find_labels(text)
-        assert mm.find_labels(text, top_k=2) == mem.find_labels(text, top_k=2)
-
-
-def queries_for(instance):
-    qs = [q.items for q in instance.sets]
-    qs.append(frozenset(list(instance.universe)[:3]) | {"__unknown__"})
-    qs.append(frozenset({"__only_unknown__"}))
-    return qs
+def open_reader(tmp_path, tree, variant, shards=1, buffered=False):
+    """The one reader over compiled buffers or over mapped files."""
+    if buffered:
+        return SnapshotIndexes.open(
+            compile_flat_indexes(tree, variant, shards=shards)
+        )
+    return MmapSnapshotIndexes(write_flat(tmp_path, tree, variant, shards))
 
 
 class TestDifferentialIdentity:
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("use_bitset", [False, True])
+    @pytest.mark.parametrize("buffered", [False, True])
     def test_figure2_all_variants(
-        self, figure2_instance, all_variants, tmp_path, shards, use_bitset
+        self, figure2_instance, all_variants, tmp_path, shards, buffered
     ):
         for i, variant in enumerate(all_variants):
             tree = build_labeled_tree(figure2_instance, variant)
-            mem = SnapshotIndexes(
-                tree, figure2_instance, variant, use_bitset=use_bitset
-            )
             sub = tmp_path / f"v{i}"
             sub.mkdir()
-            paths = write_flat(sub, mem, shards=shards)
-            with MmapSnapshotIndexes(paths, use_bitset=use_bitset) as mm:
-                assert mm.shard_count == shards
-                assert mm.uses_bitset == mem.uses_bitset
-                assert_identical(mem, mm, queries_for(figure2_instance))
+            with open_reader(sub, tree, variant, shards, buffered) as ix:
+                assert ix.shard_count == shards
+                assert not ix.uses_bitset
+                oracle = TreeOracle(tree, variant)
+                assert_reads_match(ix, oracle, queries_for(figure2_instance))
 
     def test_example32(self, example32_instance, tmp_path):
         variant = Variant.threshold_jaccard(0.6)
         tree = build_labeled_tree(example32_instance, variant)
-        mem = SnapshotIndexes(tree, example32_instance, variant)
-        paths = write_flat(tmp_path, mem, shards=2)
+        paths = write_flat(tmp_path, tree, variant, shards=2)
         with MmapSnapshotIndexes(paths) as mm:
-            assert_identical(mem, mm, queries_for(example32_instance))
+            assert_reads_match(
+                mm, TreeOracle(tree, variant), queries_for(example32_instance)
+            )
 
-    @pytest.mark.parametrize("use_bitset", [False, True, None])
-    def test_tiny_dataset(self, tiny_dataset, tmp_path, use_bitset):
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_tiny_dataset(self, tiny_dataset, tmp_path, buffered):
         from repro.pipeline import preprocess
 
         variant = Variant.threshold_jaccard(0.6)
         instance, _ = preprocess(tiny_dataset, variant)
         tree = build_labeled_tree(instance, variant)
-        mem = SnapshotIndexes(tree, instance, variant, use_bitset=use_bitset)
-        paths = write_flat(tmp_path, mem, shards=4)
-        with MmapSnapshotIndexes(paths, use_bitset=use_bitset) as mm:
-            assert mm.uses_bitset == mem.uses_bitset
-            assert_identical(mem, mm, queries_for(instance))
+        with open_reader(tmp_path, tree, variant, 4, buffered) as ix:
+            assert_reads_match(
+                ix, TreeOracle(tree, variant), queries_for(instance)
+            )
 
     def test_sharded_equals_unsharded(self, figure2_instance, tmp_path):
         variant = Variant.threshold_jaccard(0.6)
         tree = build_labeled_tree(figure2_instance, variant)
-        mem = SnapshotIndexes(tree, figure2_instance, variant)
         (tmp_path / "s1").mkdir()
         (tmp_path / "s5").mkdir()
-        one = write_flat(tmp_path / "s1", mem, shards=1)
-        many = write_flat(tmp_path / "s5", mem, shards=5)
+        one = write_flat(tmp_path / "s1", tree, variant, shards=1)
+        many = write_flat(tmp_path / "s5", tree, variant, shards=5)
         with MmapSnapshotIndexes(one) as a, MmapSnapshotIndexes(many) as b:
             for q in queries_for(figure2_instance):
                 assert a.intersection_counts(frozenset(q)) == (
@@ -161,10 +128,92 @@ class TestDifferentialIdentity:
     def test_compile_is_deterministic(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
         tree = build_labeled_tree(figure2_instance, variant)
-        mem = SnapshotIndexes(tree, figure2_instance, variant)
-        assert compile_flat_indexes(mem, shards=3) == (
-            compile_flat_indexes(mem, shards=3)
+        assert compile_flat_indexes(tree, variant, shards=3) == (
+            compile_flat_indexes(tree, variant, shards=3)
         )
+
+
+def string_item_catalog(seed=3):
+    """A small ``repro.scale`` planted-tree catalog with string items.
+
+    The same shape the serve_cold benchmark serves (HTTP passes item
+    keys as strings), at a size a unit test can afford.
+    """
+    catalog = ExtremeCatalog(scaled_spec(3000, 120, seed=seed, n_nodes=60))
+    tree = catalog.planted_tree()
+    for cat in tree.categories():
+        cat.items = {f"i{x}" for x in cat.items}
+    sets = [
+        dataclasses.replace(q, items=frozenset(f"i{x}" for x in q.items))
+        for q in catalog.iter_input_sets()
+    ]
+    universe = [f"i{x}" for x in range(catalog.spec.n_items)]
+    return tree, OCTInstance(sets, universe=universe)
+
+
+class TestScaleCatalogDifferential:
+    """Batched categorization and best-category on a scale catalog.
+
+    Requests are drawn like the serve_cold benchmark's: batches of 32
+    uniform items, and candidate sets with one item dropped a quarter of
+    the time. Every answer must equal the brute-force oracle.
+    """
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        tree, instance = string_item_catalog()
+        variant = Variant.threshold_jaccard(0.8)
+        return tree, instance, variant, TreeOracle(tree, variant)
+
+    def requests(self, instance):
+        rng = random.Random(11)
+        universe = sorted(instance.universe)
+        batches = [tuple(rng.sample(universe, 32)) for _ in range(40)]
+        batches.append(("i0", "__unknown__", "i1"))
+        sets = []
+        for q in instance.sets:
+            items = sorted(q.items)
+            if len(items) > 1 and rng.random() < 0.25:
+                items.pop(rng.randrange(len(items)))
+            sets.append(frozenset(items))
+        return batches, sets
+
+    @pytest.mark.parametrize("source", ["buffer", "mapping", "shards3"])
+    def test_engine_answers_match_oracle(self, catalog, tmp_path, source):
+        tree, instance, variant, oracle = catalog
+        if source == "buffer":
+            engine = ServingEngine.from_tree(
+                tree, instance, variant, cache_size=0
+            )
+        else:
+            store = SnapshotStore(tmp_path)
+            store.save(
+                tree, instance, variant,
+                flat_shards=3 if source == "shards3" else 1,
+            )
+            engine = ServingEngine(cache_size=0)
+            engine.publish(prepare_mmap_generation(store))
+            assert engine.current.indexes.shard_count == (
+                3 if source == "shards3" else 1
+            )
+            # Saving renumbers cids: compare against the stored tree.
+            tree = store.load().tree
+            oracle = TreeOracle(tree, variant)
+        batches, sets = self.requests(instance)
+        for batch in batches:
+            assert engine.categorize_items(batch) == [
+                oracle.categorize(item) for item in batch
+            ]
+        for q in sets:
+            assert engine.best_category(q) == oracle.best_category(q)
+        # The planted tree places every item somewhere.
+        assert all(engine.categorize_items(batches[0]))
+        # Every candidate set scores exactly as the offline scorer says.
+        report = score_tree(tree, instance, variant)
+        for q in instance.sets:
+            best = engine.best_category(q.items)
+            entry = report.per_set[q.sid]
+            assert (best.score if best else 0.0) == entry.score
 
 
 class TestStoreIntegration:
@@ -188,9 +237,9 @@ class TestStoreIntegration:
         store = SnapshotStore(tmp_path)
         info = store.save(tree, figure2_instance, variant)
         loaded = store.load(info.snapshot_id)
-        mem = SnapshotIndexes(loaded.tree, loaded.instance, loaded.variant)
+        oracle = TreeOracle(loaded.tree, loaded.variant)
         with MmapSnapshotIndexes(store.flat_paths(info.snapshot_id)) as mm:
-            assert_identical(mem, mm, queries_for(figure2_instance))
+            assert_reads_match(mm, oracle, queries_for(figure2_instance))
 
     def test_ensure_flat_compiles_for_old_snapshots(
         self, figure2_instance, tmp_path
@@ -219,7 +268,7 @@ class TestStoreIntegration:
         generation = prepare_mmap_generation(store)
         assert generation.snapshot_id == info.snapshot_id
         assert generation.tree is None and generation.instance is None
-        assert isinstance(generation.indexes, MmapSnapshotIndexes)
+        assert isinstance(generation.indexes, SnapshotIndexes)
         generation.indexes.close()
 
     def test_prepare_mmap_generation_empty_store(self, tmp_path):
@@ -233,8 +282,7 @@ class TestCrashInjection:
     def flat_path(self, figure2_instance, tmp_path):
         variant = Variant.threshold_jaccard(0.6)
         tree = build_labeled_tree(figure2_instance, variant)
-        mem = SnapshotIndexes(tree, figure2_instance, variant)
-        return write_flat(tmp_path, mem)[0]
+        return write_flat(tmp_path, tree, variant)[0]
 
     def test_wrong_magic(self, flat_path):
         blob = bytearray(flat_path.read_bytes())
@@ -284,8 +332,7 @@ class TestCrashInjection:
     def test_incomplete_shard_set(self, figure2_instance, tmp_path):
         variant = Variant.threshold_jaccard(0.6)
         tree = build_labeled_tree(figure2_instance, variant)
-        mem = SnapshotIndexes(tree, figure2_instance, variant)
-        paths = write_flat(tmp_path, mem, shards=3)
+        paths = write_flat(tmp_path, tree, variant, shards=3)
         with pytest.raises(SnapshotError, match="expected 3 flat shards"):
             MmapSnapshotIndexes(paths[:2])
 
@@ -311,9 +358,10 @@ class TestEncoding:
         instance = make_instance([{frozenset({"x"}), "a"}], weights=[1.0])
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(instance, variant)
-        mem = SnapshotIndexes(tree, instance, variant)
         with pytest.raises(SnapshotError, match="JSON-representable"):
-            compile_flat_indexes(mem)
+            compile_flat_indexes(tree, variant)
+        with pytest.raises(SnapshotError, match="JSON-representable"):
+            SnapshotIndexes(tree, instance, variant)
 
     def test_encode_item_canonical(self):
         assert encode_item("a") == b'"a"'
@@ -363,8 +411,9 @@ class TestRoundTripProperties:
         self, tmp_path_factory, instance, variant, shards
     ):
         tree = CTCR().build(instance, variant)
-        mem = SnapshotIndexes(tree, instance, variant)
         tmp_path = tmp_path_factory.mktemp("flat")
-        paths = write_flat(tmp_path, mem, shards=shards)
+        paths = write_flat(tmp_path, tree, variant, shards=shards)
         with MmapSnapshotIndexes(paths) as mm:
-            assert_identical(mem, mm, [q.items for q in instance.sets])
+            assert_reads_match(
+                mm, TreeOracle(tree, variant), [q.items for q in instance.sets]
+            )

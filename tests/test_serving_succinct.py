@@ -1,20 +1,18 @@
-"""Differential tier for the succinct tree-retrieval read path.
+"""Differential tier for the succinct read path.
 
-The succinct representation — Euler-tour intervals, sparse-table LCA,
-delta-compressed varint postings — must be *bit-identical* to the flat
-read path: same integers, same IEEE-754 floats, same dict orders, same
-tie-breaks. These tests pin that across every layer that grew the
-``tree_repr`` knob:
+Serving has one representation — pre-order subtree intervals and
+delta-compressed varint postings in the v3 flat layout — read by one
+class. These tests pin its answers against a brute-force walk of the
+tree (``tests/oracles.py``) at every layer:
 
-- in-memory: ``SnapshotIndexes(tree_repr="succinct")`` against the flat
-  reference, bitset kernel on and off;
-- mmap: format-v2 files carrying flat, succinct, or both
-  representations, sharded and unsharded, explicit and auto-resolved;
-- migration: format-v1 (and repr-missing) files are rejected with a
-  recompile hint and upgraded in place by ``SnapshotStore.ensure_flat``
-  at their existing shard count;
+- reader: buffers compiled in process and mapped files, labeled and
+  unlabeled trees, sharded and unsharded;
+- format: headers, section groups, missing sections;
+- migration: older-version files are rejected with a recompile hint and
+  upgraded in place by ``SnapshotStore.ensure_flat`` at their existing
+  shard count;
 - engine/HTTP: batched ``categorize_items`` equals the per-item loop,
-  including across a mid-run flat→succinct hot swap.
+  including across a mid-run hot swap from a buffer to a mapping.
 """
 
 from __future__ import annotations
@@ -28,14 +26,13 @@ import pytest
 
 from repro.algorithms import CTCR
 from repro.core import Variant
-from repro.labeling import apply_label_suggestions, suggest_labels
 from repro.observability import Tracer, use_tracer
 from repro.serving import (
-    BITSET_FANIN_THRESHOLD,
     HotSwapper,
     MmapSnapshotIndexes,
     ServingEngine,
     SnapshotError,
+    SnapshotIndexes,
     SnapshotStore,
     compile_flat_indexes,
     describe_flat,
@@ -43,258 +40,171 @@ from repro.serving import (
     flat_format_version,
     flat_header,
     make_server,
+    prepare_mmap_generation,
     serve_in_background,
 )
-from repro.serving.indexes import SnapshotIndexes
-from repro.serving.shm import _PREFIX, FLAT_MAGIC, _FlatShard
-from tests.test_serving_shm import (
-    assert_identical,
-    build_labeled_tree,
-    queries_for,
-)
+from repro.serving.shm import _PREFIX, _TRAILER, FLAT_MAGIC, _FlatShard
+from tests.oracles import TreeOracle, assert_reads_match, queries_for
+from tests.test_serving_shm import build_labeled_tree, write_flat
+
+VARIANT = Variant.threshold_jaccard(0.6)
 
 
-def assert_same_reads(ref: SnapshotIndexes, other, queries):
-    """Shared read API only (works for mem-vs-mem, unlike the shm helper)."""
-    assert other.root_cid == ref.root_cid
-    assert other.n_categories == ref.n_categories
-    assert list(other.sizes) == list(ref.sizes)
-    for cid in ref.sizes:
-        assert other.sizes[cid] == ref.sizes[cid]
-        assert other.depths[cid] == ref.depths[cid]
-        assert other.parent_of[cid] == ref.parent_of[cid]
-        assert other.children_of[cid] == ref.children_of[cid]
-        assert other.label_of(cid) == ref.label_of(cid)
-        assert other.path_to_root(cid) == ref.path_to_root(cid)
-    items = sorted(ref.item_postings, key=str)
-    for item in items + ["__definitely_not_an_item__"]:
-        assert other.placements(item) == ref.placements(item)
-    for query in queries:
-        got = other.intersection_counts(frozenset(query))
-        want = ref.intersection_counts(frozenset(query))
-        assert got == want
-        assert list(got) == list(want)  # same (pre-)order, not just equal
-        assert other.best_category(frozenset(query)) == (
-            ref.best_category(frozenset(query))
-        )
-
-
-def make_indexes(instance, variant=None, **kwargs):
-    variant = variant or Variant.threshold_jaccard(0.6)
-    tree = build_labeled_tree(instance, variant)
-    return SnapshotIndexes(tree, instance, variant, **kwargs)
-
-
-def write_flat(tmp_path, indexes, shards=1, tree_repr="both"):
-    paths = []
-    for shard_index, blob in enumerate(
-        compile_flat_indexes(indexes, shards=shards, tree_repr=tree_repr)
-    ):
-        path = tmp_path / flat_file_name(shard_index, shards)
-        path.write_bytes(blob)
-        paths.append(path)
-    return paths
+def make_tree(instance, variant=VARIANT):
+    return build_labeled_tree(instance, variant)
 
 
 class TestInMemorySuccinct:
-    @pytest.mark.parametrize("use_bitset", [False, True])
+    @pytest.mark.parametrize("labeled", [False, True])
     def test_figure2_all_variants(
-        self, figure2_instance, all_variants, use_bitset
+        self, figure2_instance, all_variants, labeled
     ):
+        # Unlabeled trees exercise empty label blobs and token sections.
         for variant in all_variants:
-            tree = build_labeled_tree(figure2_instance, variant)
-            flat = SnapshotIndexes(
-                tree, figure2_instance, variant, use_bitset=use_bitset
+            if labeled:
+                tree = build_labeled_tree(figure2_instance, variant)
+            else:
+                tree = CTCR().build(figure2_instance, variant)
+            indexes = SnapshotIndexes(tree, figure2_instance, variant)
+            assert_reads_match(
+                indexes, TreeOracle(tree, variant),
+                queries_for(figure2_instance),
             )
-            succ = SnapshotIndexes(
-                tree,
-                figure2_instance,
-                variant,
-                use_bitset=use_bitset,
-                tree_repr="succinct",
-            )
-            assert succ.tree_repr == "succinct"
-            assert_same_reads(flat, succ, queries_for(figure2_instance))
 
     def test_tiny_dataset(self, tiny_dataset):
         from repro.pipeline import preprocess
 
-        variant = Variant.threshold_jaccard(0.6)
-        instance, _ = preprocess(tiny_dataset, variant)
-        tree = build_labeled_tree(instance, variant)
-        flat = SnapshotIndexes(tree, instance, variant)
-        succ = SnapshotIndexes(tree, instance, variant, tree_repr="succinct")
-        assert_same_reads(flat, succ, queries_for(instance))
+        instance, _ = preprocess(tiny_dataset, VARIANT)
+        tree = make_tree(instance)
+        indexes = SnapshotIndexes(tree, instance, VARIANT)
+        assert_reads_match(
+            indexes, TreeOracle(tree, VARIANT), queries_for(instance)
+        )
 
     def test_is_ancestor_matches_paths(self, figure2_instance):
-        variant = Variant.threshold_jaccard(0.6)
-        tree = build_labeled_tree(figure2_instance, variant)
-        flat = SnapshotIndexes(tree, figure2_instance, variant)
-        succ = SnapshotIndexes(
-            tree, figure2_instance, variant, tree_repr="succinct"
-        )
-        cids = list(flat.sizes)
+        tree = make_tree(figure2_instance)
+        indexes = SnapshotIndexes(tree, figure2_instance, VARIANT)
+        oracle = TreeOracle(tree, VARIANT)
+        cids = list(oracle.sizes)
         for u in cids:
             for v in cids:
-                assert succ.is_ancestor(u, v) == flat.is_ancestor(u, v)
+                assert indexes.is_ancestor(u, v) == oracle.is_ancestor(u, v)
 
     def test_paths_to_root_batch_matches_loop(self, figure2_instance):
-        succ = make_indexes(figure2_instance, tree_repr="succinct")
-        cids = list(succ.sizes)
-        batch = succ.paths_to_root_batch(cids)
+        indexes = SnapshotIndexes(
+            make_tree(figure2_instance), figure2_instance, VARIANT
+        )
+        cids = list(indexes.sizes)
+        batch = indexes.paths_to_root_batch(cids)
         assert set(batch) == set(cids)
         for cid in cids:
-            assert batch[cid] == succ.path_to_root(cid)
-
-    def test_bad_tree_repr_rejected(self, figure2_instance):
-        with pytest.raises(ValueError, match="tree_repr"):
-            make_indexes(figure2_instance, tree_repr="compressed")
+            assert batch[cid] == indexes.path_to_root(cid)
 
     def test_succinct_counters_emitted(self, figure2_instance):
-        succ = make_indexes(figure2_instance, tree_repr="succinct")
-        items = sorted(succ._post_var, key=str)
+        indexes = SnapshotIndexes(
+            make_tree(figure2_instance), figure2_instance, VARIANT
+        )
+        items = sorted(figure2_instance.universe, key=str)
         with use_tracer(Tracer()) as tracer:
-            succ.placements(items[0])
-            succ.intersection_counts(frozenset(items[:2]))
-            succ.paths_to_root_batch(list(succ.sizes))
+            indexes.placements(items[0])
+            indexes.intersection_counts(frozenset(items[:2]))
+            indexes.paths_to_root_batch(list(indexes.sizes))
         assert tracer.counters["serving.succinct.postings_decoded"] >= 3
         assert tracer.counters["serving.succinct.batched_lca"] >= 1
 
-    def test_bitset_fanin_fallback(self, tiny_dataset):
-        # A query wide enough to cross the fan-in threshold must take the
-        # packed-bitset path (counted, and still bit-identical).
-        from repro.pipeline import preprocess
-
-        variant = Variant.threshold_jaccard(0.6)
-        instance, _ = preprocess(tiny_dataset, variant)
-        tree = build_labeled_tree(instance, variant)
-        flat = SnapshotIndexes(tree, instance, variant, use_bitset=True)
-        succ = SnapshotIndexes(
-            tree, instance, variant, use_bitset=True, tree_repr="succinct"
-        )
-        known = sorted(flat.item_postings, key=str)
-        if len(known) < BITSET_FANIN_THRESHOLD:
-            pytest.skip("dataset smaller than the fan-in threshold")
-        wide = frozenset(known[:BITSET_FANIN_THRESHOLD])
-        with use_tracer(Tracer()) as tracer:
-            got = succ.intersection_counts(wide)
-        assert tracer.counters["serving.succinct.bitset_fanin"] == 1
-        want = flat.intersection_counts(wide)
-        assert got == want and list(got) == list(want)
-
 
 class TestMmapDifferential:
-    @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("use_bitset", [None, False])
-    def test_both_reprs_match_reference(
-        self, figure2_instance, all_variants, tmp_path, shards, use_bitset
-    ):
-        for i, variant in enumerate(all_variants):
-            tree = build_labeled_tree(figure2_instance, variant)
-            mem = SnapshotIndexes(
-                tree, figure2_instance, variant, use_bitset=use_bitset
-            )
-            sub = tmp_path / f"v{i}"
-            sub.mkdir()
-            paths = write_flat(sub, mem, shards=shards, tree_repr="both")
-            queries = queries_for(figure2_instance)
-            for repr_ in (None, "flat", "succinct"):
-                with MmapSnapshotIndexes(
-                    paths, use_bitset=use_bitset, tree_repr=repr_
-                ) as mm:
-                    assert mm.tree_repr == (repr_ or "flat")
-                    assert_identical(mem, mm, queries)
-
     def test_tiny_dataset_succinct(self, tiny_dataset, tmp_path):
         from repro.pipeline import preprocess
 
-        variant = Variant.threshold_jaccard(0.6)
-        instance, _ = preprocess(tiny_dataset, variant)
-        tree = build_labeled_tree(instance, variant)
-        mem = SnapshotIndexes(tree, instance, variant)
-        paths = write_flat(tmp_path, mem, shards=4)
-        with MmapSnapshotIndexes(paths, tree_repr="succinct") as mm:
-            assert_identical(mem, mm, queries_for(instance))
+        instance, _ = preprocess(tiny_dataset, VARIANT)
+        tree = make_tree(instance)
+        paths = write_flat(tmp_path, tree, VARIANT, shards=4)
+        with MmapSnapshotIndexes(paths) as mm:
+            assert_reads_match(
+                mm, TreeOracle(tree, VARIANT), queries_for(instance)
+            )
 
     def test_succinct_only_auto_resolves(self, figure2_instance, tmp_path):
-        mem = make_indexes(figure2_instance)
-        paths = write_flat(tmp_path, mem, tree_repr="succinct")
-        with MmapSnapshotIndexes(paths) as mm:  # no flat repr to prefer
-            assert mm.tree_repr == "succinct"
-            assert_identical(mem, mm, queries_for(figure2_instance))
-
-    def test_flat_only_still_works(self, figure2_instance, tmp_path):
-        mem = make_indexes(figure2_instance)
-        paths = write_flat(tmp_path, mem, tree_repr="flat")
+        # A v3 file carries only the succinct sections; it opens with no
+        # representation to choose.
+        tree = make_tree(figure2_instance)
+        paths = write_flat(tmp_path, tree, VARIANT)
+        _, header = flat_header(paths[0])
+        assert "reprs" not in header
         with MmapSnapshotIndexes(paths) as mm:
-            assert mm.tree_repr == "flat"
-            assert_identical(mem, mm, queries_for(figure2_instance))
+            assert_reads_match(
+                mm, TreeOracle(tree, VARIANT), queries_for(figure2_instance)
+            )
 
     def test_compile_is_deterministic(self, figure2_instance):
-        mem = make_indexes(figure2_instance)
-        assert compile_flat_indexes(mem, shards=2, tree_repr="both") == (
-            compile_flat_indexes(mem, shards=2, tree_repr="both")
+        tree = make_tree(figure2_instance)
+        assert compile_flat_indexes(tree, VARIANT, shards=2) == (
+            compile_flat_indexes(tree, VARIANT, shards=2)
         )
 
-    def test_compile_rejects_succinct_source(self, figure2_instance):
-        succ = make_indexes(figure2_instance, tree_repr="succinct")
-        with pytest.raises(SnapshotError, match="flat-repr"):
-            compile_flat_indexes(succ)
 
-    def test_compile_rejects_unknown_repr(self, figure2_instance):
-        mem = make_indexes(figure2_instance)
-        with pytest.raises(SnapshotError, match="tree_repr"):
-            compile_flat_indexes(mem, tree_repr="sparse")
+def rewrite_header(blob: bytes, version: int, edit) -> bytes:
+    """Re-render a compiled shard with an edited header and version.
+
+    Section offsets are relative to the 8-aligned end of the header, so
+    the header is padded back to an 8-byte boundary.
+    """
+    header_len = struct.unpack_from("<Q", blob, 8)[0]
+    data_start = (_PREFIX.size + header_len + 7) & ~7
+    header = json.loads(blob[_PREFIX.size: _PREFIX.size + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    prefix = _PREFIX.pack(FLAT_MAGIC, version, len(header_bytes))
+    pad = b"\0" * (-(len(prefix) + len(header_bytes)) % 8)
+    body = prefix + header_bytes + pad + blob[data_start: -_TRAILER.size]
+    return body + _TRAILER.pack(b"TROC", len(body) + _TRAILER.size)
 
 
 class TestReprSelection:
     def test_missing_repr_rejected(self, figure2_instance, tmp_path):
-        mem = make_indexes(figure2_instance)
-        (tmp_path / "f").mkdir()
-        (tmp_path / "s").mkdir()
-        flat_only = write_flat(tmp_path / "f", mem, tree_repr="flat")
-        succ_only = write_flat(tmp_path / "s", mem, tree_repr="succinct")
-        with pytest.raises(SnapshotError, match="does not carry"):
-            MmapSnapshotIndexes(flat_only, tree_repr="succinct")
-        with pytest.raises(SnapshotError, match="does not carry"):
-            MmapSnapshotIndexes(succ_only, tree_repr="flat")
+        # A file whose postings group is missing cannot be served.
+        blob = compile_flat_indexes(make_tree(figure2_instance), VARIANT)[0]
+
+        def drop_postings(header):
+            for name in ("item_post_voff", "item_post_var"):
+                del header["sections"][name]
+
+        path = tmp_path / flat_file_name(0, 1)
+        path.write_bytes(rewrite_header(blob, 3, drop_postings))
+        with pytest.raises(SnapshotError, match="missing section"):
+            MmapSnapshotIndexes([path])
 
     def test_flat_header_and_version(self, figure2_instance, tmp_path):
-        mem = make_indexes(figure2_instance)
-        path = write_flat(tmp_path, mem)[0]
-        assert flat_format_version(path) == 2
+        path = write_flat(tmp_path, make_tree(figure2_instance), VARIANT)[0]
+        assert flat_format_version(path) == 3
         version, header = flat_header(path)
-        assert version == 2
-        assert sorted(header["reprs"]) == ["flat", "succinct"]
-        assert header["n_euler"] == 2 * header["n_categories"] - 1
+        assert version == 3
+        assert header["shard_count"] == 1
+        assert header["variant"] == "threshold-jaccard:0.6"
 
     def test_describe_flat_sections(self, figure2_instance, tmp_path):
-        mem = make_indexes(figure2_instance)
-        path = write_flat(tmp_path, mem)[0]
+        path = write_flat(tmp_path, make_tree(figure2_instance), VARIANT)[0]
         desc = describe_flat(path)
-        assert desc["format_version"] == 2
+        assert desc["format_version"] == 3
         assert desc["file_bytes"] == path.stat().st_size
-        names = {s["name"] for s in desc["sections"]}
-        for wanted in (
-            "cat_tin", "cat_tout", "euler_tour", "euler_first",
-            "lca_sparse", "item_post_voff", "item_post_var",
-            "item_place_voff", "item_place_var", "cat_items_voff",
-            "cat_items_var", "cat_bits",
-        ):
-            assert wanted in names
         groups = {s["name"]: s["group"] for s in desc["sections"]}
-        assert groups["cat_tin"] == "succinct_tree"
-        assert groups["item_post_var"] == "succinct_postings"
-        assert groups["cat_bits"] == "dense"
+        assert groups["cat_tout"] == "tree"
+        assert groups["item_post_var"] == "postings"
+        assert groups["item_keys"] == "items"
+        assert groups["tok_blob"] == "tokens"
+        assert "?" not in groups.values()
+        for gone in ("cat_bits", "item_post", "cat_tin", "euler_tour",
+                     "lca_sparse", "cat_items_var"):
+            assert gone not in groups
         assert all(s["bytes"] >= 0 for s in desc["sections"])
 
 
 class TestMigration:
     def _save(self, instance, tmp_path, **save_kwargs):
-        variant = Variant.threshold_jaccard(0.6)
-        tree = build_labeled_tree(instance, variant)
+        tree = make_tree(instance)
         store = SnapshotStore(tmp_path)
-        info = store.save(tree, instance, variant, **save_kwargs)
+        info = store.save(tree, instance, VARIANT, **save_kwargs)
         return store, info
 
     def _downgrade_version(self, path, version=1):
@@ -323,29 +233,40 @@ class TestMigration:
         paths = store.ensure_flat(info.snapshot_id)
         assert len(paths) == 3  # recompiled at the existing shard count
         for path in paths:
-            assert flat_format_version(path) == 2
+            assert flat_format_version(path) == 3
         loaded = store.load(info.snapshot_id)
-        mem = SnapshotIndexes(loaded.tree, loaded.instance, loaded.variant)
-        for repr_ in ("flat", "succinct"):
-            with MmapSnapshotIndexes(paths, tree_repr=repr_) as mm:
-                assert_identical(mem, mm, queries_for(figure2_instance))
+        with MmapSnapshotIndexes(paths) as mm:
+            assert_reads_match(
+                mm, TreeOracle(loaded.tree, loaded.variant),
+                queries_for(figure2_instance),
+            )
 
     def test_ensure_flat_upgrades_single_repr_files(
         self, figure2_instance, tmp_path
     ):
-        # A flat-only snapshot is stale once "both" is wanted: ensure_flat
-        # recompiles it in place so succinct readers can map it.
-        store, info = self._save(
-            figure2_instance, tmp_path, tree_repr="flat"
-        )
+        # A v2 file that carries a single representation (its header
+        # names it under "reprs") is stale: opening it directly names
+        # the migration, and ensure_flat recompiles it to v3 in place.
+        store, info = self._save(figure2_instance, tmp_path)
         path = store.flat_paths(info.snapshot_id)[0]
-        with pytest.raises(SnapshotError, match="does not carry"):
-            MmapSnapshotIndexes([path], tree_repr="succinct")
+        path.write_bytes(
+            rewrite_header(
+                path.read_bytes(), 2, lambda h: h.update(reprs=["flat"])
+            )
+        )
+        assert flat_format_version(path) == 2
+        with pytest.raises(SnapshotError, match="ensure_flat"):
+            MmapSnapshotIndexes([path])
         paths = store.ensure_flat(info.snapshot_id)
-        _, header = flat_header(paths[0])
-        assert sorted(header["reprs"]) == ["flat", "succinct"]
-        with MmapSnapshotIndexes(paths, tree_repr="succinct") as mm:
-            assert mm.tree_repr == "succinct"
+        assert paths == [path]
+        version, header = flat_header(path)
+        assert version == 3 and "reprs" not in header
+        engine = ServingEngine(cache_size=0)
+        engine.publish(prepare_mmap_generation(store))
+        loaded = store.load(info.snapshot_id)
+        oracle = TreeOracle(loaded.tree, loaded.variant)
+        for item in oracle.items:
+            assert engine.categorize_item(item) == oracle.categorize(item)
 
     def test_ensure_flat_idempotent_when_fresh(
         self, figure2_instance, tmp_path
@@ -363,77 +284,82 @@ class TestFlatShardLifecycle:
     def test_context_manager_and_idempotent_close(
         self, figure2_instance, tmp_path
     ):
-        mem = make_indexes(figure2_instance)
-        path = write_flat(tmp_path, mem)[0]
+        path = write_flat(tmp_path, make_tree(figure2_instance), VARIANT)[0]
         with _FlatShard(path) as shard:
-            assert shard.header["n_categories"] == mem.n_categories
+            assert shard.header["n_categories"] == len(
+                make_tree(figure2_instance)
+            )
         shard.close()  # double close after __exit__: must be a no-op
         shard.close()
 
     def test_indexes_close_idempotent(self, figure2_instance, tmp_path):
-        mem = make_indexes(figure2_instance)
-        paths = write_flat(tmp_path, mem)
-        mm = MmapSnapshotIndexes(paths)
+        tree = make_tree(figure2_instance)
+        mm = MmapSnapshotIndexes(write_flat(tmp_path, tree, VARIANT))
         mm.close()
         mm.close()
+        buffered = SnapshotIndexes(tree, figure2_instance, VARIANT)
+        buffered.close()
+        buffered.close()
 
 
 class TestEngineBatched:
     def _store(self, instance, tmp_path):
-        variant = Variant.threshold_jaccard(0.6)
-        tree = build_labeled_tree(instance, variant)
+        tree = make_tree(instance)
         store = SnapshotStore(tmp_path)
-        store.save(tree, instance, variant)
+        store.save(tree, instance, VARIANT)
         return store
 
-    @pytest.mark.parametrize("tree_repr", ["flat", "succinct"])
+    @pytest.mark.parametrize("source", ["buffer", "mapping"])
     def test_batch_equals_per_item_loop(
-        self, figure2_instance, tmp_path, tree_repr
+        self, figure2_instance, tmp_path, source
     ):
         store = self._store(figure2_instance, tmp_path)
-        engine = ServingEngine.from_snapshot(
-            store.load(), tree_repr=tree_repr
-        )
+        if source == "buffer":
+            engine = ServingEngine.from_snapshot(store.load())
+        else:
+            engine = ServingEngine()
+            engine.publish(prepare_mmap_generation(store))
         items = sorted(figure2_instance.universe, key=str)
         items.append("__unknown__")
         batch = engine.categorize_items(items)
         assert batch == [engine.categorize_item(item) for item in items]
+        oracle = TreeOracle(store.load().tree, VARIANT)
+        assert batch == [oracle.categorize(item) for item in items]
 
     def test_batch_across_hot_swap(self, figure2_instance, tmp_path):
-        # Mid-run flat -> succinct swap: the generation bumps, the
-        # answers do not.
+        # Mid-run swap from the compiled buffer to the store's mapped
+        # files: the generation bumps, the answers do not.
         store = self._store(figure2_instance, tmp_path)
-        engine = ServingEngine.from_snapshot(store.load(), tree_repr="flat")
+        engine = ServingEngine.from_snapshot(store.load())
         items = sorted(figure2_instance.universe, key=str)
         before = engine.categorize_items(items)
         generation_before = engine.generation
-        swapper = HotSwapper(engine, tree_repr="succinct")
+        swapper = HotSwapper(engine)
         swapper.swap_from_store(store)
         assert engine.generation == generation_before + 1
-        assert engine.current.indexes.tree_repr == "succinct"
+        assert engine.current.tree is None  # mapped, not deserialized
         assert engine.categorize_items(items) == before
 
     def test_succinct_requests_counter(self, figure2_instance, tmp_path):
+        # Every generation reads the succinct layout, so the per-repr
+        # request counter is gone (manifest schema v9); requests are
+        # counted once, under serving.requests.
         store = self._store(figure2_instance, tmp_path)
-        engine = ServingEngine.from_snapshot(
-            store.load(), tree_repr="succinct"
-        )
+        engine = ServingEngine.from_snapshot(store.load())
         with use_tracer(Tracer()) as tracer:
             engine.browse()
-        assert tracer.counters["serving.succinct.requests"] == 1
+        assert tracer.counters["serving.requests"] == 1
+        assert "serving.succinct.requests" not in tracer.counters
 
 
 class TestHTTPBatch:
     @pytest.fixture()
     def served(self, figure2_instance, tmp_path):
-        variant = Variant.threshold_jaccard(0.6)
-        tree = CTCR().build(figure2_instance, variant)
+        tree = CTCR().build(figure2_instance, VARIANT)
         store = SnapshotStore(tmp_path)
-        store.save(tree, figure2_instance, variant)
-        engine = ServingEngine.from_snapshot(
-            store.load(), tree_repr="succinct"
-        )
-        server = make_server(engine, store=store, tree_repr="succinct")
+        store.save(tree, figure2_instance, VARIANT)
+        engine = ServingEngine.from_snapshot(store.load())
+        server = make_server(engine, store=store)
         serve_in_background(server)
         yield server, engine
         server.stop()
@@ -468,17 +394,17 @@ class TestInspectSnapshotCLI:
     def test_store_root(self, figure2_instance, tmp_path, capsys):
         from repro.cli import main
 
-        variant = Variant.threshold_jaccard(0.6)
-        tree = build_labeled_tree(figure2_instance, variant)
+        tree = make_tree(figure2_instance)
         store = SnapshotStore(tmp_path)
-        store.save(tree, figure2_instance, variant, flat_shards=2)
+        store.save(tree, figure2_instance, VARIANT, flat_shards=2)
         rc = main(["inspect-snapshot", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "shard 1/2" in out and "shard 2/2" in out
-        assert "cat_tin" in out and "cat_bits" in out
+        assert "format v3" in out
+        assert "cat_tout" in out and "item_post_var" in out
+        assert "cat_bits" not in out
         assert "group subtotals" in out
-        assert "x smaller" in out  # the dense-vs-succinct comparison
 
     def test_empty_store_is_an_error(self, tmp_path, capsys):
         from repro.cli import main

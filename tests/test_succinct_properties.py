@@ -2,9 +2,8 @@
 
 Random pre-order trees and random posting lists, checked against the
 naive definitions: interval ancestor tests against path containment,
-sparse-table LCA against path-prefix intersection, batched root paths
-against per-row walks, and the varint codec against round-tripping.
-The serving layers above are covered differentially in
+batched root paths against per-row walks, and the varint codec against
+round-tripping. The serving layers above are covered differentially in
 ``tests/test_serving_succinct.py``; this tier pins the primitives the
 whole read path stands on.
 """
@@ -16,9 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Variant, make_instance
-from repro.serving import EulerTour, decode_postings, encode_postings
-from repro.serving.indexes import SnapshotIndexes
-from repro.serving.succinct import concat_postings, validate_tree_repr
+from repro.serving import (
+    EulerTour,
+    SnapshotIndexes,
+    decode_postings,
+    encode_postings,
+)
+from repro.serving.succinct import concat_postings
+from tests.oracles import TreeOracle
 
 
 # A random pre-order tree. Contiguous pre-order means row v can only
@@ -31,10 +35,7 @@ def preorder_trees(draw):
     for v in range(1, n):
         spine = naive_path(parent, v - 1)
         parent.append(spine[draw(st.integers(0, len(spine) - 1))])
-    depth = [0] * n
-    for v in range(1, n):
-        depth[v] = depth[parent[v]] + 1
-    return parent, depth
+    return parent
 
 
 def naive_path(parent, v):
@@ -44,20 +45,11 @@ def naive_path(parent, v):
     return path
 
 
-def naive_lca(parent, u, v):
-    ancestors = set(naive_path(parent, u))
-    for node in naive_path(parent, v):
-        if node in ancestors:
-            return node
-    raise AssertionError("one root means the walk always meets")
-
-
 class TestEulerTourProperties:
     @settings(max_examples=60, deadline=None)
     @given(preorder_trees())
-    def test_ancestor_equals_path_containment(self, tree):
-        parent, depth = tree
-        tour = EulerTour.build(parent, depth)
+    def test_ancestor_equals_path_containment(self, parent):
+        tour = EulerTour.build(parent)
         for u in range(len(parent)):
             path = set(naive_path(parent, u))
             for v in range(len(parent)):
@@ -65,18 +57,8 @@ class TestEulerTourProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(preorder_trees())
-    def test_lca_equals_naive(self, tree):
-        parent, depth = tree
-        tour = EulerTour.build(parent, depth)
-        for u in range(len(parent)):
-            for v in range(len(parent)):
-                assert tour.lca(u, v) == naive_lca(parent, u, v)
-
-    @settings(max_examples=60, deadline=None)
-    @given(preorder_trees())
-    def test_walks_and_batched_paths(self, tree):
-        parent, depth = tree
-        tour = EulerTour.build(parent, depth)
+    def test_walks_and_batched_paths(self, parent):
+        tour = EulerTour.build(parent)
         rows = list(range(len(parent)))
         batched = tour.root_paths(rows)
         for v in rows:
@@ -86,30 +68,28 @@ class TestEulerTourProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(preorder_trees(), st.data())
-    def test_lca_of_subset(self, tree, data):
-        parent, depth = tree
-        tour = EulerTour.build(parent, depth)
+    def test_batched_paths_of_subset(self, parent, data):
+        # Sparse batches make consecutive rows far apart, so the shared
+        # prefix comes from the interval binary search, not a parent hop.
         rows = data.draw(
-            st.lists(
-                st.integers(0, len(parent) - 1), min_size=1, max_size=6
-            )
+            st.lists(st.integers(0, len(parent) - 1), min_size=1, max_size=6)
         )
-        want = rows[0]
-        for row in rows[1:]:
-            want = naive_lca(parent, want, row)
-        assert tour.lca_of(rows) == want
+        batched = EulerTour.build(parent).root_paths(rows)
+        assert set(batched) == set(rows)
+        for v in rows:
+            assert batched[v] == naive_path(parent, v)[::-1]
 
     def test_rejects_non_preorder(self):
         with pytest.raises(ValueError, match="parent < row"):
-            EulerTour.build([-1, 2, 0], [0, 2, 1])
+            EulerTour.build([-1, 2, 0])
         # Topological but interleaved: node 1's subtree {1, 3} is split
         # by its sibling at row 2, so intervals cannot represent it.
         with pytest.raises(ValueError, match="contiguous pre-order"):
-            EulerTour.build([-1, 0, 0, 1], [0, 1, 1, 2])
+            EulerTour.build([-1, 0, 0, 1])
         with pytest.raises(ValueError, match="root"):
-            EulerTour.build([0, 0], [0, 1])
+            EulerTour.build([0, 0])
         with pytest.raises(ValueError, match="zero nodes"):
-            EulerTour.build([], [])
+            EulerTour.build([])
 
 
 class TestVarintProperties:
@@ -153,15 +133,9 @@ class TestVarintProperties:
         for i, values in enumerate(lists):
             assert decode_postings(blob[offsets[i]: offsets[i + 1]]) == values
 
-    def test_validate_tree_repr(self):
-        assert validate_tree_repr("flat") == "flat"
-        assert validate_tree_repr("succinct") == "succinct"
-        with pytest.raises(ValueError, match="tree_repr"):
-            validate_tree_repr("both")  # a compile target, not a read repr
-
 
 # Random catalogs for the end-to-end property: batched categorize over
-# the succinct indexes equals the per-item loop over the flat ones.
+# the reader equals the per-item loop over a brute-force walk of the tree.
 _instances = st.lists(
     st.tuples(
         st.sets(
@@ -188,12 +162,12 @@ class TestBatchedCategorizeProperty:
 
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(instance, variant)
-        flat = SnapshotIndexes(tree, instance, variant)
-        succ = SnapshotIndexes(tree, instance, variant, tree_repr="succinct")
+        oracle = TreeOracle(tree, variant)
+        indexes = SnapshotIndexes(tree, instance, variant)
         items = sorted(instance.universe, key=str)
-        cids = sorted({c for i in items for c in flat.placements(i)})
-        batched = succ.paths_to_root_batch(cids)
+        cids = sorted({c for i in items for c in oracle.placements(i)})
+        batched = indexes.paths_to_root_batch(cids)
         for item in items:
-            assert succ.placements(item) == flat.placements(item)
+            assert indexes.placements(item) == oracle.placements(item)
         for cid in cids:
-            assert batched[cid] == flat.path_to_root(cid)
+            assert batched[cid] == oracle.path_to_root(cid)
