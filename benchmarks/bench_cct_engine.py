@@ -1,31 +1,25 @@
-"""CCT engine: bitset embeddings + NN-chain clustering vs the pre-PR path.
+"""CCT engine: kernel embeddings + NN-chain clustering vs the reference loops.
 
-Three experiments, all written to ``benchmarks/BENCH_cct.json``:
+Two experiments, both written to ``benchmarks/BENCH_cct.json``:
 
 1. **Embedding-stage speedup** (Figure 8f series, threshold-jaccard:0.8
-   — the scalability protocol's variant): ``set_embeddings`` under the
-   packed-bitset kernel (output-sensitive ``intersecting_pairs`` +
-   vectorized similarity derivation) against the pre-PR pure-Python
-   double loop — inlined below verbatim so the comparison stays honest
-   as the engine evolves. The matrices are asserted bit-identical
-   before timing, and the largest instance must show at least a 3x
-   speedup.
+   — the scalability protocol's variant): ``set_embeddings`` (the
+   output-sensitive ``intersecting_pairs`` kernel + vectorized
+   similarity derivation) against the pure-Python double loop it
+   replaced, ``set_embeddings_reference`` in ``tests/oracles.py``. The
+   matrices are asserted bit-identical before timing, and the largest
+   instance must show at least a 3x speedup.
 
 2. **Clustering-engine comparison**: the nearest-neighbor-chain
-   agglomeration against the legacy greedy global-minimum loop over the
-   same embedding matrix (reported, not asserted — both are O(n²)
+   agglomeration against the greedy global-minimum loop
+   (``cluster_greedy_reference`` in ``tests/oracles.py``) over the same
+   embedding matrix, both timed from the embeddings through the
+   Euclidean distance matrix (reported, not asserted — both are O(n²)
    *expected*; the chain's win is its worst-case guarantee and the
    absence of per-step global scans).
 
-3. **Sweep cache hit rate** (Figure 8g/8h protocol): a fine threshold
-   sweep around delta = 0.8 with the embedding cache enabled. The
-   pairwise intersection counts are variant- and δ-independent, so
-   every sweep point after the first replays them; the cache must
-   serve more than half of all embedding builds.
-
-``--tiny`` runs a seconds-scale version of all three (small instances,
-coarse sweep, no thresholds asserted) so CI can keep the harness from
-rotting.
+``--tiny`` runs a seconds-scale version of both (small instances, no
+threshold asserted) so CI can keep the harness from rotting.
 """
 
 from __future__ import annotations
@@ -43,13 +37,10 @@ import numpy as np
 
 from benchmarks.common import bench_report, write_bench_json
 from benchmarks.conftest import instance_for
-from repro.algorithms import CCT, CCTConfig, clear_embedding_cache
-from repro.algorithms.cct import _set_embeddings_bitset
-from repro.algorithms.cct_cache import get_embedding_cache
-from repro.clustering import agglomerative_clustering
+from repro.algorithms import set_embeddings
+from repro.clustering import agglomerative_clustering, distance_matrix
 from repro.core import Variant
-from repro.core.similarity import raw_similarity_from_sizes
-from repro.evaluation import threshold_sweep
+from tests.oracles import cluster_greedy_reference, set_embeddings_reference
 
 STAGE_VARIANT = Variant.threshold_jaccard(0.8)
 
@@ -63,39 +54,6 @@ SERIES = [
 ]
 TINY_SERIES = SERIES[:2]
 MIN_SPEEDUP_LARGEST = 3.0
-
-# Figure 8g/8h sweep: threshold Jaccard, fine grid around delta = 0.8.
-SWEEP_BASE = Variant.threshold_jaccard(0.8)
-SWEEP_DELTAS = [round(0.75 + 0.005 * i, 4) for i in range(31)]
-TINY_SWEEP_DELTAS = [round(0.78 + 0.02 * i, 4) for i in range(5)]
-MIN_CACHE_HIT_RATE = 0.5
-
-
-# -- pre-PR embedding loop, inlined as the fixed baseline -------------------
-
-
-def _legacy_set_embeddings(instance, variant) -> np.ndarray:
-    """The pure-Python double loop this PR replaced (verbatim)."""
-    sets = instance.sets
-    n = len(sets)
-    matrix = np.zeros((n, n), dtype=np.float64)
-    index_of = {q.sid: i for i, q in enumerate(sets)}
-    sizes = [len(q.items) for q in sets]
-
-    pair_inter: dict[tuple[int, int], int] = {}
-    for _item, with_item in instance.sets_containing().items():
-        ids = sorted(index_of[q.sid] for q in with_item)
-        for a_pos, a in enumerate(ids):
-            for b in ids[a_pos + 1 :]:
-                pair_inter[(a, b)] = pair_inter.get((a, b), 0) + 1
-    for (a, b), inter in pair_inter.items():
-        sim = raw_similarity_from_sizes(
-            variant.kind, sizes[a], sizes[b], inter
-        )
-        matrix[a, b] = sim
-        matrix[b, a] = sim
-    np.fill_diagonal(matrix, 1.0)
-    return matrix
 
 
 def _time(fn, reps: int) -> float:
@@ -114,10 +72,10 @@ def _stage_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
     instance = instance_for(name, STAGE_VARIANT, **kwargs)
 
     def legacy_stage() -> np.ndarray:
-        return _legacy_set_embeddings(instance, STAGE_VARIANT)
+        return set_embeddings_reference(instance, STAGE_VARIANT)
 
     def engine_stage() -> np.ndarray:
-        return _set_embeddings_bitset(instance, STAGE_VARIANT)
+        return set_embeddings(instance, STAGE_VARIANT)
 
     # Differential guard before timing: the engines must agree bit for
     # bit, otherwise the speedup compares different computations.
@@ -142,10 +100,15 @@ def _stage_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
 
 def _cluster_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
     instance = instance_for(name, STAGE_VARIANT, **kwargs)
-    embeddings = _set_embeddings_bitset(instance, STAGE_VARIANT)
+    embeddings = set_embeddings(instance, STAGE_VARIANT)
+
+    def greedy_clustering():
+        return cluster_greedy_reference(
+            distance_matrix(embeddings, "euclidean"), "average"
+        )
 
     chain = agglomerative_clustering(embeddings)
-    greedy = agglomerative_clustering(embeddings, engine="legacy")
+    greedy = greedy_clustering()
     # Same merge topology (engines only reorder tied merges; the Figure
     # 8f instances are tie-free at this variant).
     chain_sets = sorted(
@@ -157,9 +120,7 @@ def _cluster_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
     assert chain_sets == greedy_sets, f"cluster engines disagree on {label}"
 
     t_chain = _time(lambda: agglomerative_clustering(embeddings), reps)
-    t_greedy = _time(
-        lambda: agglomerative_clustering(embeddings, engine="legacy"), reps
-    )
+    t_greedy = _time(greedy_clustering, reps)
     return {
         "instance": label,
         "sets": len(instance),
@@ -167,38 +128,6 @@ def _cluster_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
         "nn_chain_s": round(t_chain, 4),
         "speedup": round(t_greedy / t_chain, 2),
     }
-
-
-# -- experiment 3: embedding-cache hit rate on the sweep --------------------
-
-
-def _sweep_once(instance, deltas, use_cache: bool) -> float:
-    clear_embedding_cache()
-    builder = CCT(CCTConfig(use_cache=use_cache))
-    start = time.perf_counter()
-    threshold_sweep(builder, instance, SWEEP_BASE, deltas)
-    return time.perf_counter() - start
-
-
-def _cache_experiment(dataset_name: str, deltas: list[float]) -> dict:
-    instance = instance_for(dataset_name, SWEEP_BASE)
-    seconds_off = _sweep_once(instance, deltas, use_cache=False)
-    seconds_on = _sweep_once(instance, deltas, use_cache=True)
-    cache = get_embedding_cache()
-    total = cache.hits + cache.misses
-    result = {
-        "dataset": dataset_name,
-        "variant_family": "threshold-jaccard",
-        "points": len(deltas),
-        "delta_range": [deltas[0], deltas[-1]],
-        "hits": cache.hits,
-        "misses": cache.misses,
-        "hit_rate": round(cache.hits / total, 4) if total else 0.0,
-        "sweep_seconds_cache_off": round(seconds_off, 2),
-        "sweep_seconds_cache_on": round(seconds_on, 2),
-    }
-    clear_embedding_cache()
-    return result
 
 
 def run(tiny: bool = False) -> dict:
@@ -211,13 +140,10 @@ def run(tiny: bool = False) -> dict:
         _cluster_row(label, name, kwargs, 1 if tiny else reps)
         for label, name, kwargs, reps in series[-2:]
     ]
-    sweep = _cache_experiment(
-        "A" if tiny else "C", TINY_SWEEP_DELTAS if tiny else SWEEP_DELTAS
-    )
 
     bench_report(
-        "CCT engine — embedding stage, pure-Python loop vs bitset kernel",
-        "embeddings >= 3x on the largest instance; sweep cache hit rate > 50%",
+        "CCT engine — embedding stage, pure-Python loop vs sparse kernel",
+        "embeddings >= 3x on the largest instance",
         ["instance", "sets", "items", "legacy s", "engine s", "speedup"],
         [
             [
@@ -232,15 +158,6 @@ def run(tiny: bool = False) -> dict:
                 r["legacy_s"], r["nn_chain_s"], r["speedup"],
             ]
             for r in cluster_rows
-        ]
-        + [
-            [
-                "8g sweep", f"{sweep['points']} pts",
-                f"hit rate {sweep['hit_rate']:.0%}",
-                sweep["sweep_seconds_cache_off"],
-                sweep["sweep_seconds_cache_on"],
-                "-",
-            ]
         ],
     )
 
@@ -254,7 +171,6 @@ def run(tiny: bool = False) -> dict:
             "speedup": stage_rows[-1]["speedup"],
             "min_required": MIN_SPEEDUP_LARGEST,
         },
-        "cache_sweep": {**sweep, "min_required": MIN_CACHE_HIT_RATE},
     }
     # Tiny mode gets its own file so CI smoke runs never clobber the
     # committed full-mode numbers.
@@ -264,10 +180,6 @@ def run(tiny: bool = False) -> dict:
         assert stage_rows[-1]["speedup"] >= MIN_SPEEDUP_LARGEST, (
             f"embedding speedup {stage_rows[-1]['speedup']}x on "
             f"{stage_rows[-1]['instance']} below {MIN_SPEEDUP_LARGEST}x"
-        )
-        assert sweep["hit_rate"] > MIN_CACHE_HIT_RATE, (
-            f"cache hit rate {sweep['hit_rate']:.0%} below "
-            f"{MIN_CACHE_HIT_RATE:.0%}"
         )
     return payload
 
@@ -281,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tiny",
         action="store_true",
-        help="small instances, coarse sweep, no threshold assertions",
+        help="small instances, no threshold assertion",
     )
     args = parser.parse_args(argv)
     run(tiny=args.tiny)

@@ -7,11 +7,12 @@ Two experiments, both written to ``benchmarks/BENCH_mis.json``:
    the hypergraph MIS the dominant stage): the full conflict-resolution
    stage (triple enumeration + hypergraph build + MIS solve) under the
    current engine (bitset enumeration, hypergraph kernelization, greedy
-   warm start, bitset branch-and-bound) against the pre-PR baseline
-   (nested-loop enumeration, counter-based branch-and-bound, no
-   reductions, shared declining budget) — inlined below verbatim so the
-   comparison stays honest as the engine evolves. The largest instance
-   must show at least a 3x speedup.
+   warm start, bitset branch-and-bound) against the pre-PR baseline:
+   the nested-loop enumeration ``three_conflicts_reference`` from
+   ``tests/oracles.py``, and the counter-based branch-and-bound with no
+   reductions and a shared declining budget, inlined below verbatim —
+   so the comparison stays honest as the engine evolves. The largest
+   instance must show at least a 3x speedup.
 
 2. **Cache hit rate** (Figure 8g robustness protocol): a fine threshold
    sweep around the taxonomists' preferred delta = 0.8 on dataset C with
@@ -40,10 +41,7 @@ from benchmarks.common import bench_report, write_bench_json
 from benchmarks.conftest import instance_for
 from repro.algorithms import CTCR, CTCRConfig
 from repro.conflicts.ranking import rank_sets
-from repro.conflicts.three_conflicts import (
-    _three_conflicts_reference,
-    compute_three_conflicts,
-)
+from repro.conflicts.three_conflicts import compute_three_conflicts
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant
 from repro.evaluation import threshold_sweep
@@ -56,6 +54,7 @@ from repro.mis.hypergraph_mis import (
     greedy_hypergraph_mis,
     solve_hypergraph_mis,
 )
+from tests.oracles import three_conflicts_reference
 
 STAGE_VARIANT = Variant.perfect_recall(0.6)
 
@@ -207,7 +206,7 @@ def _stage_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
     analysis = compute_pairwise(instance, STAGE_VARIANT, ranking)
 
     def legacy_stage() -> tuple[set, float]:
-        triples = _three_conflicts_reference(analysis)
+        triples = three_conflicts_reference(analysis)
         hg = _build_hypergraph(instance, analysis, triples)
         selected = _legacy_solve_hypergraph_mis(hg)
         return selected, hg.weight_of(selected)
@@ -221,7 +220,7 @@ def _stage_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
     # Differential guards before timing: identical triples, and the new
     # engine never selects less weight (the legacy engine may have
     # greedy-degraded after exhausting its shared budget).
-    ref_triples = _three_conflicts_reference(analysis)
+    ref_triples = three_conflicts_reference(analysis)
     new_triples = compute_three_conflicts(analysis)
     assert ref_triples == new_triples, f"triple enumeration differs on {label}"
     _, legacy_weight = legacy_stage()

@@ -7,11 +7,6 @@ from repro.algorithms.assignment import (
 )
 from repro.algorithms.base import BuildContext, TreeBuilder
 from repro.algorithms.cct import CCT, CCTConfig, set_embeddings
-from repro.algorithms.cct_cache import (
-    EmbeddingCache,
-    clear_embedding_cache,
-    get_embedding_cache,
-)
 from repro.algorithms.condense import (
     add_misc_category,
     condense,
@@ -34,16 +29,13 @@ __all__ = [
     "CTCR",
     "CTCRConfig",
     "CTCRDiagnostics",
-    "EmbeddingCache",
     "TreeBuilder",
     "add_intermediate_categories",
     "add_misc_category",
     "assign_duplicates",
     "assign_safe_items",
-    "clear_embedding_cache",
     "condense",
     "cover_gap",
-    "get_embedding_cache",
     "remove_noncovered_items",
     "remove_noncovering_categories",
     "set_embeddings",

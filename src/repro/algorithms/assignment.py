@@ -64,22 +64,16 @@ def assign_safe_items(
 # ---------------------------------------------------------------------------
 
 
-def cover_gap(
-    ctx: BuildContext, q: InputSet, c_in: int | None = None
-) -> int | None:
+def cover_gap(ctx: BuildContext, q: InputSet) -> int | None:
     """Items from ``q`` that must be added to ``C(q)`` to cover it.
 
     Returns ``None`` when no number of additions from ``q`` can reach the
     threshold (the category already carries too many foreign items).
-    ``c_in`` optionally supplies a precomputed ``|C(q).items & q.items|``
-    (the bitset kernel batches these across sets — see
-    :func:`_cover_intersections`).
     """
     cat = ctx.designated[q.sid]
     delta = ctx.delta(q)
     q_size = len(q.items)
-    if c_in is None:
-        c_in = len(cat.items & q.items)
+    c_in = len(cat.items & q.items)
     c_out = len(cat.items) - c_in
     kind = ctx.variant.kind
     if kind is SimilarityKind.PERFECT_RECALL:
@@ -107,27 +101,6 @@ def _factor_from_gap(q: InputSet, gap: int) -> float:
     if gap == 0:
         return math.inf
     return q.weight / gap
-
-
-def _cover_intersections(
-    ctx: BuildContext, pending: list[InputSet]
-) -> dict[int, int] | None:
-    """``{sid: |C(q).items & q.items|}`` for all pending sets, batched.
-
-    Uses the build context's bitset kernel when present: the designated
-    categories' current item sets are packed once and intersected against
-    the pre-packed input-set rows in a single popcount pass. Returns
-    ``None`` (caller falls back to per-set ``len(&)``) without a kernel.
-    """
-    uni = ctx.bitset
-    if uni is None or not pending:
-        return None
-    rows = [uni.row_of[q.sid] for q in pending]
-    packed = uni.pack_many(
-        [ctx.designated[q.sid].items for q in pending]
-    )
-    inter = uni.rowwise_intersections(rows, packed)
-    return {q.sid: int(v) for q, v in zip(pending, inter)}
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +269,13 @@ def assign_duplicates(
     failed: set[int] = set()
 
     while True:
-        # Gain factors of the sets still uncovered but coverable. The
-        # cover intersections behind the gaps are batched through the
-        # bitset kernel when one is attached to the context.
-        pending = [
-            q
-            for q in selected
-            if q.sid not in failed and not ctx.covered_on_branch(q)
-        ]
-        batched = _cover_intersections(ctx, pending)
+        # Gain factors of the sets still uncovered but coverable.
         gains: dict[int, float] = {}
         gaps: dict[int, int] = {}
-        for q in pending:
-            gap = cover_gap(
-                ctx, q, c_in=None if batched is None else batched[q.sid]
-            )
+        for q in selected:
+            if q.sid in failed or ctx.covered_on_branch(q):
+                continue
+            gap = cover_gap(ctx, q)
             if gap is None:
                 continue
             available = _available_for(ctx, q, duplicates)

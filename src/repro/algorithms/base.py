@@ -5,7 +5,6 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
-from repro.core.bitset import BitsetUniverse
 from repro.core.input_sets import InputSet, Item, OCTInstance
 from repro.core.scoring import ScoreReport, score_tree
 from repro.core.similarity import variant_score
@@ -44,10 +43,6 @@ class BuildContext:
     instance: OCTInstance
     variant: Variant
     designated: dict[int, Category] = field(default_factory=dict)
-    # Optional packed-bitset kernel over the instance (repro.core.bitset),
-    # shared by the stages that batch set intersections; None means the
-    # set-based paths are in force.
-    bitset: "BitsetUniverse | None" = None
     target_sets: dict[int, frozenset] = field(default_factory=dict)
     remaining_bound: dict[Item, int] = field(default_factory=dict)
     # Item -> its current most-specific categories. Maintained by

@@ -33,8 +33,6 @@ from repro.conflicts.hypergraph import (
 )
 from repro.conflicts.ranking import Ranking, rank_sets
 from repro.conflicts.two_conflicts import PairwiseAnalysis, compute_pairwise
-from repro.core import bitset
-from repro.core.bitset import BitsetUniverse
 from repro.core.input_sets import InputSet, OCTInstance
 from repro.core.tree import Category, CategoryTree
 from repro.core.variants import SimilarityKind, Variant
@@ -67,21 +65,12 @@ class BuildReuse:
 
 @dataclass(frozen=True)
 class CTCRConfig:
-    """Tuning and ablation switches for CTCR.
-
-    ``use_bitset`` selects the engine for batched set intersections
-    (2-conflict classification, cover scoring): ``True`` forces the
-    packed-bitset kernel of :mod:`repro.core.bitset`, ``False`` the
-    set-based paths, ``None`` (default) auto-selects by instance size.
-    Both engines build identical trees.
-    """
+    """Tuning and ablation switches for CTCR."""
 
     mis: MISConfig = field(default_factory=MISConfig)
-    n_jobs: int = 1
     use_three_conflicts: bool = True
     add_intermediate: bool = True
     condense: bool = True
-    use_bitset: bool | None = None
 
 
 @dataclass
@@ -168,14 +157,6 @@ class CTCR(TreeBuilder):
         tracer = get_tracer()
 
         with tracer.span("ctcr.build"):
-            universe = None
-            if bitset.should_use(
-                len(instance), len(instance.universe), self.config.use_bitset
-            ):
-                # One packed universe serves both the pairwise stage and the
-                # per-category cover scores of the assignment stage.
-                with tracer.span("ctcr.pack"):
-                    universe = BitsetUniverse.from_instance(instance)
             if reuse is not None and reuse.analysis is not None:
                 # Incrementally-maintained conflicts: skip straight past
                 # the rank + pairwise stages (repro.incremental owns the
@@ -186,14 +167,7 @@ class CTCR(TreeBuilder):
                 with tracer.span("ctcr.rank"):
                     ranking = rank_sets(instance)
                 with tracer.span("ctcr.two_conflicts"):
-                    analysis = compute_pairwise(
-                        instance,
-                        variant,
-                        ranking,
-                        n_jobs=self.config.n_jobs,
-                        use_bitset=self.config.use_bitset,
-                        universe=universe,
-                    )
+                    analysis = compute_pairwise(instance, variant, ranking)
             with tracer.span("ctcr.conflict_structure"):
                 conflict_structure = self._conflict_structure(
                     instance,
@@ -233,9 +207,7 @@ class CTCR(TreeBuilder):
             diag.selected_weight = sum(q.weight for q in selected)
 
             tree = CategoryTree()
-            ctx = BuildContext(
-                tree=tree, instance=instance, variant=variant, bitset=universe
-            )
+            ctx = BuildContext(tree=tree, instance=instance, variant=variant)
             with tracer.span("ctcr.skeleton"):
                 self._build_skeleton(ctx, selected, ranking, analysis)
             with tracer.span("ctcr.assign"):

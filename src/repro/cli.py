@@ -42,7 +42,7 @@ import argparse
 import sys
 import time
 
-from repro.algorithms import CCT, CCTConfig, CTCR, CTCRConfig
+from repro.algorithms import CCT, CTCR, CTCRConfig
 from repro.algorithms.base import TreeBuilder
 from repro.baselines import ExistingTree, ICQ, ICS
 from repro.catalog import DATASET_SPECS, load_dataset
@@ -106,7 +106,7 @@ def _load(args) -> tuple:
 
 
 def _jobs_arg(raw: str) -> int:
-    """Validate --jobs up front so both engines reject it identically."""
+    """Validate --mis-jobs up front: >= 1, or -1 for all CPUs."""
     value = int(raw)
     if value != -1 and value < 1:
         raise argparse.ArgumentTypeError(
@@ -116,37 +116,19 @@ def _jobs_arg(raw: str) -> int:
 
 
 def _ctcr_config(args) -> CTCRConfig:
-    """CTCR tuning from the common CLI flags (--jobs, --bitset, --mis-*)."""
-    use_bitset = {"auto": None, "on": True, "off": False}[
-        getattr(args, "bitset", "auto")
-    ]
+    """CTCR tuning from the MIS engine flags (--mis-jobs, --mis-cache)."""
     mis = MISConfig(
         n_jobs=getattr(args, "mis_jobs", 1),
         use_cache=getattr(args, "mis_cache", "on") == "on",
     )
-    return CTCRConfig(
-        mis=mis, n_jobs=getattr(args, "jobs", 1), use_bitset=use_bitset
-    )
-
-
-def _cct_config(args) -> CCTConfig:
-    """CCT tuning from the common CLI flags (--jobs, --bitset, --cct-*)."""
-    use_bitset = {"auto": None, "on": True, "off": False}[
-        getattr(args, "bitset", "auto")
-    ]
-    return CCTConfig(
-        n_jobs=getattr(args, "jobs", 1),
-        use_bitset=use_bitset,
-        use_cache=getattr(args, "cct_cache", "on") == "on",
-        cluster_engine=getattr(args, "cct_cluster", "nn-chain"),
-    )
+    return CTCRConfig(mis=mis)
 
 
 def _builder(name: str, dataset, args=None) -> TreeBuilder:
     if name == "ctcr":
         return CTCR(_ctcr_config(args) if args is not None else None)
     if name == "cct":
-        return CCT(_cct_config(args) if args is not None else None)
+        return CCT()
     if dataset is None:
         raise SystemExit(f"algorithm {name!r} needs a synthetic dataset")
     if name == "ic-s":
@@ -771,53 +753,6 @@ def make_parser() -> argparse.ArgumentParser:
             help="e.g. threshold-jaccard:0.8, perfect-recall:0.6, exact",
         )
         p.add_argument(
-            "--jobs",
-            type=_jobs_arg,
-            default=1,
-            help="worker processes for the parallel stages of CTCR and "
-            "CCT's embedding pass (-1 = all CPUs, default: 1)",
-        )
-        p.add_argument(
-            "--bitset",
-            choices=["auto", "on", "off"],
-            default="auto",
-            help="batched-intersection engine for CTCR and CCT: the "
-            "packed bitset kernel (on), plain set operations (off), or "
-            "size-based auto-selection (default)",
-        )
-        p.add_argument(
-            "--mis-jobs",
-            type=_jobs_arg,
-            default=1,
-            help="worker processes for the hypergraph MIS stage: "
-            "conflict components solve in parallel "
-            "(-1 = all CPUs, default: 1)",
-        )
-        p.add_argument(
-            "--mis-cache",
-            choices=["on", "off"],
-            default="on",
-            help="memoize solved MIS components across builds in this "
-            "process — threshold sweeps re-solve near-identical "
-            "conflict structures per delta (default: on)",
-        )
-        p.add_argument(
-            "--cct-cache",
-            choices=["on", "off"],
-            default="on",
-            help="memoize CCT's pairwise intersection counts across "
-            "builds in this process — threshold sweeps re-derive "
-            "embeddings from cached counts per delta (default: on)",
-        )
-        p.add_argument(
-            "--cct-cluster",
-            choices=["nn-chain", "legacy"],
-            default="nn-chain",
-            help="CCT clustering engine: the nearest-neighbor-chain "
-            "algorithm (default) or the legacy greedy global-minimum "
-            "loop kept for equivalence testing",
-        )
-        p.add_argument(
             "--trace",
             action="store_true",
             help="collect per-stage spans/counters and print them "
@@ -835,6 +770,25 @@ def make_parser() -> argparse.ArgumentParser:
             help="dump cProfile stats of the run here (implies tracing)",
         )
 
+    def add_mis_engine(p: argparse.ArgumentParser) -> None:
+        # Only the subcommands that build a CTCR tree reach _ctcr_config.
+        p.add_argument(
+            "--mis-jobs",
+            type=_jobs_arg,
+            default=1,
+            help="worker processes for the hypergraph MIS stage: "
+            "conflict components solve in parallel "
+            "(-1 = all CPUs, default: 1)",
+        )
+        p.add_argument(
+            "--mis-cache",
+            choices=["on", "off"],
+            default="on",
+            help="memoize solved MIS components across builds in this "
+            "process — threshold sweeps re-solve near-identical "
+            "conflict structures per delta (default: on)",
+        )
+
     # "oct" is the paper's name for the problem; both spellings build one
     # tree with identical flags.
     for cmd_name, cmd_help in (
@@ -843,6 +797,7 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         p_build = sub.add_parser(cmd_name, help=cmd_help)
         add_common(p_build)
+        add_mis_engine(p_build)
         p_build.add_argument(
             "--algorithm",
             choices=["ctcr", "cct", "ic-s", "ic-q", "et"],
@@ -867,10 +822,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run all algorithms")
     add_common(p_cmp)
+    add_mis_engine(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="CTCR threshold sweep")
     add_common(p_sweep)
+    add_mis_engine(p_sweep)
     p_sweep.add_argument("--start", type=float, default=0.5)
     p_sweep.add_argument("--stop", type=float, default=1.0)
     p_sweep.add_argument("--step", type=float, default=0.1)
@@ -892,6 +849,7 @@ def make_parser() -> argparse.ArgumentParser:
         "serve", help="serve a tree over HTTP (snapshots + hot swap)"
     )
     add_common(p_serve)
+    add_mis_engine(p_serve)
     p_serve.add_argument(
         "--algorithm",
         choices=["ctcr", "cct", "ic-s", "ic-q", "et"],
@@ -944,6 +902,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="map free-text queries onto the tree (staged back-off)",
     )
     add_common(p_querycat)
+    add_mis_engine(p_querycat)
     p_querycat.add_argument(
         "--algorithm",
         choices=["ctcr", "cct", "ic-s", "ic-q", "et"],

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as _np
+
 from repro.core.input_sets import InputSet, Item
 from repro.core.variants import SimilarityKind, Variant
 
@@ -130,16 +132,11 @@ def effective_shared(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized counterparts, used by the bitset kernel path. The expressions
-# mirror the scalar closed forms above term for term (same grouping, same
-# epsilons) so both paths classify every pair bit-for-bit identically;
-# tests/test_ctcr_equivalence.py enforces this.
+# Vectorized counterparts, used by compute_pairwise. The expressions mirror
+# the scalar closed forms above term for term (same grouping, same
+# epsilons) so every pair classifies bit-for-bit as the scalar forms would;
+# tests/test_ctcr_equivalence.py checks this against a scalar oracle.
 # ---------------------------------------------------------------------------
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container always has numpy
-    _np = None  # type: ignore[assignment]
 
 
 def max_removable_vec(variant: Variant, sizes, deltas):

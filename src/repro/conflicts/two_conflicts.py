@@ -2,31 +2,25 @@
 
 Only intersecting pairs need examining: disjoint sets can always be
 covered separately, so they are never conflicts and never must-together.
-Intersecting pairs are enumerated through an item -> sets inverted index,
-which keeps the cost proportional to the number of actually-overlapping
-pairs — the sparsity the paper relies on.
-
-The per-pair classification is embarrassingly parallel; pass ``n_jobs``
-to fan it out over a process pool (the paper's implementation computes
-all 2-conflicts in parallel).
+The intersecting pairs and their sizes come from the sparse incidence
+kernel (:meth:`repro.core.bitset.BitsetUniverse.intersecting_pairs`),
+whose cost is proportional to the number of actually-overlapping pairs —
+the sparsity the paper relies on — and every pair is classified at once
+by the vectorized closed forms of :mod:`repro.conflicts.pairwise`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import bitset
-from repro.conflicts.pairwise import (
-    can_cover_separately,
-    can_cover_together,
-    classify_pairs_vec,
-)
+import numpy as np
+
+from repro.conflicts.pairwise import classify_pairs_vec
 from repro.conflicts.ranking import Ranking, rank_sets
 from repro.core.bitset import BitsetUniverse
-from repro.core.input_sets import InputSet, OCTInstance
+from repro.core.input_sets import OCTInstance
 from repro.core.variants import Variant
 from repro.observability import get_tracer
-from repro.utils.parallel import parallel_map
 
 Pair = tuple[int, int]  # (upper sid, lower sid) — upper ranks first
 
@@ -69,104 +63,37 @@ class PairwiseAnalysis:
         return adj
 
 
-def _intersection_counts(
+def compute_pairwise(
     instance: OCTInstance,
-) -> dict[tuple[int, int], list[int]]:
-    """``{(sid_a, sid_b): [shared, shared_with_bound_1]}`` for sid_a < sid_b."""
-    counts: dict[tuple[int, int], list[int]] = {}
-    for item, sets in instance.sets_containing().items():
-        if len(sets) < 2:
-            continue
-        bound_one = instance.bound(item) == 1
-        sids = sorted(q.sid for q in sets)
-        for i, a in enumerate(sids):
-            for b in sids[i + 1 :]:
-                entry = counts.get((a, b))
-                if entry is None:
-                    entry = counts[(a, b)] = [0, 0]
-                entry[0] += 1
-                if bound_one:
-                    entry[1] += 1
-    return counts
-
-
-@dataclass(frozen=True)
-class _PairJob:
-    """Picklable classification job for one intersecting pair."""
-
-    upper_sid: int
-    lower_sid: int
-    shared: int
-    shared_bound1: int
-
-
-def _classify_pair(
     variant: Variant,
-    upper: InputSet,
-    lower: InputSet,
-    delta_upper: float,
-    delta_lower: float,
-    job: _PairJob,
-) -> tuple[bool, bool]:
-    """(can_separately, can_together) for one pair."""
-    separately = can_cover_separately(
-        variant, upper, lower, delta_upper, delta_lower,
-        shared_bound1=job.shared_bound1,
-    )
-    together = can_cover_together(
-        variant, upper, lower, delta_upper, delta_lower,
-        intersection=job.shared,
-    )
-    return separately, together
+    ranking: Ranking | None = None,
+    universe: BitsetUniverse | None = None,
+) -> PairwiseAnalysis:
+    """Classify all intersecting pairs of an instance under a variant.
+
+    Intersection counts come from the sparse incidence kernel, once over
+    the whole universe and, when some item's branch bound exceeds 1, once
+    more over the bound-1 items only (the shared items a separate cover
+    must partition). ``universe`` passes an already-built kernel over
+    ``instance.sets``, so a caller can time classification apart from
+    building the incidence arrays.
+    """
+    ranking = ranking or rank_sets(instance)
+    tracer = get_tracer()
+    with tracer.span("conflicts.pairwise"):
+        analysis = _classify(instance, variant, ranking, universe)
+        tracer.count("conflicts.pairs_enumerated", len(analysis.intersections))
+        tracer.count("conflicts.two_conflicts", len(analysis.conflicts))
+        tracer.count("conflicts.must_together", len(analysis.must_together))
+        return analysis
 
 
-# Module-level state for process-pool workers, installed once per worker
-# via the pool initializer (see utils.parallel) so the instance is not
-# re-pickled with every chunk of jobs.
-_WORKER_STATE: dict = {}
-
-
-def _install_worker_state(
-    variant: Variant, instance: OCTInstance, ranking: Ranking
-) -> None:
-    _WORKER_STATE["variant"] = variant
-    _WORKER_STATE["instance"] = instance
-    _WORKER_STATE["ranking"] = ranking
-
-
-def _classify_chunk(jobs: list[_PairJob]) -> list[tuple[bool, bool]]:
-    variant: Variant = _WORKER_STATE["variant"]
-    instance: OCTInstance = _WORKER_STATE["instance"]
-    # Counted here (inside the worker) so pool runs exercise the
-    # counter-aggregation path; parallel_map ships the delta back.
-    get_tracer().count("conflicts.pairs_classified", len(jobs))
-    results = []
-    for job in jobs:
-        upper = instance.get(job.upper_sid)
-        lower = instance.get(job.lower_sid)
-        delta_upper = instance.effective_threshold(upper, variant.delta)
-        delta_lower = instance.effective_threshold(lower, variant.delta)
-        results.append(
-            _classify_pair(variant, upper, lower, delta_upper, delta_lower, job)
-        )
-    return results
-
-
-def _compute_pairwise_bitset(
+def _classify(
     instance: OCTInstance,
     variant: Variant,
     ranking: Ranking,
-    n_jobs: int,
-    universe: BitsetUniverse | None = None,
+    universe: BitsetUniverse | None,
 ) -> PairwiseAnalysis:
-    """Kernel path: batched intersection counts + vectorized closed forms.
-
-    Produces a :class:`PairwiseAnalysis` identical to the set-based path
-    (same pairs, same classification, same intersection sizes) — the
-    differential harness in tests/test_ctcr_equivalence.py pins this.
-    """
-    import numpy as np
-
     uni = universe if universe is not None else BitsetUniverse.from_instance(instance)
     ii, jj, inter = uni.intersecting_pairs()
 
@@ -213,72 +140,4 @@ def _compute_pairwise_bitset(
     analysis.can_separately = collect(separately)
     analysis.must_together = collect(~separately & together)
     analysis.conflicts = collect(~separately & ~together)
-    return analysis
-
-
-def compute_pairwise(
-    instance: OCTInstance,
-    variant: Variant,
-    ranking: Ranking | None = None,
-    n_jobs: int = 1,
-    use_bitset: bool | None = None,
-    universe: BitsetUniverse | None = None,
-) -> PairwiseAnalysis:
-    """Classify all intersecting pairs of an instance under a variant.
-
-    ``use_bitset`` selects the intersection-counting engine: ``True``
-    forces the packed-bitset kernel (:mod:`repro.core.bitset`), ``False``
-    the per-item inverted index, and ``None`` auto-selects by instance
-    size. ``universe`` reuses an already-packed kernel (CTCR shares one
-    across its stages). Both engines produce identical analyses.
-    """
-    ranking = ranking or rank_sets(instance)
-    tracer = get_tracer()
-    with tracer.span("conflicts.pairwise"):
-        if universe is not None or bitset.should_use(
-            len(instance), len(instance.universe), use_bitset
-        ):
-            analysis = _compute_pairwise_bitset(
-                instance, variant, ranking, n_jobs, universe
-            )
-        else:
-            analysis = _compute_pairwise_sets(
-                instance, variant, ranking, n_jobs
-            )
-        tracer.count("conflicts.pairs_enumerated", len(analysis.intersections))
-        tracer.count("conflicts.two_conflicts", len(analysis.conflicts))
-        tracer.count("conflicts.must_together", len(analysis.must_together))
-        return analysis
-
-
-def _compute_pairwise_sets(
-    instance: OCTInstance,
-    variant: Variant,
-    ranking: Ranking,
-    n_jobs: int,
-) -> PairwiseAnalysis:
-    """Reference path: per-item inverted index + scalar closed forms."""
-    analysis = PairwiseAnalysis(ranking=ranking)
-    jobs: list[_PairJob] = []
-    for (a, b), (shared, shared_b1) in _intersection_counts(instance).items():
-        upper_sid, lower_sid = analysis.key(a, b)
-        jobs.append(_PairJob(upper_sid, lower_sid, shared, shared_b1))
-
-    outcomes = parallel_map(
-        _classify_chunk,
-        jobs,
-        n_jobs=n_jobs,
-        initializer=_install_worker_state,
-        initargs=(variant, instance, ranking),
-    )
-
-    for job, (separately, together) in zip(jobs, outcomes):
-        pair = (job.upper_sid, job.lower_sid)
-        analysis.intersections[pair] = job.shared
-        if separately:
-            analysis.can_separately.add(pair)
-        if together and not separately:
-            analysis.must_together.add(pair)
-        if not separately and not together:
-            analysis.conflicts.add(pair)
     return analysis

@@ -120,7 +120,7 @@ class OCTInstance:
     def uniform_bound(self) -> int | None:
         """The single branch bound shared by every item, or ``None``.
 
-        Lets hot paths skip per-item bound lookups (e.g. the bitset
+        Lets hot paths skip per-item bound lookups (e.g. the pairwise
         kernel reuses full intersection counts for the bound-1 shared
         counts when the bound is uniformly 1).
         """

@@ -16,8 +16,6 @@ neighborhood:
   state next to a serving :class:`~repro.serving.SnapshotStore`.
 * :mod:`repro.incremental.staging` — memoized re-preprocessing of a
   churned catalog (search-engine result sets are the dominant cost).
-* :mod:`repro.incremental.cct_replay` — replay of cached CCT embedding
-  intersection counts across dataset versions.
 """
 
 from repro.incremental.builder import (
@@ -26,7 +24,6 @@ from repro.incremental.builder import (
     DeltaMismatchError,
     IncrementalBuilder,
 )
-from repro.incremental.cct_replay import replay_embedding_counts
 from repro.incremental.conflicts import (
     PairwiseUpdateStats,
     TripleUpdateStats,
@@ -59,7 +56,6 @@ __all__ = [
     "TripleUpdateStats",
     "incremental_preprocess",
     "match_instances",
-    "replay_embedding_counts",
     "update_pairwise",
     "update_three_conflicts",
 ]

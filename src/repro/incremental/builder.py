@@ -105,13 +105,7 @@ class IncrementalBuilder:
         start = time.perf_counter()
         with tracer.span("incremental.full_build"):
             ranking = rank_sets(instance)
-            analysis = compute_pairwise(
-                instance,
-                variant,
-                ranking,
-                n_jobs=self.config.n_jobs,
-                use_bitset=self.config.use_bitset,
-            )
+            analysis = compute_pairwise(instance, variant, ranking)
             triples: set[Triple] = set()
             if self._uses_triples(variant):
                 triples = compute_three_conflicts(analysis)

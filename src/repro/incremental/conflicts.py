@@ -16,8 +16,8 @@ Reuse is guarded, not assumed:
   endpoints *triple-dirty*, because rank flips are exactly what can
   create or destroy 3-conflicts among otherwise-clean sets;
 * every kept triple is re-validated against the new analysis with the
-  verbatim rules of
-  :func:`~repro.conflicts.three_conflicts._three_conflicts_reference`.
+  3-conflict rules of :mod:`repro.conflicts.three_conflicts`, applied
+  one triple at a time.
 
 The differential churn suite (tests/test_incremental_differential.py)
 pins the output equal to a from-scratch :func:`compute_pairwise` +

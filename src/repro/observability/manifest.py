@@ -47,7 +47,11 @@ from repro.observability.tracer import NullTracer, Tracer
 # v9: serving.succinct.requests (equal to serving.requests now that every
 # generation reads the succinct layout) and serving.succinct.bitset_fanin
 # (its dense-kernel path is gone) are no longer emitted.
-SCHEMA_VERSION = 9
+# v10: one build engine per stage — the counters bitset.words_touched,
+# bitset.words_packed, bitset.pairwise_cache_hits, cct.cache_hits,
+# cct.cache_misses, conflicts.pairs_classified and incremental.cct_replayed,
+# and the span ctcr.pack, are no longer emitted.
+SCHEMA_VERSION = 10
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource

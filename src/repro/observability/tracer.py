@@ -3,7 +3,7 @@
 One :class:`Tracer` collects everything a run wants to report: *spans*
 (nested wall/CPU timings aggregated by path, so a stage that runs inside
 ``ctcr.build`` shows up as ``ctcr.build/ctcr.pairwise``), integer
-*counters* (pairs enumerated, MIS nodes expanded, bitset words touched),
+*counters* (pairs enumerated, MIS nodes expanded, 3-conflicts found),
 float *gauges* (last-write-wins measurements such as diagnostics), and
 free-form *annotations* (JSON-serializable metadata like a dataset
 fingerprint).

@@ -14,9 +14,8 @@ Stages, in order:
    (both through :func:`repro.search.analyzer.tokenize`): confidence 1.
 2. **overlap** — candidate labels from
    :meth:`~repro.serving.indexes.SnapshotIndexes.find_labels` are scored
-   by token-set Jaccard through the packed-bitset kernel
-   (:class:`repro.core.bitset.BitsetUniverse`); the best candidate wins
-   outright when its Jaccard reaches the confidence threshold.
+   by token-set Jaccard; the best candidate wins outright when its
+   Jaccard reaches the confidence threshold.
 3. **backoff** — otherwise walk the best candidate's root path upward
    (pre-order interval ancestor tests) and stop at the
    deepest ancestor whose *subtree* accumulates enough relevance mass
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core import bitset
 from repro.observability import get_tracer
 from repro.search.analyzer import tokenize
 
@@ -54,25 +52,8 @@ DEFAULT_TOP_K = 10
 def overlap_sizes(
     query_tokens: frozenset, candidate_tokens: Iterable[frozenset]
 ) -> list[int]:
-    """``|query ∩ candidate|`` per candidate, via the packed-bitset kernel.
-
-    Candidate token sets are packed as rows of a
-    :class:`~repro.core.bitset.BitsetUniverse` over the combined token
-    vocabulary and answered with one AND+popcount pass. Falls back to
-    plain set intersections when NumPy is unavailable — the counts are
-    integers, so both paths are trivially identical.
-    """
-    candidates = list(candidate_tokens)
-    if not candidates:
-        return []
-    if not bitset.available():
-        return [len(query_tokens & ts) for ts in candidates]
-    universe = set(query_tokens)
-    for ts in candidates:
-        universe |= ts
-    rows = bitset.BitsetUniverse(candidates, universe=universe)
-    sizes = rows.intersection_sizes(rows.pack(query_tokens))
-    return [int(n) for n in sizes.tolist()]
+    """``|query ∩ candidate|`` per candidate token set."""
+    return [len(query_tokens & ts) for ts in candidate_tokens]
 
 
 def _result(

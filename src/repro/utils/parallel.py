@@ -1,13 +1,11 @@
 """Parallel mapping helper.
 
-The paper notes that CTCR is highly parallelizable: all 2-conflicts are
-computed in parallel, as are per-category cover scores in the item
-assignment phase. :func:`parallel_map` is the single switch point — with
-``n_jobs=1`` (the default) everything runs serially and deterministically,
-while ``n_jobs>1`` fans chunks out to a process pool. Current consumers:
-CTCR's pairwise classification, the per-component hypergraph MIS solves
-(``--mis-jobs``), and the blocked popcount rows behind CCT's pooled
-embedding pass (``BitsetUniverse.pairwise_intersections``).
+:func:`parallel_map` is the single switch point between serial and
+process-pool execution — with ``n_jobs=1`` (the default) everything runs
+serially and deterministically, while ``n_jobs>1`` fans chunks out to a
+process pool. Its consumer is the per-component hypergraph MIS solve
+(``MISConfig.n_jobs``, ``--mis-jobs``): independent conflict components
+are solved in parallel.
 
 Tracing (:mod:`repro.observability`) survives the pool: when the parent
 has an enabled tracer, each worker is given a fresh tracer through the
@@ -67,11 +65,9 @@ def chunked_by_size(seq: Sequence[T], chunk_size: int) -> list[list[T]]:
 # -- tracing shims (module-level so they pickle into workers) --------------
 
 
-def _traced_initializer(initializer: Callable | None, initargs: tuple) -> None:
-    """Worker bootstrap: install a fresh tracer, then the caller's state."""
+def _traced_initializer() -> None:
+    """Worker bootstrap: install a fresh tracer."""
     set_tracer(Tracer())
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _traced_chunk(fn: Callable, chunk: list) -> tuple[list, dict[str, int]]:
@@ -95,8 +91,6 @@ def parallel_map(
     fn: Callable[[list[T]], list[R]],
     items: Sequence[T],
     n_jobs: int = 1,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
     chunk_size: int | None = None,
 ) -> list[R]:
     """Apply a chunk-level function over ``items``, preserving order.
@@ -106,11 +100,6 @@ def parallel_map(
     for any ``n_jobs``. ``fn`` must be picklable (a module-level function)
     when ``n_jobs > 1``.
 
-    ``initializer(*initargs)`` installs shared read-only state once per
-    worker process (and is simply called inline when running serially).
-    Large payloads — e.g. a packed bit matrix the chunks index into — ride
-    along exactly once per worker instead of being re-pickled per chunk.
-
     By default items split into ``n_jobs * 4`` even chunks — right for
     homogeneous work. Pass ``chunk_size`` when item costs are wildly
     uneven (e.g. MIS components sorted by size): ``chunk_size=1`` gives
@@ -119,8 +108,6 @@ def parallel_map(
     """
     n_jobs = resolve_jobs(n_jobs)
     if n_jobs == 1 or len(items) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
         return fn(list(items))
     if chunk_size is not None:
         chunks = chunked_by_size(items, chunk_size)
@@ -131,17 +118,13 @@ def parallel_map(
     if tracer.enabled:
         wrapped = partial(_traced_chunk, fn)
         with ProcessPoolExecutor(
-            max_workers=n_jobs,
-            initializer=_traced_initializer,
-            initargs=(initializer, initargs),
+            max_workers=n_jobs, initializer=_traced_initializer
         ) as pool:
             for part, delta in pool.map(wrapped, chunks):
                 results.extend(part)
                 tracer.merge_counters(delta)
         return results
-    with ProcessPoolExecutor(
-        max_workers=n_jobs, initializer=initializer, initargs=initargs
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         for part in pool.map(fn, chunks):
             results.extend(part)
     return results

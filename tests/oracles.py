@@ -1,6 +1,20 @@
-"""Brute-force reference answers for the serving read path.
+"""Brute-force reference answers the differential suites compare against.
 
-:class:`TreeOracle` answers every read op of
+Build side — the serial loops the production kernels replaced, kept
+verbatim so every kernel can be checked pair for pair and tree for tree:
+
+* :func:`pairwise_reference` classifies 2-conflicts through a per-item
+  inverted index and the scalar closed forms of
+  :mod:`repro.conflicts.pairwise`, one pair at a time;
+* :func:`set_embeddings_reference` builds CCT's similarity embeddings
+  with one scalar ``raw_similarity_from_sizes`` call per intersecting
+  pair;
+* :func:`three_conflicts_reference` enumerates 3-conflicts with the
+  nested loops of the paper's definition;
+* :func:`cluster_greedy_reference` is the greedy global-minimum
+  agglomeration loop (Lance–Williams updates, cached row minima).
+
+Serving side — :class:`TreeOracle` answers every read op of
 :class:`repro.serving.SnapshotIndexes` by walking a
 :class:`~repro.core.tree.CategoryTree` directly — no compiled sections,
 no postings, no intervals, no binary searches. Scores come from the
@@ -9,7 +23,6 @@ plain set intersections with the offline scorer's tie-break (higher
 precision, then greater depth) and the lower cid last; label search is
 the offline :class:`~repro.search.SearchEngine`. The differential suites
 compare the reader against it over buffers, mappings and shards.
-
 :func:`assert_reads_match` is the shared comparison: every read op,
 exact values, floats and dict orders.
 """
@@ -18,11 +31,214 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.similarity import variant_score_from_sizes
+import numpy as np
+
+from repro.clustering.agglomerative import _lance_williams
+from repro.clustering.dendrogram import Dendrogram, Merge
+from repro.conflicts.pairwise import can_cover_separately, can_cover_together
+from repro.conflicts.ranking import Ranking, rank_sets
+from repro.conflicts.three_conflicts import Triple
+from repro.conflicts.two_conflicts import PairwiseAnalysis
+from repro.core.input_sets import OCTInstance
+from repro.core.similarity import (
+    raw_similarity_from_sizes,
+    variant_score_from_sizes,
+)
 from repro.core.tree import CategoryTree
 from repro.core.variants import Variant
 from repro.search.engine import SearchEngine
 from repro.serving import BestCategory
+
+
+# ---------------------------------------------------------------------------
+# Build-side oracles.
+# ---------------------------------------------------------------------------
+
+
+def _intersection_counts(
+    instance: OCTInstance,
+) -> dict[tuple[int, int], list[int]]:
+    """``{(sid_a, sid_b): [shared, shared_with_bound_1]}`` for sid_a < sid_b."""
+    counts: dict[tuple[int, int], list[int]] = {}
+    for item, sets in instance.sets_containing().items():
+        if len(sets) < 2:
+            continue
+        bound_one = instance.bound(item) == 1
+        sids = sorted(q.sid for q in sets)
+        for i, a in enumerate(sids):
+            for b in sids[i + 1 :]:
+                entry = counts.get((a, b))
+                if entry is None:
+                    entry = counts[(a, b)] = [0, 0]
+                entry[0] += 1
+                if bound_one:
+                    entry[1] += 1
+    return counts
+
+
+def pairwise_reference(
+    instance: OCTInstance,
+    variant: Variant,
+    ranking: Ranking | None = None,
+) -> PairwiseAnalysis:
+    """What ``compute_pairwise`` must return: per-item inverted index +
+    scalar closed forms, one pair at a time."""
+    ranking = ranking or rank_sets(instance)
+    analysis = PairwiseAnalysis(ranking=ranking)
+    for (a, b), (shared, shared_b1) in _intersection_counts(instance).items():
+        upper_sid, lower_sid = analysis.key(a, b)
+        upper = instance.get(upper_sid)
+        lower = instance.get(lower_sid)
+        delta_upper = instance.effective_threshold(upper, variant.delta)
+        delta_lower = instance.effective_threshold(lower, variant.delta)
+        separately = can_cover_separately(
+            variant, upper, lower, delta_upper, delta_lower,
+            shared_bound1=shared_b1,
+        )
+        together = can_cover_together(
+            variant, upper, lower, delta_upper, delta_lower,
+            intersection=shared,
+        )
+        pair = (upper_sid, lower_sid)
+        analysis.intersections[pair] = shared
+        if separately:
+            analysis.can_separately.add(pair)
+        if together and not separately:
+            analysis.must_together.add(pair)
+        if not separately and not together:
+            analysis.conflicts.add(pair)
+    return analysis
+
+
+def set_embeddings_reference(
+    instance: OCTInstance, variant: Variant
+) -> np.ndarray:
+    """What ``set_embeddings`` must return: a pure-Python embedding loop.
+
+    Only pairs that share items get a similarity entry, the rest stay 0,
+    and the diagonal is pinned to 1.
+    """
+    sets = instance.sets
+    n = len(sets)
+    matrix = np.zeros((n, n), dtype=np.float64)
+    index_of = {q.sid: i for i, q in enumerate(sets)}
+    sizes = [len(q.items) for q in sets]
+
+    # Sparse pairwise intersections through the item -> sets index.
+    pair_inter: dict[tuple[int, int], int] = {}
+    for _item, with_item in instance.sets_containing().items():
+        ids = sorted(index_of[q.sid] for q in with_item)
+        for a_pos, a in enumerate(ids):
+            for b in ids[a_pos + 1 :]:
+                pair_inter[(a, b)] = pair_inter.get((a, b), 0) + 1
+    for (a, b), inter in pair_inter.items():
+        sim = raw_similarity_from_sizes(
+            variant.kind, sizes[a], sizes[b], inter
+        )
+        matrix[a, b] = sim
+        matrix[b, a] = sim
+    np.fill_diagonal(matrix, 1.0)
+    return matrix
+
+
+def three_conflicts_reference(analysis: PairwiseAnalysis) -> set[Triple]:
+    """What ``compute_three_conflicts`` must return: nested-loop enumeration."""
+    ranking = analysis.ranking
+    adjacency = analysis.must_neighbors()
+    conflicts: set[Triple] = set()
+    for middle, neighbors in adjacency.items():
+        if len(neighbors) < 2:
+            continue
+        ordered = sorted(neighbors, key=lambda sid: ranking.rank_of[sid])
+        for i, first in enumerate(ordered):
+            for third in ordered[i + 1 :]:
+                # middle must not be the lowest-ranked (largest) of the three
+                if ranking.rank_of[middle] < ranking.rank_of[first]:
+                    continue
+                if analysis.is_must_together(first, third):
+                    continue
+                if analysis.is_conflict(first, third):
+                    continue
+                triple = tuple(
+                    sorted(
+                        (first, middle, third),
+                        key=lambda sid: ranking.rank_of[sid],
+                    )
+                )
+                conflicts.add(triple)  # type: ignore[arg-type]
+    return conflicts
+
+
+def cluster_greedy_reference(dist: np.ndarray, linkage: str) -> Dendrogram:
+    """Greedy global-minimum agglomeration over a dense distance matrix.
+
+    Expected O(n²), worst-case cubic. On tie-free inputs its dendrogram
+    has the same topology as ``agglomerative_clustering``'s NN-chain
+    result, with heights equal up to floating-point tolerance (the two
+    accumulate Lance–Williams averages in different orders).
+    """
+    n = dist.shape[0]
+    inf = np.inf
+    work = dist.copy()
+    np.fill_diagonal(work, inf)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.int64)
+    node_of = np.arange(n)  # dendrogram node id currently held by each slot
+    row_min = work.min(axis=1)
+    row_arg = work.argmin(axis=1)
+
+    merges: list[Merge] = []
+    next_node = n
+    for _step in range(n - 1):
+        masked = np.where(active, row_min, inf)
+        i = int(masked.argmin())
+        j = int(row_arg[i])
+        if not active[j] or work[i, j] != row_min[i]:
+            # Stale cache: recompute this row properly.
+            row = np.where(active, work[i], inf)
+            row[i] = inf
+            row_min[i] = row.min()
+            row_arg[i] = int(row.argmin())
+            j = int(row_arg[i])
+        height = float(work[i, j])
+
+        left, right = sorted((node_of[i], node_of[j]))
+        merges.append(Merge(left=left, right=right, height=height, node_id=next_node))
+
+        # Merge j into slot i via Lance–Williams; retire slot j.
+        new_row = _lance_williams(linkage, work[i], work[j], int(sizes[i]), int(sizes[j]))
+        work[i, :] = new_row
+        work[:, i] = new_row
+        work[i, i] = inf
+        active[j] = False
+        work[j, :] = inf
+        work[:, j] = inf
+        sizes[i] += sizes[j]
+        node_of[i] = next_node
+        next_node += 1
+
+        # Refresh cached minima: row i fully, others only if stale.
+        row = np.where(active, work[i], inf)
+        row[i] = inf
+        row_min[i] = row.min()
+        row_arg[i] = int(row.argmin())
+        for k in np.nonzero(active)[0]:
+            if k == i:
+                continue
+            if row_arg[k] == j or row_arg[k] == i:
+                krow = np.where(active, work[k], inf)
+                krow[k] = inf
+                row_min[k] = krow.min()
+                row_arg[k] = int(krow.argmin())
+            elif work[k, i] < row_min[k]:
+                row_min[k] = work[k, i]
+                row_arg[k] = i
+    return Dendrogram(n_leaves=n, merges=merges)
+
+
+# ---------------------------------------------------------------------------
+# Serving read-path oracle.
+# ---------------------------------------------------------------------------
 
 
 class TreeOracle:

@@ -128,18 +128,15 @@ class TestConfigSwitches:
             assert s_cond >= s_plain - 1e-9
 
     def test_parallel_jobs_give_same_tree_score(self, figure2_instance):
+        # The parallel-jobs switch pools the MIS stage's components.
         variant = Variant.threshold_jaccard(0.6)
-        s1 = score_tree(
-            CTCR(CTCRConfig(n_jobs=1)).build(figure2_instance, variant),
-            figure2_instance,
-            variant,
-        ).normalized
-        s2 = score_tree(
-            CTCR(CTCRConfig(n_jobs=2)).build(figure2_instance, variant),
-            figure2_instance,
-            variant,
-        ).normalized
-        assert math.isclose(s1, s2)
+
+        def score(n_jobs):
+            builder = CTCR(CTCRConfig(mis=MISConfig(n_jobs=n_jobs)))
+            tree = builder.build(figure2_instance, variant)
+            return score_tree(tree, figure2_instance, variant).normalized
+
+        assert math.isclose(score(1), score(2))
 
 
 class TestItemBounds:

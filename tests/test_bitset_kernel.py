@@ -1,10 +1,13 @@
-"""Differential tests: the bitset kernel vs the set-based similarity path.
+"""Differential tests: the sparse incidence kernel vs plain set intersections.
 
-Every batched result of :class:`repro.core.bitset.BitsetUniverse` is
-checked entry by entry against the scalar functions in
-:mod:`repro.core.similarity` on randomized instances, plus the edge
-cases the score conventions pin down (empty sets, singletons, disjoint
-and identical sets).
+:meth:`repro.core.bitset.BitsetUniverse.intersecting_pairs` is checked
+pair by pair against brute-force ``len(a & b)`` over randomized
+families — with and without an item mask, over string and integer
+universes — and :func:`repro.core.bitset.raw_similarity_from_size_arrays`
+entry by entry against the scalar functions in
+:mod:`repro.core.similarity`, including the edge cases the score
+conventions pin down (empty sets, singletons, disjoint and identical
+sets).
 """
 
 from __future__ import annotations
@@ -16,26 +19,10 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.core import bitset
-from repro.core.bitset import BitsetUniverse
-from repro.core.similarity import (
-    f1,
-    jaccard,
-    precision,
-    recall,
-    variant_score,
-)
-from repro.core.variants import Variant
+from repro.core.bitset import BitsetUniverse, raw_similarity_from_size_arrays
+from repro.core.similarity import f1, jaccard, precision, recall, raw_similarity
+from repro.core.variants import SimilarityKind
 from repro.utils import make_rng
-
-DELTAS = [0.25, 0.5, 1.0]
-VARIANT_MAKERS = [
-    Variant.threshold_jaccard,
-    Variant.cutoff_jaccard,
-    Variant.threshold_f1,
-    Variant.cutoff_f1,
-    Variant.perfect_recall,
-]
 
 
 def random_families(seed, n_sets=24, n_items=60, max_size=12, empties=True):
@@ -59,157 +46,123 @@ EDGE_FAMILIES = [
 ]
 
 
-def edge_universe():
-    return BitsetUniverse(EDGE_FAMILIES)
+def brute_force_pairs(families) -> dict[tuple[int, int], int]:
+    """``{(i, j): |a_i & a_j|}`` for every intersecting pair ``i < j``."""
+    pairs = {}
+    for i, a in enumerate(families):
+        for j in range(i + 1, len(families)):
+            shared = len(a & families[j])
+            if shared:
+                pairs[(i, j)] = shared
+    return pairs
+
+
+def kernel_pairs(uni: BitsetUniverse, item_mask=None) -> dict:
+    ii, jj, counts = uni.intersecting_pairs(item_mask=item_mask)
+    assert np.all(ii < jj)
+    keys = ii * uni.n_sets + jj
+    assert np.all(np.diff(keys) > 0), "pairs must come sorted by (i, j)"
+    return dict(zip(zip(ii.tolist(), jj.tolist()), counts.tolist()))
+
+
+def all_pair_similarities(kind, families):
+    """The vectorized closed form over every (row, column) pair."""
+    sizes = np.array([len(s) for s in families], dtype=np.int64)
+    inter = np.array(
+        [[len(a & b) for b in families] for a in families], dtype=np.int64
+    )
+    return raw_similarity_from_size_arrays(
+        kind, sizes[:, None], sizes[None, :], inter
+    )
 
 
 class TestPairwiseScores:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matrices_match_scalar_functions(self, seed):
         families, _ = random_families(seed)
-        uni = BitsetUniverse(families)
-        matrices = {
-            jaccard: uni.pairwise_jaccard(),
-            f1: uni.pairwise_f1(),
-            precision: uni.pairwise_precision(),
-            recall: uni.pairwise_recall(),
-        }
-        for fn, matrix in matrices.items():
+        for kind in SimilarityKind:
+            matrix = all_pair_similarities(kind, families)
             for i, a in enumerate(families):
                 for j, b in enumerate(families):
-                    assert matrix[i, j] == fn(a, b), (fn.__name__, i, j)
+                    assert matrix[i, j] == raw_similarity(kind, a, b), (
+                        kind, i, j,
+                    )
+        # The same closed forms over the kernel's sparse counts.
+        uni = BitsetUniverse(families)
+        ii, jj, counts = uni.intersecting_pairs()
+        for kind in SimilarityKind:
+            values = raw_similarity_from_size_arrays(
+                kind, uni.sizes[ii], uni.sizes[jj], counts
+            )
+            for i, j, value in zip(ii.tolist(), jj.tolist(), values):
+                assert value == raw_similarity(kind, families[i], families[j])
 
     def test_edge_conventions(self):
-        uni = edge_universe()
-        jac = uni.pairwise_jaccard()
+        jac = all_pair_similarities(SimilarityKind.JACCARD, EDGE_FAMILIES)
+        f1s = all_pair_similarities(SimilarityKind.F1, EDGE_FAMILIES)
+        pr = all_pair_similarities(
+            SimilarityKind.PERFECT_RECALL, EDGE_FAMILIES
+        )
         assert jac[0, 1] == 1.0  # jaccard(empty, empty) = 1
-        assert uni.pairwise_f1()[0, 1] == 1.0
-        assert uni.pairwise_precision()[2, 0] == 0.0  # precision(q, empty)
-        assert uni.pairwise_recall()[0, 5] == 1.0  # recall(empty, C)
+        assert f1s[0, 1] == 1.0
+        assert pr[2, 0] == 0.0  # precision(q, empty) = 0, recall 0
+        assert pr[0, 5] == 0.5  # recall(empty, C) = 1, precision 0
         assert jac[2, 3] == 1.0  # identical singletons
         assert jac[2, 4] == 0.0  # disjoint singletons
         assert jac[5, 6] == 0.0  # disjoint sets
-
-    @pytest.mark.parametrize("maker", VARIANT_MAKERS, ids=lambda m: m.__name__)
-    @pytest.mark.parametrize("delta", DELTAS)
-    def test_variant_scores_match(self, maker, delta):
-        variant = maker(delta)
-        for seed in (3, 4):
-            families, _ = random_families(seed, n_sets=18)
-            uni = BitsetUniverse(families)
-            scores = uni.pairwise_variant_scores(variant)
-            for i, q in enumerate(families):
-                for j, c in enumerate(families):
-                    assert scores[i, j] == variant_score(variant, q, c), (
-                        i,
-                        j,
-                        delta,
-                    )
-
-    @pytest.mark.parametrize("maker", VARIANT_MAKERS, ids=lambda m: m.__name__)
-    def test_variant_scores_edges(self, maker):
-        for delta in DELTAS:
-            variant = maker(delta)
-            uni = edge_universe()
-            scores = uni.pairwise_variant_scores(variant)
-            for i, q in enumerate(EDGE_FAMILIES):
-                for j, c in enumerate(EDGE_FAMILIES):
-                    assert scores[i, j] == variant_score(variant, q, c)
-
-    def test_per_row_deltas(self):
-        families, _ = random_families(5, n_sets=12)
-        variant = Variant.cutoff_jaccard(0.5)
-        deltas = [0.25 + 0.05 * i for i in range(len(families))]
-        uni = BitsetUniverse(families)
-        scores = uni.pairwise_variant_scores(variant, delta=np.array(deltas))
-        for i, q in enumerate(families):
-            for j, c in enumerate(families):
-                assert scores[i, j] == variant_score(
-                    variant, q, c, delta=deltas[i]
-                )
+        for i, a in enumerate(EDGE_FAMILIES):
+            for j, b in enumerate(EDGE_FAMILIES):
+                assert jac[i, j] == jaccard(a, b)
+                assert f1s[i, j] == f1(a, b)
+                assert pr[i, j] == (precision(a, b) + recall(a, b)) / 2.0
 
 
 class TestIntersections:
     @pytest.mark.parametrize("seed", [0, 6])
-    def test_sparse_matches_dense(self, seed):
+    def test_matches_brute_force(self, seed):
         families, _ = random_families(seed)
         uni = BitsetUniverse(families)
-        dense = uni.pairwise_intersections()
-        ii, jj, counts = uni.intersecting_pairs()
-        assert np.all(ii < jj)
-        assert np.array_equal(dense[ii, jj], counts)
-        # Every intersecting upper-triangle pair must be listed.
-        upper = np.triu(dense, k=1)
-        assert counts.sum() == upper.sum()
+        assert kernel_pairs(uni) == brute_force_pairs(families)
+        assert np.array_equal(uni.sizes, [len(s) for s in families])
 
     def test_item_mask_restricts_counts(self):
         families, universe = random_families(7)
         uni = BitsetUniverse(families)
         keep = {item for item in universe if item.endswith(("1", "3", "5"))}
         mask = np.array([item in keep for item in uni.items])
-        masked = BitsetUniverse([s & keep for s in families], universe=keep)
-        dense = masked.pairwise_intersections()
-        ii, jj, counts = uni.intersecting_pairs(item_mask=mask)
-        assert np.array_equal(dense[ii, jj], counts)
-        assert counts.sum() == np.triu(dense, k=1).sum()
-
-    def test_dense_diagonal_is_set_size(self):
-        families, _ = random_families(8)
-        uni = BitsetUniverse(families)
-        assert np.array_equal(
-            np.diag(uni.pairwise_intersections()), uni.sizes
+        assert kernel_pairs(uni, mask) == brute_force_pairs(
+            [s & keep for s in families]
         )
-
-    def test_pack_and_rowwise(self):
-        families, universe = random_families(9, empties=False)
-        uni = BitsetUniverse(families, universe=universe)
-        probe = frozenset(universe[::3])
-        packed = uni.pack(probe)
-        sizes = uni.intersection_sizes(packed)
-        for i, s in enumerate(families):
-            assert sizes[i] == len(s & probe)
-        probes = [frozenset(universe[k::4]) for k in range(4)]
-        rows = [1, 3, 5, 7]
-        many = uni.pack_many(probes)
-        inter = uni.rowwise_intersections(rows, many)
-        for k, (row, p) in enumerate(zip(rows, probes)):
-            assert inter[k] == len(families[row] & p)
-
-    def test_n_jobs_parity(self):
-        families, _ = random_families(10, n_sets=40)
-        serial = BitsetUniverse(families).pairwise_intersections(n_jobs=1)
-        parallel = BitsetUniverse(families).pairwise_intersections(n_jobs=2)
-        assert np.array_equal(serial, parallel)
+        nothing = np.zeros(uni.n_items, dtype=bool)
+        assert kernel_pairs(uni, nothing) == {}
 
     def test_integer_universe_fast_path(self):
         # Integer item ids take the searchsorted mapping; results must
-        # match a string-keyed (dict-mapped) rendering of the same sets.
+        # match brute force and a string-keyed (dict-mapped) rendering
+        # of the same sets, masked or not.
         rng = make_rng(11)
         families = [
             frozenset(rng.sample(range(200), rng.randint(0, 15)))
             for _ in range(20)
         ]
         as_str = [frozenset(f"i{k:04d}" for k in s) for s in families]
-        ints = BitsetUniverse(families).pairwise_intersections()
-        strs = BitsetUniverse(as_str).pairwise_intersections()
-        assert np.array_equal(ints, strs)
+        ints = BitsetUniverse(families)
+        strs = BitsetUniverse(as_str)
+        assert kernel_pairs(ints) == brute_force_pairs(families)
+        assert kernel_pairs(strs) == kernel_pairs(ints)
+        keep = set(range(0, 200, 3))
+        int_mask = np.array([item in keep for item in ints.items])
+        str_mask = np.array([int(item[1:]) in keep for item in strs.items])
+        want = brute_force_pairs([s & keep for s in families])
+        assert kernel_pairs(ints, int_mask) == want
+        assert kernel_pairs(strs, str_mask) == want
 
-
-class TestGating:
-    def test_flag_false_wins(self):
-        assert bitset.should_use(10_000, 10_000, flag=False) is False
-
-    def test_flag_true_forces(self):
-        assert bitset.should_use(2, 2, flag=True) is True
-
-    def test_auto_small_instances_stay_set_based(self):
-        assert bitset.should_use(4, 16, flag=None) is False
-
-    def test_auto_large_instances_use_kernel(self):
-        assert bitset.should_use(1000, 10_000, flag=None) is True
-
-    def test_available(self):
-        assert bitset.available() is True
+    def test_explicit_universe_and_disjoint_family(self):
+        families = [frozenset({"a"}), frozenset({"b"}), frozenset()]
+        uni = BitsetUniverse(families, universe=["a", "b", "c", "d"])
+        assert uni.n_items == 4
+        assert kernel_pairs(uni) == {}
+        assert kernel_pairs(BitsetUniverse([])) == {}
 
 
 @pytest.mark.slow

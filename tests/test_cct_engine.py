@@ -1,10 +1,13 @@
-"""Differential tests for CCT's bitset embedding engine and sweep cache.
+"""Differential tests for CCT's embedding kernel and clustering engine.
 
-The kernel path mirrors the reference loop's scalar closed forms
-IEEE-op for IEEE-op, so embeddings — and therefore whole CCT trees —
-must be *bit-identical* across every engine combination. The acceptance
-grid pins that: {legacy, bitset} x {serial, pooled} x {cache on/off}
-all return byte-identical trees on every similarity variant.
+``set_embeddings`` derives the similarity matrix from the sparse
+incidence kernel with vectorized closed forms that mirror the scalar
+ones IEEE-op for IEEE-op, so it must be *bit-identical* to
+:func:`tests.oracles.set_embeddings_reference`, the pure-Python loop —
+and whole CCT trees built from either matrix must be byte-identical on
+every similarity variant. The NN-chain clustering engine is checked
+against the greedy loop in :func:`tests.oracles.cluster_greedy_reference`
+inside full CCT builds.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.algorithms import CCT, CCTConfig, clear_embedding_cache, set_embeddings
-from repro.algorithms.cct import _set_embeddings_bitset, _set_embeddings_reference
-from repro.algorithms.cct_cache import EmbeddingCache, get_embedding_cache
+from repro.algorithms import CCT, set_embeddings
+from repro.algorithms import cct as cct_module
+from repro.clustering.dendrogram import Dendrogram
+from repro.clustering.distance import distance_matrix
 from repro.core import Variant, score_tree
 from repro.io import tree_to_dict
-from repro.observability import Tracer, use_tracer
 
+from tests.oracles import cluster_greedy_reference, set_embeddings_reference
 from tests.test_ctcr_equivalence import EQUIV_VARIANTS, random_instance
 
 
@@ -30,217 +34,98 @@ class TestEmbeddingEquivalence:
     def test_random_instances(self, variant):
         for seed in range(5):
             instance = random_instance(seed)
-            ref = _set_embeddings_reference(instance, variant)
-            fast = _set_embeddings_bitset(instance, variant)
+            ref = set_embeddings_reference(instance, variant)
+            fast = set_embeddings(instance, variant)
             assert np.array_equal(ref, fast)
 
     def test_paper_examples(self, figure2_instance, example32_instance, all_variants):
         for instance in (figure2_instance, example32_instance):
             for variant in all_variants:
-                ref = _set_embeddings_reference(instance, variant)
-                fast = _set_embeddings_bitset(instance, variant)
+                ref = set_embeddings_reference(instance, variant)
+                fast = set_embeddings(instance, variant)
                 assert np.array_equal(ref, fast)
-
-    def test_pooled_matches_serial(self):
-        variant = Variant.threshold_jaccard(0.5)
-        instance = random_instance(3, n_sets=40)
-        serial = _set_embeddings_bitset(instance, variant, n_jobs=1)
-        pooled = _set_embeddings_bitset(instance, variant, n_jobs=2)
-        assert np.array_equal(serial, pooled)
 
     def test_empty_instance(self):
         from repro.core.input_sets import OCTInstance
 
         instance = OCTInstance([], universe=[])
-        ref = _set_embeddings_reference(instance, Variant.exact())
-        fast = _set_embeddings_bitset(instance, Variant.exact())
+        ref = set_embeddings_reference(instance, Variant.exact())
+        fast = set_embeddings(instance, Variant.exact())
         assert ref.shape == fast.shape == (0, 0)
 
-    def test_public_entrypoint_dispatches_by_flag(self):
-        variant = Variant.cutoff_f1(0.5)
-        instance = random_instance(7)
-        on = set_embeddings(instance, variant, use_bitset=True)
-        off = set_embeddings(instance, variant, use_bitset=False)
-        auto = set_embeddings(instance, variant)
-        assert np.array_equal(on, off)
-        assert np.array_equal(on, auto)
 
-
-class TestEmbeddingCache:
-    """The sweep cache replays intersection counts, not similarity."""
-
-    def setup_method(self):
-        clear_embedding_cache()
-
-    def teardown_method(self):
-        clear_embedding_cache()
-
-    def test_replay_is_identical(self):
-        instance = random_instance(5)
-        variant = Variant.threshold_jaccard(0.5)
-        cold = _set_embeddings_bitset(instance, variant, use_cache=True)
-        warm = _set_embeddings_bitset(instance, variant, use_cache=True)
-        cache = get_embedding_cache()
-        assert cache.misses == 1 and cache.hits == 1
-        assert np.array_equal(cold, warm)
-
-    def test_cross_variant_and_cross_delta_reuse(self):
-        """Counts are variant-independent: one miss serves every δ and
-        even every similarity kind on the same instance."""
-        instance = random_instance(9)
-        variants = [
-            Variant.threshold_jaccard(0.5),
-            Variant.threshold_jaccard(0.8),
-            Variant.cutoff_f1(0.6),
-            Variant.perfect_recall(0.7),
-        ]
-        for variant in variants:
-            cached = _set_embeddings_bitset(instance, variant, use_cache=True)
-            fresh = _set_embeddings_bitset(instance, variant, use_cache=False)
-            assert np.array_equal(cached, fresh)
-        cache = get_embedding_cache()
-        assert cache.misses == 1
-        assert cache.hits == len(variants) - 1
-
-    def test_different_instances_do_not_collide(self):
-        variant = Variant.exact()
-        a = _set_embeddings_bitset(random_instance(1), variant, use_cache=True)
-        b = _set_embeddings_bitset(random_instance(2), variant, use_cache=True)
-        cache = get_embedding_cache()
-        assert cache.misses == 2 and cache.hits == 0
-        assert a.shape == b.shape and not np.array_equal(a, b)
-
-    def test_fifo_eviction_bounds_entries(self):
-        cache = EmbeddingCache(max_entries=2)
-        empty = np.empty(0, dtype=np.int64)
-        for seed in range(4):
-            inst = random_instance(seed, n_sets=5, n_items=10)
-            key = cache.key(inst)
-            assert cache.get(key) is None
-            cache.put(
-                key, (5, np.ones(5, dtype=np.int64), empty, empty, empty)
-            )
-        assert len(cache) == 2
-
-    def test_cached_arrays_are_read_only(self):
-        instance = random_instance(4)
-        _set_embeddings_bitset(instance, Variant.exact(), use_cache=True)
-        cache = get_embedding_cache()
-        entry = cache.get(cache.key(instance))
-        assert entry is not None
-        n, *arrays = entry
-        assert n == len(instance)
-        assert all(not a.flags.writeable for a in arrays)
-
-    def test_counters_surface_in_tracer(self):
-        instance = random_instance(6)
-        variant = Variant.threshold_jaccard(0.5)
-        with use_tracer(Tracer()) as tracer:
-            _set_embeddings_bitset(instance, variant, use_cache=True)
-            _set_embeddings_bitset(instance, variant, use_cache=True)
-        assert tracer.counters.get("cct.cache_misses") == 1
-        assert tracer.counters.get("cct.cache_hits") == 1
-
-
-def cct_fingerprint(instance, variant, **config):
-    tree = CCT(CCTConfig(**config)).build(instance, variant)
+def cct_fingerprint(instance, variant):
+    tree = CCT().build(instance, variant)
     report = score_tree(tree, instance, variant)
     return tree_to_dict(tree), report.normalized, report.total, tree.to_text()
 
 
-class TestCCTEngineGrid:
-    """Acceptance grid: every embedding-engine combination returns a
-    byte-identical CCT tree on every similarity variant.
+def assert_tree_matches_oracle(instance, variant, monkeypatch):
+    """Default CCT == CCT whose embeddings come from the scalar oracle."""
+    base = cct_fingerprint(instance, variant)
+    with monkeypatch.context() as patch:
+        patch.setattr(cct_module, "set_embeddings", set_embeddings_reference)
+        oracle = cct_fingerprint(instance, variant)
+    assert base == oracle
 
-    The cache grid runs cold then warm, so replayed intersection counts
-    are exercised, not just stored.
-    """
+
+class TestCCTEngineGrid:
+    """Kernel vs oracle embeddings: byte-identical CCT trees on every
+    similarity variant, on random instances, the paper's examples and
+    the tiny dataset."""
 
     @pytest.mark.parametrize("variant", EQUIV_VARIANTS, ids=lambda v: str(v))
-    def test_engine_grid(self, variant):
-        clear_embedding_cache()
-        instance = random_instance(21, n_sets=25)
-        base = cct_fingerprint(instance, variant, use_bitset=False)
-        for use_bitset in (False, True):
-            for n_jobs in (1, 2):
-                for use_cache in (False, True):
-                    got = cct_fingerprint(
-                        instance,
-                        variant,
-                        use_bitset=use_bitset,
-                        n_jobs=n_jobs,
-                        use_cache=use_cache,
-                    )
-                    assert got == base, (
-                        f"bitset={use_bitset} jobs={n_jobs} cache={use_cache}"
-                    )
-        # Second cached pass replays from the now-warm cache.
-        warm = cct_fingerprint(
-            instance, variant, use_bitset=True, use_cache=True
-        )
-        assert warm == base
-        clear_embedding_cache()
+    def test_engine_grid(self, variant, monkeypatch):
+        for seed in (21, 22):
+            assert_tree_matches_oracle(
+                random_instance(seed, n_sets=25), variant, monkeypatch
+            )
 
     def test_paper_examples_grid(
-        self, figure2_instance, example32_instance, all_variants
+        self, figure2_instance, example32_instance, all_variants, monkeypatch
     ):
-        clear_embedding_cache()
         for instance in (figure2_instance, example32_instance):
             for variant in all_variants:
-                base = cct_fingerprint(instance, variant, use_bitset=False)
-                for use_cache in (False, True):
-                    got = cct_fingerprint(
-                        instance,
-                        variant,
-                        use_bitset=True,
-                        use_cache=use_cache,
-                    )
-                    assert got == base
-        clear_embedding_cache()
+                assert_tree_matches_oracle(instance, variant, monkeypatch)
 
     @pytest.mark.slow
-    def test_tiny_dataset_grid(self, tiny_dataset):
+    def test_tiny_dataset_grid(self, tiny_dataset, monkeypatch):
         from repro.pipeline import preprocess
 
-        clear_embedding_cache()
         variant = Variant.threshold_jaccard(0.8)
         instance, _report = preprocess(tiny_dataset, variant)
-        base = cct_fingerprint(instance, variant, use_bitset=False)
-        for n_jobs in (1, 4):
-            for use_cache in (False, True):
-                got = cct_fingerprint(
-                    instance,
-                    variant,
-                    use_bitset=True,
-                    n_jobs=n_jobs,
-                    use_cache=use_cache,
-                )
-                assert got == base, f"jobs={n_jobs} cache={use_cache}"
-        clear_embedding_cache()
+        assert_tree_matches_oracle(instance, variant, monkeypatch)
+
+
+def _greedy_clustering(vectors, linkage="average", metric="euclidean",
+                       precomputed=None) -> Dendrogram:
+    """``agglomerative_clustering``'s signature over the greedy oracle."""
+    if precomputed is not None:
+        dist = np.array(precomputed, dtype=np.float64)
+    else:
+        dist = distance_matrix(np.asarray(vectors, dtype=np.float64), metric)
+    if dist.shape[0] == 1:
+        return Dendrogram(n_leaves=1, merges=[])
+    return cluster_greedy_reference(dist, linkage)
 
 
 class TestClusterEngineContract:
-    """NN-chain vs legacy clustering inside the full CCT build.
+    """NN-chain vs the greedy oracle loop inside the full CCT build.
 
     Merge orders differ on ties, so trees need not be byte-identical —
-    but both engines must produce valid trees with identical scores on
-    tie-free inputs, and the config must reject unknown engines.
+    but both engines must produce valid trees.
     """
 
     @pytest.mark.parametrize("variant", EQUIV_VARIANTS, ids=lambda v: str(v))
-    def test_both_engines_build_valid_trees(self, variant):
+    def test_both_engines_build_valid_trees(self, variant, monkeypatch):
         instance = random_instance(13, n_sets=20)
-        for engine in ("nn-chain", "legacy"):
-            tree = CCT(CCTConfig(cluster_engine=engine)).build(
-                instance, variant
+        trees = [CCT().build(instance, variant)]
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cct_module, "agglomerative_clustering", _greedy_clustering
             )
+            trees.append(CCT().build(instance, variant))
+        for tree in trees:
             tree.validate(
                 universe=instance.universe, bound=instance.bound
-            )
-
-    def test_unknown_cluster_engine_rejected(self):
-        instance = random_instance(2, n_sets=5)
-        with pytest.raises(ValueError, match="engine"):
-            CCT(CCTConfig(cluster_engine="heap")).build(
-                instance, Variant.exact()
             )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main, parse_variant
+from repro.cli import _ctcr_config, main, make_parser, parse_variant
 from repro.core import ScoreMode, SimilarityKind
 
 
@@ -119,6 +119,47 @@ class TestCommands:
         assert rc == 0
         assert "trending queries" in out
         assert "fading queries" in out
+
+
+class TestBuildEngineFlags:
+    """--mis-jobs/--mis-cache are registered only where a CTCR build
+    reads them; the removed engine switches are rejected everywhere."""
+
+    TREE_BUILDERS = ["build", "oct", "compare", "sweep", "serve",
+                     "categorize-query"]
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--tree", "tree.json"],
+        ["trends"],
+        ["inspect-snapshot", "snapshots"],
+    ], ids=lambda argv: argv[0])
+    def test_other_commands_reject_mis_jobs(self, argv, capsys):
+        make_parser().parse_args(argv)  # valid without the flag
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args([*argv, "--mis-jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mis-jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", TREE_BUILDERS)
+    def test_tree_builders_accept_mis_flags(self, command):
+        args = make_parser().parse_args(
+            [command, "--mis-jobs", "2", "--mis-cache", "off"]
+        )
+        config = _ctcr_config(args)
+        assert config.mis.n_jobs == 2
+        assert config.mis.use_cache is False
+
+    @pytest.mark.parametrize("flag", [
+        ["--jobs", "2"],
+        ["--bitset", "on"],
+        ["--cct-cache", "on"],
+        ["--cct-cluster", "legacy"],
+    ], ids=lambda flag: flag[0])
+    def test_removed_engine_switches_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", *TestCommands.COMMON, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestObservabilityFlags:

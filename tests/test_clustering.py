@@ -17,6 +17,8 @@ from repro.clustering import (
     pairwise_euclidean,
 )
 
+from tests.oracles import cluster_greedy_reference
+
 
 class TestDistances:
     def test_euclidean_simple(self):
@@ -109,10 +111,6 @@ class TestAgglomerative:
         with pytest.raises(ValueError):
             agglomerative_clustering(np.zeros((2, 2)), linkage="ward")
 
-    def test_bad_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            agglomerative_clustering(np.zeros((2, 2)), engine="heap")
-
     def test_empty_input(self):
         with pytest.raises(ValueError):
             agglomerative_clustering(np.zeros((0, 2)))
@@ -142,8 +140,10 @@ class TestAgglomerative:
         )
     )
     def test_structural_invariants(self, x):
-        for engine in ("nn-chain", "legacy"):
-            d = agglomerative_clustering(x, engine=engine)
+        for d in (
+            agglomerative_clustering(x),
+            cluster_greedy_reference(distance_matrix(x, "euclidean"), "average"),
+        ):
             n = x.shape[0]
             assert len(d.merges) == n - 1
             # Every node id is used exactly once as a merge operand
@@ -158,7 +158,9 @@ def _leaf_sets(d):
 
 
 class TestNNChainEngine:
-    """The NN-chain engine against the legacy greedy oracle and scipy.
+    """The NN-chain engine against the legacy greedy loop and scipy.
+
+    The legacy loop is :func:`tests.oracles.cluster_greedy_reference`.
 
     The engines visit merges in different orders, so Lance–Williams
     averages accumulate differently: topologies must match exactly on
@@ -171,7 +173,9 @@ class TestNNChainEngine:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(30, 4))
         chain = agglomerative_clustering(x, linkage=linkage)
-        greedy = agglomerative_clustering(x, linkage=linkage, engine="legacy")
+        greedy = cluster_greedy_reference(
+            distance_matrix(x, "euclidean"), linkage
+        )
         assert _leaf_sets(chain) == _leaf_sets(greedy)
         assert np.allclose(
             [m.height for m in chain.merges],

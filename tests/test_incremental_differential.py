@@ -9,8 +9,7 @@ a cold rebuild at each step:
   instance;
 * the maintained :class:`~repro.conflicts.two_conflicts.PairwiseAnalysis`
   and 3-conflict set equal a full re-enumeration;
-* the staged preprocess of a churned dataset equals a cold preprocess;
-* a replayed CCT embedding-cache entry equals a from-scratch count.
+* the staged preprocess of a churned dataset equals a cold preprocess.
 
 Long 200-step sequences are marked ``slow``; the fast tier keeps CI
 honest with shorter sequences over the same generators.
@@ -25,17 +24,14 @@ import pytest
 
 from tests.churn import churn_query_log, delta_sequence, random_delta
 from repro.algorithms import CTCR, CTCRConfig
-from repro.algorithms.cct_cache import EmbeddingCache
 from repro.conflicts.ranking import rank_sets
 from repro.conflicts.three_conflicts import compute_three_conflicts
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant
-from repro.core.bitset import BitsetUniverse
 from repro.incremental import (
     IncrementalBuilder,
     ResultSetCache,
     incremental_preprocess,
-    replay_embedding_counts,
 )
 from repro.io import instance_to_dict, tree_to_dict
 from repro.pipeline import preprocess
@@ -161,56 +157,3 @@ class TestPipelineChurnDifferential:
             assert tree_json(result.tree) == tree_json(
                 oracle_tree(churned, variant)
             )
-
-
-class TestEmbeddingReplayDifferential:
-    def test_replayed_counts_equal_fresh_counts(self, figure2_instance):
-        import numpy as np
-
-        rng = random.Random(3)
-        cache = EmbeddingCache()
-        old = figure2_instance
-        # Populate the old entry exactly as CCT's packing stage does.
-        old_key = cache.key(old)
-        cache.put(old_key, _fresh_entry(old))
-        for _ in range(10):
-            delta = random_delta(old, rng, frac=0.4)
-            new = delta.apply(old)
-            if cache.key(new) == cache.key(old):
-                # Reweight-only delta: counts are weight-independent, so
-                # the old entry already covers the new instance.
-                assert not replay_embedding_counts(old, new, cache)
-                old = new
-                continue
-            assert replay_embedding_counts(old, new, cache)
-            replayed = cache.get(cache.key(new))
-            fresh = _fresh_entry(new)
-            assert replayed[0] == fresh[0]
-            for got, want in zip(replayed[1:], fresh[1:]):
-                np.testing.assert_array_equal(
-                    np.asarray(got), np.asarray(want)
-                )
-            old = new
-
-    def test_replay_is_a_noop_without_an_old_entry(self, figure2_instance):
-        cache = EmbeddingCache()
-        delta = random_delta(figure2_instance, random.Random(1), frac=0.3)
-        new = delta.apply(figure2_instance)
-        assert not replay_embedding_counts(figure2_instance, new, cache)
-
-    def test_replay_skips_already_cached_targets(self, figure2_instance):
-        cache = EmbeddingCache()
-        delta = random_delta(figure2_instance, random.Random(2), frac=0.3)
-        new = delta.apply(figure2_instance)
-        cache.put(cache.key(figure2_instance), _fresh_entry(figure2_instance))
-        cache.put(cache.key(new), _fresh_entry(new))
-        assert not replay_embedding_counts(figure2_instance, new, cache)
-
-
-def _fresh_entry(instance):
-    """What CCT's packing stage would cache for this instance."""
-    import numpy as np
-
-    universe = BitsetUniverse.from_instance(instance)
-    ii, jj, counts = universe.intersecting_pairs()
-    return (universe.n_sets, universe.sizes, ii, jj, counts)

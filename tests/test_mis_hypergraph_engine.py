@@ -6,8 +6,9 @@ Four contracts:
   brute force on instances small enough to enumerate;
 * the engine returns identical selections across its whole flag grid —
   kernelize on/off, cache on/off, serial vs pooled components;
-* the bitset 3-conflict enumeration matches the retained nested-loop
-  reference on randomized instances and every variant family;
+* the bitset 3-conflict enumeration matches the nested-loop reference
+  in ``tests/oracles.py`` on randomized instances and every variant
+  family;
 * the conflict-hypergraph incidence index and the solver façade's
   hyperedge guard behave as documented.
 """
@@ -26,10 +27,7 @@ from repro.conflicts.hypergraph import (
     build_conflict_hypergraph,
 )
 from repro.conflicts.ranking import rank_sets
-from repro.conflicts.three_conflicts import (
-    _three_conflicts_reference,
-    compute_three_conflicts,
-)
+from repro.conflicts.three_conflicts import compute_three_conflicts
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant
 from repro.mis.cache import MISComponentCache, clear_mis_cache, get_mis_cache
@@ -46,6 +44,7 @@ from repro.mis.hypergraph_reductions import (
 from repro.mis.solver import MISConfig, _to_graph, solve_conflicts
 from repro.observability import Tracer, use_tracer
 
+from tests.oracles import three_conflicts_reference
 from tests.test_ctcr_equivalence import random_instance
 
 
@@ -290,7 +289,7 @@ class TestThreeConflictDifferential:
             analysis = compute_pairwise(instance, variant, ranking)
             assert compute_three_conflicts(
                 analysis
-            ) == _three_conflicts_reference(analysis)
+            ) == three_conflicts_reference(analysis)
 
     def test_empty_must_together(self):
         instance = random_instance(41, n_sets=6, n_items=60)
@@ -298,7 +297,7 @@ class TestThreeConflictDifferential:
         analysis = compute_pairwise(instance, variant)
         assert compute_three_conflicts(
             analysis
-        ) == _three_conflicts_reference(analysis)
+        ) == three_conflicts_reference(analysis)
 
 
 class TestConflictHypergraphIncidence:

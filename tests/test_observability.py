@@ -208,17 +208,34 @@ class TestWorkerAggregation:
         assert serial.counters == pooled.counters
 
     def test_production_counters_match_serial(self):
-        """The pairwise stage's worker counters survive the pool."""
-        from repro.conflicts.two_conflicts import compute_pairwise
+        """The MIS stage's worker counters survive the component pool."""
+        from repro.core.input_sets import InputSet, OCTInstance
+        from repro.mis import MISConfig
+        from tests.test_ctcr_equivalence import random_instance
 
-        instance = figure2_like()
-        variant = Variant.threshold_jaccard(0.8)
-        with use_tracer(Tracer()) as serial:
-            compute_pairwise(instance, variant, n_jobs=1, use_bitset=False)
-        with use_tracer(Tracer()) as pooled:
-            compute_pairwise(instance, variant, n_jobs=2, use_bitset=False)
-        assert serial.counters["conflicts.pairs_classified"] > 0
-        assert serial.counters == pooled.counters
+        # Two blocks over disjoint items: two conflict components, so
+        # the pooled run really fans out.
+        sets, universe = [], []
+        for block, seed in enumerate((0, 1)):
+            part = random_instance(seed, n_sets=40, n_items=60)
+            universe += [f"b{block}{item}" for item in part.universe]
+            for q in part.sets:
+                items = frozenset(f"b{block}{item}" for item in q.items)
+                sets.append(
+                    InputSet(sid=len(sets), items=items, weight=q.weight)
+                )
+        instance = OCTInstance(sets, universe=universe)
+        variant = Variant.perfect_recall(0.6)
+        counters = []
+        for n_jobs in (1, 2):
+            builder = CTCR(CTCRConfig(mis=MISConfig(n_jobs=n_jobs)))
+            with use_tracer(Tracer()) as tracer:
+                builder.build(instance, variant)
+            counters.append(tracer.counters)
+        serial, pooled = counters
+        assert serial["mis.components"] == 2
+        assert serial["mis.nodes_expanded"] > 0  # counted in the workers
+        assert serial == pooled
 
     def test_disabled_pool_path_unchanged(self):
         assert not get_tracer().enabled
@@ -237,12 +254,12 @@ def collect_reference_manifest() -> RunManifest:
     variant = Variant.threshold_jaccard(0.8)
     with use_tracer(Tracer()) as tracer:
         tracer.annotate("dataset.fingerprint", instance_fingerprint(instance))
-        CTCR(CTCRConfig(use_bitset=False)).build(instance, variant)
+        CTCR().build(instance, variant)
     return RunManifest.collect(
         tracer,
         run_id="golden",
         tool="golden-test",
-        config={"variant": str(variant), "use_bitset": False, "n_jobs": 1},
+        config={"variant": str(variant)},
     )
 
 
@@ -308,7 +325,7 @@ class TestRunManifest:
 
         instance = figure2_like()
         variant = Variant.threshold_jaccard(0.8)
-        builder = CTCR(CTCRConfig(use_bitset=False))
+        builder = CTCR()
         with use_tracer(Tracer()) as tracer:
             builder.build(instance, variant)
         manifest = RunManifest.collect(tracer)
@@ -376,7 +393,7 @@ def test_disabled_tracer_overhead_under_5_percent():
     ]
     instance = OCTInstance(sets, universe=universe)
     variant = Variant.threshold_jaccard(0.6)
-    builder = CTCR(CTCRConfig(use_bitset=False))
+    builder = CTCR()
 
     counting = _EventCountingTracer()
     with use_tracer(counting):
