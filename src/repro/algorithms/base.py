@@ -100,12 +100,16 @@ class BuildContext:
         Item additions propagate upwards, so during construction only the
         designated category's path to the root can cover the set.
         """
+        return self.cover_on_branch(q) is not None
+
+    def cover_on_branch(self, q: InputSet) -> Category | None:
+        """The lowest category on ``q``'s designated branch covering it."""
         cat: Category | None = self.designated.get(q.sid)
         while cat is not None:
             if self.covers_with(q, cat):
-                return True
+                return cat
             cat = cat.parent
-        return False
+        return None
 
 
 def _is_strict_ancestor(a: Category, b: Category) -> bool:

@@ -51,7 +51,10 @@ from repro.observability.tracer import NullTracer, Tracer
 # bitset.words_packed, bitset.pairwise_cache_hits, cct.cache_hits,
 # cct.cache_misses, conflicts.pairs_classified and incremental.cct_replayed,
 # and the span ctcr.pack, are no longer emitted.
-SCHEMA_VERSION = 10
+# v11: output-sensitive post-MIS stages — the counters assign.rounds,
+# assign.set_evaluations (one count each per assign_duplicates call) and
+# intermediate.merges (one count per add_intermediate_categories call).
+SCHEMA_VERSION = 11
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource

@@ -12,7 +12,12 @@ verbatim so every kernel can be checked pair for pair and tree for tree:
 * :func:`three_conflicts_reference` enumerates 3-conflicts with the
   nested loops of the paper's definition;
 * :func:`cluster_greedy_reference` is the greedy global-minimum
-  agglomeration loop (Lance–Williams updates, cached row minima).
+  agglomeration loop (Lance–Williams updates, cached row minima);
+* :func:`assign_duplicates_reference` is Algorithm 2's greedy loop
+  re-scoring every uncovered set in every round;
+* :func:`add_intermediate_categories_reference` picks each merge with a
+  ``max`` over all sibling pairs and re-intersects every live child
+  after it.
 
 Serving side — :class:`TreeOracle` answers every read op of
 :class:`repro.serving.SnapshotIndexes` by walking a
@@ -33,18 +38,30 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.algorithms.assignment import (
+    _EPS,
+    _assign_duplicate,
+    _available_for,
+    _breaks_covered_ancestors,
+    _cutoff_marginal_gain,
+    _designated_by_cid,
+    _factor_from_gap,
+    _match_branch,
+    cover_gap,
+)
+from repro.algorithms.base import BuildContext
 from repro.clustering.agglomerative import _lance_williams
 from repro.clustering.dendrogram import Dendrogram, Merge
 from repro.conflicts.pairwise import can_cover_separately, can_cover_together
 from repro.conflicts.ranking import Ranking, rank_sets
 from repro.conflicts.three_conflicts import Triple
 from repro.conflicts.two_conflicts import PairwiseAnalysis
-from repro.core.input_sets import OCTInstance
+from repro.core.input_sets import InputSet, Item, OCTInstance
 from repro.core.similarity import (
     raw_similarity_from_sizes,
     variant_score_from_sizes,
 )
-from repro.core.tree import CategoryTree
+from repro.core.tree import Category, CategoryTree
 from repro.core.variants import Variant
 from repro.search.engine import SearchEngine
 from repro.serving import BestCategory
@@ -234,6 +251,154 @@ def cluster_greedy_reference(dist: np.ndarray, linkage: str) -> Dendrogram:
                 row_min[k] = work[k, i]
                 row_arg[k] = i
     return Dendrogram(n_leaves=n, merges=merges)
+
+
+def assign_duplicates_reference(
+    ctx: BuildContext, selected: list[InputSet], duplicates: set[Item]
+) -> None:
+    """What ``assign_duplicates`` must do: re-score every set every round."""
+    rev = _designated_by_cid(ctx)
+    failed: set[int] = set()
+
+    while True:
+        # Gain factors of the sets still uncovered but coverable.
+        gains: dict[int, float] = {}
+        gaps: dict[int, int] = {}
+        for q in selected:
+            if q.sid in failed or ctx.covered_on_branch(q):
+                continue
+            gap = cover_gap(ctx, q)
+            if gap is None:
+                continue
+            available = _available_for(ctx, q, duplicates)
+            if gap <= len(available):
+                gains[q.sid] = _factor_from_gap(q, gap)
+                gaps[q.sid] = gap
+        if not gains:
+            break
+
+        best_sid = max(gains, key=lambda sid: (gains[sid], -sid))
+        best = ctx.instance.get(best_sid)
+        gap = gaps[best_sid]
+        anchor = ctx.designated[best_sid]
+        candidates = _available_for(ctx, best, duplicates)
+        ranked: list[tuple[float, Item, Category]] = []
+        for item in candidates:
+            gain, target = _match_branch(ctx, item, anchor, gains, rev)
+            ranked.append((gain, item, target))
+        ranked.sort(key=lambda entry: (-entry[0], str(entry[1])))
+        chosen = ranked[:gap]
+        additions = [(item, target) for _g, item, target in chosen]
+        if len(chosen) < gap or _breaks_covered_ancestors(ctx, additions, rev):
+            failed.add(best_sid)
+            continue
+        for item, target in additions:
+            _assign_duplicate(ctx, item, target)
+        if not ctx.covered_on_branch(best):
+            # Defensive: the gap computation should guarantee coverage.
+            failed.add(best_sid)
+
+    # Leftover duplicates: place by marginal cutoff gain, or leave them
+    # for the miscellaneous category when nothing positive exists.
+    leftovers = sorted(
+        (item for item in duplicates if ctx.bound_left(item) > 0),
+        key=str,
+    )
+    member_cats: dict[Item, list[Category]] = {}
+    for sid, cat in ctx.designated.items():
+        q = ctx.instance.get(sid)
+        for item in q.items:
+            if item in duplicates:
+                member_cats.setdefault(item, []).append(cat)
+    for item in leftovers:
+        best_gain = 0.0
+        best_target: Category | None = None
+        for cat in member_cats.get(item, ()):
+            if item in cat.items:
+                continue
+            gain = _cutoff_marginal_gain(ctx, item, cat, rev)
+            if gain > best_gain + _EPS and not _breaks_covered_ancestors(
+                ctx, [(item, cat)], rev
+            ):
+                # A net-positive gain may still hide one uncovered set
+                # behind larger gains elsewhere; the paper's rule is to
+                # never uncover, so such placements are skipped outright.
+                best_gain = gain
+                best_target = cat
+        if best_target is not None:
+            _assign_duplicate(ctx, item, best_target)
+
+
+def _recombine_children_reference(ctx: BuildContext, parent: Category) -> int:
+    """Insert intermediate parents under one category; returns count."""
+    child_sets: dict[int, frozenset] = {}
+    cats: dict[int, Category] = {}
+    for child in parent.children:
+        target = ctx.target_sets.get(child.cid)
+        if target:
+            child_sets[child.cid] = target
+            cats[child.cid] = child
+
+    # Seed pairwise intersection counts through an item index.
+    index: dict = {}
+    for cid, items in child_sets.items():
+        for item in items:
+            index.setdefault(item, []).append(cid)
+    inter: dict[tuple[int, int], int] = {}
+    for cids in index.values():
+        cids.sort()
+        for i, a in enumerate(cids):
+            for b in cids[i + 1 :]:
+                inter[(a, b)] = inter.get((a, b), 0) + 1
+
+    added = 0
+    while len(parent.children) > 2 and inter:
+        (a, b), shared = max(
+            inter.items(),
+            key=lambda kv: (
+                kv[1] / min(len(child_sets[kv[0][0]]), len(child_sets[kv[0][1]])),
+                -kv[0][0],
+                -kv[0][1],
+            ),
+        )
+        if shared == 0:
+            break
+        label = " + ".join(
+            filter(None, (cats[a].label, cats[b].label))
+        )
+        node = ctx.tree.insert_parent([cats[a], cats[b]], label=label)
+        union = frozenset(child_sets[a] | child_sets[b])
+        ctx.target_sets[node.cid] = union
+        added += 1
+
+        # Retire a and b; introduce the union node.
+        for cid in (a, b):
+            del child_sets[cid]
+            del cats[cid]
+        inter = {
+            pair: count
+            for pair, count in inter.items()
+            if a not in pair and b not in pair
+        }
+        for cid, items in child_sets.items():
+            common = len(union & items)
+            if common:
+                pair = (min(cid, node.cid), max(cid, node.cid))
+                inter[pair] = common
+        child_sets[node.cid] = union
+        cats[node.cid] = node
+    return added
+
+
+def add_intermediate_categories_reference(ctx: BuildContext) -> int:
+    """What ``add_intermediate_categories`` must do: a ``max`` over every
+    live sibling pair per merge, and a re-intersection of every live
+    child after it."""
+    added = 0
+    queue = [cat for cat in ctx.tree.categories() if len(cat.children) > 2]
+    for parent in queue:
+        added += _recombine_children_reference(ctx, parent)
+    return added
 
 
 # ---------------------------------------------------------------------------
