@@ -24,9 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import resource
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -52,18 +49,12 @@ TINY_POINTS = (
 )
 
 VARIANT_SPEC = "tj:0.1"
-_CHILD_MARKER = "POINT_JSON:"
 
 
 def _variant():
     from repro.core import Variant
 
     return Variant.threshold_jaccard(0.1)
-
-
-def _peak_rss_bytes() -> int:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak * 1024 if os.uname().sysname == "Linux" else peak
 
 
 def _percentile(sorted_values, q: float) -> float:
@@ -242,29 +233,7 @@ def run_point(
     }
     if shape:
         record["shaping"] = _shaping_gate(tree, instance, variant, queries)
-    record["peak_rss_mb"] = round(_peak_rss_bytes() / (1024 * 1024), 1)
     return record
-
-
-def _run_point_subprocess(spec: dict) -> dict:
-    """Fork one child per point so ru_maxrss is that point's peak."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()),
-         "--_child", json.dumps(spec)],
-        capture_output=True, text=True, env=env, cwd=str(_ROOT),
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"point {spec} failed (exit {proc.returncode}):\n{proc.stderr}"
-        )
-    for line in reversed(proc.stdout.splitlines()):
-        if line.startswith(_CHILD_MARKER):
-            return json.loads(line[len(_CHILD_MARKER):])
-    raise RuntimeError(f"point {spec}: child produced no record")
 
 
 def main(argv=None) -> int:
@@ -288,12 +257,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args._child:
-        spec = json.loads(args._child)
-        record = run_point(**spec)
-        print(_CHILD_MARKER + json.dumps(record))
+        print(json.dumps(run_point(**json.loads(args._child))))
         return 0
 
-    from benchmarks.common import bench_report, write_bench_json
+    from benchmarks.common import (
+        bench_report,
+        peak_rss_mb,
+        run_child,
+        write_bench_json,
+    )
 
     points = TINY_POINTS if args.tiny else FULL_POINTS
     records = []
@@ -310,8 +282,9 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         if args.in_process:
             record = run_point(**spec)
+            record["peak_rss_mb"] = peak_rss_mb()
         else:
-            record = _run_point_subprocess(spec)
+            record = run_child(__file__, spec)
         record["point_wall_s"] = round(time.perf_counter() - t0, 2)
         records.append(record)
         print(

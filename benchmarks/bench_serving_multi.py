@@ -26,7 +26,6 @@ and balance assertions still hold).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -35,7 +34,7 @@ _ROOT = Path(__file__).resolve().parents[1]
 if str(_ROOT) not in sys.path:  # allow `python benchmarks/bench_...py`
     sys.path.insert(0, str(_ROOT))
 
-from benchmarks.common import bench_report, write_bench_json
+from benchmarks.common import available_cpus, bench_report, write_bench_json
 from benchmarks.conftest import instance_for
 from repro.algorithms import CTCR
 from repro.core import Variant, make_instance
@@ -50,13 +49,6 @@ TINY = ("A", 300, (1, 2))
 
 SCALING_FLOOR = 2.5  # x aggregate throughput at 4 workers vs 1
 SCALING_WORKERS = 4
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _grown_instance(instance, extra: int):
@@ -80,7 +72,7 @@ def _grown_instance(instance, extra: int):
 
 def run(tiny: bool = False) -> dict:
     dataset_name, n_requests, worker_counts = TINY if tiny else FULL
-    cpus = _cpus()
+    cpus = available_cpus()
     instance = instance_for(dataset_name, VARIANT)
 
     from repro.serving import ServingSupervisor

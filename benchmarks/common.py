@@ -12,12 +12,20 @@ bench runs are distinguishable and diffable instead of silently appended
 look-alikes.  Importing this module enables tracing for the process
 (benchmarks always want stage timings; the overhead is bounded by the
 observability regression test).
+
+Benchmarks that record per-point peak RSS run each point in a child
+process of its own (:func:`run_child`); the child does not import this
+module, so it runs untraced.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -27,6 +35,7 @@ from repro.baselines import ExistingTree, ICQ, ICS
 from repro.evaluation import format_table
 from repro.observability import RunManifest, Tracer, make_run_id, set_tracer
 
+ROOT = Path(__file__).resolve().parents[1]
 RESULTS_LOG = Path(__file__).parent / "results.log"
 MANIFEST_DIR = Path(__file__).parent / "manifests"
 
@@ -120,3 +129,54 @@ def all_builders(dataset):
         ICS(dataset.titles),
         ExistingTree(dataset.existing_tree),
     ]
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def _rss_mb(maxrss: int) -> float:
+    scale = 1024 if sys.platform.startswith("linux") else 1  # KB vs bytes
+    return round(maxrss * scale / (1024 * 1024), 1)
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB."""
+    return _rss_mb(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
+def run_child(script: Path | str, spec: dict) -> dict:
+    """Run ``script --_child <spec as JSON>`` in a fresh interpreter.
+
+    The child prints its record as the last line of its stdout, one JSON
+    object. The record returned gains ``peak_rss_mb``: the child's own
+    peak, read from its rusage when it is reaped, so one point's peak is
+    never a running maximum over the points before it.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH")) if p
+    )
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, str(Path(script).resolve()), "--_child",
+             json.dumps(spec)],
+            stdout=out, stderr=err, env=env, cwd=str(ROOT),
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        lines = out.read().decode().splitlines()
+        if proc.returncode != 0 or not lines:
+            raise RuntimeError(
+                f"{Path(script).name} {spec} failed (exit "
+                f"{proc.returncode}):\n{err.read().decode()}"
+            )
+    record = json.loads(lines[-1])
+    record["peak_rss_mb"] = _rss_mb(usage.ru_maxrss)
+    return record
