@@ -19,7 +19,8 @@ run for the test suite):
 * the kernel's classification is at least 5x faster than the reference
   on the largest instance;
 * default CTCR trees equal trees built from the reference's analysis
-  (``BuildReuse(analysis=...)``), structure and scores byte for byte.
+  (``compute_pairwise`` patched on :mod:`repro.algorithms.ctcr`),
+  structure and scores byte for byte.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ if str(_ROOT) not in sys.path:  # allow `python benchmarks/bench_...py`
 
 from benchmarks.common import bench_report
 from benchmarks.conftest import instance_for
-from repro.algorithms import CTCR, BuildReuse
+from repro.algorithms import CTCR
+from repro.algorithms import ctcr as ctcr_module
 from repro.conflicts.ranking import rank_sets
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant, score_tree
@@ -110,10 +112,13 @@ def _stage_row(label: str, name: str, kwargs: dict, reps: int) -> list:
 
 def _assert_trees_identical(name: str) -> None:
     instance = instance_for(name, VARIANT)
-    oracle = BuildReuse(analysis=pairwise_reference(instance, VARIANT))
     results = []
-    for reuse in (None, oracle):
-        tree = CTCR().build(instance, VARIANT, reuse=reuse)
+    for classify in (compute_pairwise, pairwise_reference):
+        ctcr_module.compute_pairwise = classify
+        try:
+            tree = CTCR().build(instance, VARIANT)
+        finally:
+            ctcr_module.compute_pairwise = compute_pairwise
         report = score_tree(tree, instance, VARIANT)
         results.append((tree_to_dict(tree), report.normalized, report.total))
     assert results[0][0] == results[1][0], f"tree structure differs on {name}"

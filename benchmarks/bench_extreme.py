@@ -57,13 +57,6 @@ def _variant():
     return Variant.threshold_jaccard(0.1)
 
 
-def _percentile(sorted_values, q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1) + 0.5))
-    return sorted_values[idx]
-
-
 def _shaping_gate(tree, instance, variant, queries: int) -> dict:
     """Calibrate, shape to a halfway latency budget, verify exactly.
 
@@ -154,6 +147,7 @@ def run_point(
     Meant to run in its own process (peak RSS is process-wide); the
     parent sweep forks one child per point for exactly that reason.
     """
+    from repro.observability import percentile
     from repro.scale import ExtremeCatalog, scaled_spec
     from repro.serving.indexes import SnapshotIndexes
 
@@ -228,8 +222,8 @@ def run_point(
         "postings_bytes": postings_bytes,
         "snapshot_bytes": snapshot_bytes,
         "queries_timed": len(lat_ns),
-        "serve_p50_us": round(_percentile(lat_ns, 0.50) / 1e3, 2),
-        "serve_p99_us": round(_percentile(lat_ns, 0.99) / 1e3, 2),
+        "serve_p50_us": round(percentile(lat_ns, 0.50) / 1e3, 2),
+        "serve_p99_us": round(percentile(lat_ns, 0.99) / 1e3, 2),
     }
     if shape:
         record["shaping"] = _shaping_gate(tree, instance, variant, queries)

@@ -51,6 +51,7 @@ from repro.catalog import load_dataset
 from repro.core import Variant
 from repro.evaluation import split_instance
 from repro.labeling import apply_label_suggestions, suggest_labels
+from repro.observability import percentile
 from repro.pipeline import PreprocessConfig, preprocess
 from repro.serving import (
     HotSwapper,
@@ -59,7 +60,6 @@ from repro.serving import (
     SnapshotStore,
     categorize_query,
 )
-from repro.serving.loadgen import percentile
 from repro.utils.rng import make_rng
 
 VARIANT = Variant.threshold_jaccard(0.7)

@@ -15,7 +15,6 @@ from repro.algorithms.condense import (
 )
 from repro.algorithms.ctcr import (
     CTCR,
-    BuildReuse,
     CTCRConfig,
     CTCRDiagnostics,
 )
@@ -23,7 +22,6 @@ from repro.algorithms.intermediate import add_intermediate_categories
 
 __all__ = [
     "BuildContext",
-    "BuildReuse",
     "CCT",
     "CCTConfig",
     "CTCR",

@@ -36,31 +36,10 @@ from repro.conflicts.two_conflicts import PairwiseAnalysis, compute_pairwise
 from repro.core.input_sets import InputSet, OCTInstance
 from repro.core.tree import Category, CategoryTree
 from repro.core.variants import SimilarityKind, Variant
-from repro.mis.cache import MISComponentCache, get_mis_cache
+from repro.mis.cache import get_mis_cache
 from repro.mis.hypergraph_mis import WeightedHypergraph
 from repro.mis.solver import MISConfig, solve_conflicts
 from repro.observability import get_tracer
-
-
-@dataclass(frozen=True)
-class BuildReuse:
-    """Precomputed artifacts injected into :meth:`CTCR.build`.
-
-    The incremental pipeline (:mod:`repro.incremental`) maintains the
-    pairwise analysis and 3-conflict set across catalog deltas and
-    hands them to CTCR here, so the build skips straight to the MIS
-    stage. ``mis_cache`` overrides the process-global component cache
-    with a snapshot-scoped, payload-keeping one (cross-*build* reuse).
-
-    Correctness contract: ``analysis`` must equal what
-    ``compute_pairwise(instance, variant)`` would return and ``triples``
-    what ``compute_three_conflicts(analysis)`` would return — the
-    differential churn suite pins exactly that.
-    """
-
-    analysis: PairwiseAnalysis | None = None
-    triples: set | None = None
-    mis_cache: MISComponentCache | None = None
 
 
 @dataclass(frozen=True)
@@ -145,36 +124,19 @@ class CTCR(TreeBuilder):
 
     # -- pipeline ----------------------------------------------------------
 
-    def build(
-        self,
-        instance: OCTInstance,
-        variant: Variant,
-        *,
-        reuse: BuildReuse | None = None,
-    ) -> CategoryTree:
+    def build(self, instance: OCTInstance, variant: Variant) -> CategoryTree:
         diag = CTCRDiagnostics(num_sets=len(instance))
         self.last_diagnostics = diag
         tracer = get_tracer()
 
         with tracer.span("ctcr.build"):
-            if reuse is not None and reuse.analysis is not None:
-                # Incrementally-maintained conflicts: skip straight past
-                # the rank + pairwise stages (repro.incremental owns the
-                # guarantee that this equals a from-scratch analysis).
-                analysis = reuse.analysis
-                ranking = analysis.ranking
-            else:
-                with tracer.span("ctcr.rank"):
-                    ranking = rank_sets(instance)
-                with tracer.span("ctcr.two_conflicts"):
-                    analysis = compute_pairwise(instance, variant, ranking)
+            with tracer.span("ctcr.rank"):
+                ranking = rank_sets(instance)
+            with tracer.span("ctcr.two_conflicts"):
+                analysis = compute_pairwise(instance, variant, ranking)
             with tracer.span("ctcr.conflict_structure"):
                 conflict_structure = self._conflict_structure(
-                    instance,
-                    variant,
-                    analysis,
-                    diag,
-                    triples=reuse.triples if reuse is not None else None,
+                    instance, variant, analysis, diag
                 )
                 hypergraph = WeightedHypergraph(
                     vertices=conflict_structure.vertices,
@@ -185,18 +147,11 @@ class CTCR(TreeBuilder):
             with tracer.span("ctcr.mis"):
                 # Cache deltas are read off the cache object directly so
                 # the diagnostics view works even under a NullTracer.
-                if reuse is not None and reuse.mis_cache is not None:
-                    cache = reuse.mis_cache
-                else:
-                    cache = (
-                        get_mis_cache() if self.config.mis.use_cache else None
-                    )
+                cache = get_mis_cache() if self.config.mis.use_cache else None
                 hits0, misses0 = (
                     (cache.hits, cache.misses) if cache else (0, 0)
                 )
-                selected_sids = solve_conflicts(
-                    hypergraph, self.config.mis, cache=cache
-                )
+                selected_sids = solve_conflicts(hypergraph, self.config.mis)
                 if cache is not None:
                     diag.mis_cache_hits = cache.hits - hits0
                     diag.mis_cache_misses = cache.misses - misses0
@@ -245,14 +200,11 @@ class CTCR(TreeBuilder):
         variant: Variant,
         analysis: PairwiseAnalysis,
         diag: CTCRDiagnostics,
-        triples=None,
     ):
         if variant.is_exact or not self.config.use_three_conflicts:
             graph = build_conflict_graph(instance, analysis)
         else:
-            graph = build_conflict_hypergraph(
-                instance, analysis, triples=triples
-            )
+            graph = build_conflict_hypergraph(instance, analysis)
         diag.num_two_conflicts = len(graph.pairs)
         diag.num_three_conflicts = len(graph.triples)
         diag.c2_weighted_avg = conflict_statistics(graph)["c2_weighted_avg"]

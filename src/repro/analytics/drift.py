@@ -177,38 +177,19 @@ def apply_recommendation(
     variant,
     store=None,
     reweight: bool = True,
-    rebuild_mode: str = "delta",
 ):
     """Act on a rebuild recommendation through a ``HotSwapper``.
 
     No-op (returns None) when no rebuild is recommended; otherwise
-    rebuilds — by default from the live-reweighted instance — and
-    atomically publishes the new generation via
+    rebuilds from scratch — by default from the live-reweighted
+    instance — and atomically publishes the new generation via
     :meth:`~repro.serving.hotswap.HotSwapper.swap_from_build`,
     persisting to ``store`` when given. Returns the published
     generation.
-
-    ``rebuild_mode`` defaults to ``"delta"``: a drift rebuild changes
-    only input-set *weights*, which is exactly the churn shape the
-    incremental builder re-solves cheapest (the conflict structure is
-    intact, so MIS components are reused wholesale). A plain
-    :class:`~repro.algorithms.ctcr.CTCR` builder is wrapped in an
-    :class:`~repro.incremental.IncrementalBuilder` with the same
-    config; builders with no delta path fall back to a full rebuild.
     """
     if not recommendation.should_rebuild:
         return None
     source = (
         reweighted_instance(instance, recommendation) if reweight else instance
     )
-    if rebuild_mode == "delta" and not hasattr(builder, "delta_build"):
-        from repro.algorithms.ctcr import CTCR
-        from repro.incremental import IncrementalBuilder
-
-        if isinstance(builder, CTCR):
-            builder = IncrementalBuilder(builder.config)
-        else:
-            rebuild_mode = "full"
-    return swapper.swap_from_build(
-        builder, source, variant, store=store, rebuild_mode=rebuild_mode
-    )
+    return swapper.swap_from_build(builder, source, variant, store=store)

@@ -140,72 +140,10 @@ def _builder(name: str, dataset, args=None) -> TreeBuilder:
     raise SystemExit(f"unknown algorithm {name!r}")
 
 
-def _build_delta(args, instance, variant):
-    """The ``--delta-from`` build path: reuse the store's carried state.
-
-    Returns ``(tree, counters)``; ``counters`` is empty when the build
-    fell back to (or bootstrapped with) a full build. The new snapshot
-    and its build-state sidecar are saved into the store either way, so
-    the next ``--delta-from`` run starts from this build.
-    """
-    from repro.incremental import (
-        DeltaMismatchError,
-        IncrementalBuilder,
-        IncrementalStateStore,
-    )
-    from repro.serving import SnapshotStore
-
-    store = SnapshotStore(args.delta_from)
-    states = IncrementalStateStore(store.root)
-    builder = IncrementalBuilder(_ctcr_config(args))
-    current = store.current_id()
-    state = states.load(current) if current else None
-    counters: dict = {}
-    if state is None:
-        tree, new_state = builder.full_build(instance, variant)
-        print(
-            "no reusable state in store; ran a full build "
-            f"({new_state.full_build_wall_s:.2f}s)"
-        )
-    else:
-        try:
-            result = builder.delta_build(state, instance, variant)
-            tree, new_state, counters = (
-                result.tree, result.state, result.counters,
-            )
-        except DeltaMismatchError as exc:
-            get_tracer().count("incremental.fallbacks")
-            print(f"delta state mismatch ({exc}); falling back to full build")
-            tree, new_state = builder.full_build(instance, variant)
-    info = store.save(tree, instance, variant)
-    states.save(info.snapshot_id, new_state)
-    print(f"snapshot {info.snapshot_id} saved to {store.root}")
-    if counters:
-        print(
-            "delta build: "
-            f"pairs reused/reclassified/added = "
-            f"{counters['incremental.pairs_reused']:.0f}/"
-            f"{counters['incremental.pairs_reclassified']:.0f}/"
-            f"{counters['incremental.pairs_added']:.0f}, "
-            f"components reused/resolved = "
-            f"{counters['incremental.components_reused']:.0f}/"
-            f"{counters['incremental.components_resolved']:.0f}, "
-            f"wall {counters['incremental.delta_wall_s']:.2f}s "
-            f"(last full build {counters['incremental.est_full_wall_s']:.2f}s)"
-        )
-    return tree
-
-
 def cmd_build(args) -> int:
     instance, dataset, variant = _load(args)
-    if getattr(args, "delta_from", None):
-        if args.algorithm != "ctcr":
-            raise SystemExit("--delta-from requires --algorithm ctcr")
-        builder = _builder(args.algorithm, dataset, args)
-        tree = _build_delta(args, instance, variant)
-    else:
-        builder = _builder(args.algorithm, dataset, args)
-        tree = builder.build(instance, variant)
+    builder = _builder(args.algorithm, dataset, args)
+    tree = builder.build(instance, variant)
     tree.validate(universe=instance.universe, bound=instance.bound)
     report = score_tree(tree, instance, variant)
     tracer = get_tracer()
@@ -806,13 +744,6 @@ def make_parser() -> argparse.ArgumentParser:
         p_build.add_argument("--output", help="write the tree JSON here")
         p_build.add_argument("--show", action="store_true",
                              help="print the tree structure")
-        p_build.add_argument(
-            "--delta-from",
-            metavar="DIR",
-            help="snapshot-store directory: delta-build against its "
-            "CURRENT snapshot's saved state (full build when absent), "
-            "then save the result back as a new snapshot (ctcr only)",
-        )
         p_build.set_defaults(func=cmd_build)
 
     p_eval = sub.add_parser("evaluate", help="score a saved tree")

@@ -94,21 +94,11 @@ def build_conflict_graph(
 
 
 def build_conflict_hypergraph(
-    instance: OCTInstance,
-    analysis: PairwiseAnalysis,
-    triples: set[Triple] | None = None,
+    instance: OCTInstance, analysis: PairwiseAnalysis
 ) -> ConflictHypergraph:
-    """Conflict hypergraph over 2- and 3-conflicts (line 8, delta < 1).
-
-    ``triples`` injects an externally-maintained 3-conflict set — the
-    incremental builder passes the delta-updated triples here instead of
-    re-enumerating them from scratch.
-    """
+    """Conflict hypergraph over 2- and 3-conflicts (line 8, delta < 1)."""
     graph = build_conflict_graph(instance, analysis)
-    graph.triples = (
-        set(triples) if triples is not None
-        else compute_three_conflicts(analysis)
-    )
+    graph.triples = compute_three_conflicts(analysis)
     return graph
 
 

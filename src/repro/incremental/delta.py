@@ -2,26 +2,19 @@
 
 A :class:`CatalogDelta` describes one refresh of the candidate-category
 family — query sets *added*, *removed*, and *reweighted* — without
-restating the unchanged sets. It is the vocabulary of the incremental
-build pipeline (:mod:`repro.incremental.builder`): the churn simulator
-emits deltas, ``apply`` materializes the next instance, and ``compose``
-collapses a sequence of deltas into one (the algebra the property tests
-pin: ``apply(apply(I, d1), d2) == apply(I, compose(d1, d2))``).
+restating the unchanged sets. The churn simulator emits deltas,
+``apply`` materializes the next instance, and ``compose`` collapses a
+sequence of deltas into one (the algebra the property tests pin:
+``apply(apply(I, d1), d2) == apply(I, compose(d1, d2))``).
 
 Deltas speak *set identity*, not position: a removed or reweighted set
 is named by its sid, and an added set arrives as a full
-:class:`~repro.core.input_sets.InputSet`. Separately,
-:func:`match_instances` recovers the delta *between* two arbitrary
-instances by content matching — the form the delta builder actually
-consumes, because it also yields the sid rename map needed when the
-upstream pipeline re-enumerates sids (preprocessing assigns sids by
-position in the text-sorted merged list, so one added query shifts every
-later sid without changing the sets themselves).
+:class:`~repro.core.input_sets.InputSet`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.exceptions import ReproError
 from repro.core.input_sets import InputSet, OCTInstance
@@ -213,9 +206,7 @@ class CatalogDelta:
 
         Sets whose sid survives with identical content but a different
         weight become reweights; content changes under one sid become a
-        remove + add. For pipelines that renumber sids, use
-        :func:`match_instances` instead — it matches by content and
-        reports renames.
+        remove + add.
         """
         old_by_sid = {q.sid: q for q in old.sets}
         new_by_sid = {q.sid: q for q in new.sets}
@@ -242,68 +233,3 @@ class CatalogDelta:
             removed=frozenset(removed),
             reweighted=tuple(sorted(reweighted.items())),
         )
-
-
-@dataclass(frozen=True)
-class InstanceMatch:
-    """Content matching of two instances: the delta builder's currency.
-
-    ``renames`` maps surviving old sids to their new sids (identity
-    entries included); ``added``/``removed`` are the unmatched new/old
-    sids; ``reweighted`` are surviving *new* sids whose weight changed.
-    ``dirty`` — added plus reweighted, in new-sid space — is the seed of
-    every invalidation in :mod:`repro.incremental.conflicts`.
-    """
-
-    renames: dict[int, int]
-    added: frozenset[int]
-    removed: frozenset[int]
-    reweighted: frozenset[int]
-
-    @property
-    def dirty(self) -> frozenset[int]:
-        return self.added | self.reweighted
-
-    @property
-    def num_changes(self) -> int:
-        return len(self.added) + len(self.removed) + len(self.reweighted)
-
-
-def _content_key(q: InputSet) -> tuple:
-    return (q.items, q.threshold, q.label, q.source)
-
-
-def match_instances(old: OCTInstance, new: OCTInstance) -> InstanceMatch:
-    """Match two instances' sets by content (weight excluded).
-
-    Duplicate content keys are matched pairwise in ascending sid order
-    on both sides, which preserves the relative sid order of survivors —
-    the property that keeps reused pair orientations valid (the
-    incremental conflict update still re-checks orientation per pair, so
-    even an adversarial renumbering only costs reclassification, never
-    correctness).
-    """
-    old_groups: dict[tuple, list[InputSet]] = {}
-    for q in sorted(old.sets, key=lambda q: q.sid):
-        old_groups.setdefault(_content_key(q), []).append(q)
-    renames: dict[int, int] = {}
-    added: set[int] = set()
-    reweighted: set[int] = set()
-    for q in sorted(new.sets, key=lambda q: q.sid):
-        group = old_groups.get(_content_key(q))
-        if group:
-            mate = group.pop(0)
-            renames[mate.sid] = q.sid
-            if mate.weight != q.weight:
-                reweighted.add(q.sid)
-        else:
-            added.add(q.sid)
-    removed = {
-        q.sid for group in old_groups.values() for q in group
-    }
-    return InstanceMatch(
-        renames=renames,
-        added=frozenset(added),
-        removed=frozenset(removed),
-        reweighted=frozenset(reweighted),
-    )

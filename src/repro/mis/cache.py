@@ -17,87 +17,26 @@ valid to replay verbatim: equal key implies equal vertex ids.
 Eviction is FIFO with a bounded entry count — sweep workloads revisit
 recent structures, and components are small, so a simple bound keeps
 memory flat without LRU bookkeeping.
-
-Cross-build persistence (``repro.incremental``) builds on the same key:
-a cache constructed with ``keep_payloads=True`` additionally retains
-each solved component's content (vertices, weights, edges) next to its
-solution, :meth:`to_payload_dict` serializes those payloads, and
-:meth:`seed_from_payload` replays them into a fresh cache under a sid
-rename map. Because the key hashes the *weights* along with the member
-sets, a reweighted component re-keys automatically — a reweight-only
-delta can never resurrect a stale MWIS solution (pinned by the
-regression tests in tests/test_incremental_properties.py).
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.mis.hypergraph_mis import WeightedHypergraph
 
 __all__ = ["MISComponentCache", "get_mis_cache", "clear_mis_cache"]
 
-Vertex = Hashable
-
-# JSON-safe recursive vertex encoding. Component vertices are input-set
-# ids (ints) or kernel fold markers (tuples mixing strings and nested
-# vertices, e.g. ``("__fold2__", v, u, x)``).
-
-
-def _encode_vertex(v: Vertex) -> list:
-    if isinstance(v, bool):  # bool is an int subclass; never a vertex
-        raise TypeError(f"unsupported vertex type: {v!r}")
-    if isinstance(v, int):
-        return ["i", v]
-    if isinstance(v, str):
-        return ["s", v]
-    if isinstance(v, tuple):
-        return ["t", [_encode_vertex(x) for x in v]]
-    raise TypeError(f"unsupported vertex type: {v!r}")
-
-
-def _decode_vertex(payload: list) -> Vertex:
-    tag, value = payload
-    if tag == "i":
-        return int(value)
-    if tag == "s":
-        return value
-    if tag == "t":
-        return tuple(_decode_vertex(x) for x in value)
-    raise ValueError(f"unknown vertex tag: {tag!r}")
-
-
-def _relabel_vertex(v: Vertex, sid_map: dict[int, int]) -> Vertex:
-    """Map every embedded sid through ``sid_map`` (KeyError if unmapped)."""
-    if isinstance(v, bool):
-        raise TypeError(f"unsupported vertex type: {v!r}")
-    if isinstance(v, int):
-        return sid_map[v]
-    if isinstance(v, str):
-        return v
-    if isinstance(v, tuple):
-        return tuple(_relabel_vertex(x, sid_map) for x in v)
-    raise TypeError(f"unsupported vertex type: {v!r}")
-
 
 class MISComponentCache:
-    """Bounded FIFO cache: canonical component key -> solution set.
+    """Bounded FIFO cache: canonical component key -> solution set."""
 
-    With ``keep_payloads=True`` the cache also remembers each solved
-    component's content so it can be serialized and replayed into a
-    later build (see module docstring).
-    """
-
-    def __init__(
-        self, max_entries: int = 4096, keep_payloads: bool = False
-    ) -> None:
+    def __init__(self, max_entries: int = 4096) -> None:
         self.max_entries = max_entries
-        self.keep_payloads = keep_payloads
         self._entries: OrderedDict[str, frozenset] = OrderedDict()
-        self._payloads: dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
 
@@ -130,111 +69,17 @@ class MISComponentCache:
         self.hits += 1
         return set(entry)
 
-    def put(
-        self,
-        key: str,
-        solution: set,
-        component: "WeightedHypergraph | None" = None,
-        knobs: tuple[int, bool, int] | None = None,
-    ) -> None:
-        """Store a solved component.
-
-        ``component``/``knobs`` are only retained when the cache was
-        built with ``keep_payloads=True``; they are what
-        :meth:`to_payload_dict` later serializes for cross-build reuse.
-        """
+    def put(self, key: str, solution: set) -> None:
         if key in self._entries:
             return
         self._entries[key] = frozenset(solution)
-        if self.keep_payloads and component is not None and knobs is not None:
-            self._payloads[key] = {
-                "knobs": [int(knobs[0]), bool(knobs[1]), int(knobs[2])],
-                "vertices": [
-                    [_encode_vertex(v), component.weights[v]]
-                    for v in component.vertices
-                ],
-                "edges": [
-                    [_encode_vertex(v) for v in edge]
-                    for edge in component.edges
-                ],
-                "solution": [_encode_vertex(v) for v in solution],
-            }
         while len(self._entries) > self.max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            self._payloads.pop(evicted, None)
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._payloads.clear()
         self.hits = 0
         self.misses = 0
-
-    # -- cross-build persistence ------------------------------------------
-
-    def to_payload_dict(self) -> dict:
-        """JSON-ready payloads of every retained solved component."""
-        return {
-            "format": "mis-payload-v1",
-            "entries": [dict(p) for p in self._payloads.values()],
-        }
-
-    def seed_from_payload(
-        self,
-        payload: dict,
-        sid_map: dict[int, int],
-        node_budget: int,
-        exact: bool,
-        max_exact_component: int,
-    ) -> int:
-        """Replay serialized components into this cache under a rename.
-
-        Each entry's vertices are relabeled through ``sid_map`` (old sid
-        -> new sid); entries touching an unmapped sid — a removed set —
-        are skipped, as are entries solved under different solver knobs.
-        Keys are recomputed from the relabeled content, so a seeded
-        entry hits only when the *new* build produces a component with
-        identical members, weights, and edges. Returns the number of
-        entries seeded.
-        """
-        from repro.mis.hypergraph_mis import WeightedHypergraph
-
-        knobs = [int(node_budget), bool(exact), int(max_exact_component)]
-        seeded = 0
-        for entry in payload.get("entries", []):
-            if list(entry.get("knobs", [])) != knobs:
-                continue
-            try:
-                vertices = [
-                    (_relabel_vertex(_decode_vertex(enc), sid_map), weight)
-                    for enc, weight in entry["vertices"]
-                ]
-                edges = [
-                    frozenset(
-                        _relabel_vertex(_decode_vertex(enc), sid_map)
-                        for enc in edge
-                    )
-                    for edge in entry["edges"]
-                ]
-                solution = {
-                    _relabel_vertex(_decode_vertex(enc), sid_map)
-                    for enc in entry["solution"]
-                }
-            except KeyError:
-                continue  # touches a removed set
-            sub = WeightedHypergraph(
-                vertices=[v for v, _ in vertices],
-                weights=dict(vertices),
-                edges=edges,
-            )
-            key = self.key(sub, node_budget, exact, max_exact_component)
-            self.put(
-                key,
-                solution,
-                component=sub,
-                knobs=(node_budget, exact, max_exact_component),
-            )
-            seeded += 1
-        return seeded
 
 
 _GLOBAL_CACHE: MISComponentCache | None = None

@@ -62,9 +62,7 @@ from repro.observability import get_tracer
 from repro.utils.parallel import parallel_map
 
 # Components at or below this size get the exact branch-and-bound;
-# larger ones fall to greedy. Exposed as a constant because the MIS
-# component-cache key includes it: cross-build seeding
-# (repro.incremental) must replay entries under identical knobs.
+# larger ones fall to greedy. The MIS component-cache key includes it.
 DEFAULT_MAX_EXACT_COMPONENT = 2000
 
 Vertex = Hashable
@@ -373,12 +371,7 @@ def solve_hypergraph_mis(
         for (sub, key), solution in zip(pending, solutions):
             kernel_solution |= solution
             if cache is not None and key is not None:
-                cache.put(
-                    key,
-                    solution,
-                    component=sub,
-                    knobs=(node_budget, exact, max_exact_component),
-                )
+                cache.put(key, solution)
 
     if reduction is not None:
         return expand_solution(reduction, kernel_solution)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mis.cache import MISComponentCache, get_mis_cache
+from repro.mis.cache import get_mis_cache
 from repro.mis.exact import BudgetExceededError, solve_exact
 from repro.mis.graph import WeightedGraph
 from repro.mis.greedy import solve_greedy
@@ -65,30 +65,20 @@ def _to_graph(hg: WeightedHypergraph) -> WeightedGraph:
 
 
 def solve_conflicts(
-    hg: WeightedHypergraph,
-    config: MISConfig | None = None,
-    cache: "MISComponentCache | None" = None,
+    hg: WeightedHypergraph, config: MISConfig | None = None
 ) -> set[Vertex]:
-    """Maximum-weight conflict-free subset of input-set ids.
-
-    ``cache`` overrides the process-global component cache on the
-    hypergraph path — the incremental builder passes a snapshot-scoped,
-    payload-keeping cache here so solved components persist across
-    builds instead of across sweeps.
-    """
+    """Maximum-weight conflict-free subset of input-set ids."""
     config = config or MISConfig()
     tracer = get_tracer()
     with tracer.span("mis.solve"):
         has_triples = any(len(edge) == 3 for edge in hg.edges)
         if has_triples:
-            if cache is None and config.use_cache:
-                cache = get_mis_cache()
             return solve_hypergraph_mis(
                 hg,
                 node_budget=config.hyper_node_budget,
                 exact=config.exact,
                 n_jobs=config.n_jobs,
-                cache=cache,
+                cache=get_mis_cache() if config.use_cache else None,
             )
         graph = _to_graph(hg)
         if config.exact:

@@ -13,6 +13,7 @@ from repro.observability.manifest import (
     make_run_id,
     peak_rss_bytes,
 )
+from repro.observability.quantiles import percentile
 from repro.observability.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -34,6 +35,7 @@ __all__ = [
     "instance_fingerprint",
     "make_run_id",
     "peak_rss_bytes",
+    "percentile",
     "set_tracer",
     "use_tracer",
 ]

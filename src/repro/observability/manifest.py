@@ -54,7 +54,15 @@ from repro.observability.tracer import NullTracer, Tracer
 # v11: output-sensitive post-MIS stages — the counters assign.rounds,
 # assign.set_evaluations (one count each per assign_duplicates call) and
 # intermediate.merges (one count per add_intermediate_categories call).
-SCHEMA_VERSION = 11
+# v12: delta builds are plain CTCR builds — the gauges
+# incremental.sets_{added,removed,reweighted},
+# incremental.pairs_{reused,reclassified,added,dropped},
+# incremental.components_{seeded,reused,resolved},
+# incremental.triples_{reused,recomputed,dropped},
+# incremental.delta_wall_s and incremental.est_full_wall_s, and the
+# counter incremental.fallbacks, are no longer emitted
+# (incremental.staging_{hits,misses} stay).
+SCHEMA_VERSION = 12
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource

@@ -30,7 +30,7 @@ from repro.core.exceptions import ReproError
 from repro.core.input_sets import OCTInstance
 from repro.core.tree import CategoryTree
 from repro.core.variants import Variant
-from repro.observability import get_tracer
+from repro.observability import get_tracer, percentile
 from repro.serving.indexes import BestCategory, SnapshotIndexes
 from repro.serving.querycat import categorize_query as _categorize_query
 from repro.serving.querycat import record_query_counters
@@ -461,18 +461,11 @@ class ServingEngine:
     def latency_percentiles(self) -> dict[str, float]:
         """p50/p95/p99/max over the recent latency window, in ms."""
         samples = sorted(self._latencies)
-        if not samples:
-            return {"p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0}
-
-        def pct(q: float) -> float:
-            rank = max(0, min(len(samples) - 1, int(q * len(samples)) - 1))
-            return samples[rank] * 1000.0
-
         return {
-            "p50_ms": pct(0.50),
-            "p95_ms": pct(0.95),
-            "p99_ms": pct(0.99),
-            "max_ms": samples[-1] * 1000.0,
+            "p50_ms": percentile(samples, 0.50) * 1000.0,
+            "p95_ms": percentile(samples, 0.95) * 1000.0,
+            "p99_ms": percentile(samples, 0.99) * 1000.0,
+            "max_ms": percentile(samples, 1.0) * 1000.0,
         }
 
     def stats(self) -> dict:

@@ -13,13 +13,8 @@ A swap has two halves with very different costs:
    half-installed generation.
 
 :class:`HotSwapper` packages the common sources of a new generation
-(a snapshot store reload, a fresh builder run, an incremental delta
-rebuild) behind that two-phase protocol, synchronously or on a daemon
-thread. Delta rebuilds (``rebuild_mode="delta"``) carry a
-:class:`~repro.incremental.BuildState` between swaps: the first swap
-pays a full build, later swaps pay only the churned neighborhood, and
-any state mismatch falls back to a full rebuild — full mode stays both
-the fallback and the correctness oracle.
+(a snapshot store reload or a fresh builder run) behind that two-phase
+protocol, synchronously or on a daemon thread.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from repro.serving.shm import prepare_mmap_generation
 from repro.serving.snapshot import SnapshotStore
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.incremental import BuildState, IncrementalBuilder
     from repro.shaping import CostModel, ShapingBudget, ShapingResult
 
 
@@ -62,9 +56,6 @@ class HotSwapper:
         self.cost_model = cost_model
         self.last_shaping: "ShapingResult | None" = None
         self._swap_lock = threading.Lock()  # serializes whole swaps
-        # Carried between delta swaps; None until the first delta
-        # rebuild bootstraps it with a full build.
-        self.delta_state: "BuildState | None" = None
 
     def _maybe_shape(self, tree, instance: OCTInstance, variant: Variant):
         """Apply the configured shaping budget to a freshly built tree."""
@@ -115,56 +106,6 @@ class HotSwapper:
             return self.generation_from_store(store, snapshot_id)
         return prepare_generation(tree, instance, variant)
 
-    def generation_from_delta(
-        self,
-        incremental: "IncrementalBuilder",
-        instance: OCTInstance,
-        variant: Variant,
-        store: SnapshotStore | None = None,
-    ) -> Generation:
-        """Prepare a generation via an incremental delta rebuild.
-
-        Uses the swapper's carried ``delta_state`` when it exists; the
-        first call (or any state mismatch, counted as
-        ``incremental.fallbacks``) runs a full build instead. With
-        ``store`` the result is saved as a snapshot and its build state
-        as a sidecar (:class:`~repro.incremental.IncrementalStateStore`),
-        so a restarted process can keep delta-building. The snapshot is
-        only saved after the build succeeds — a crash mid-build leaves
-        the store's CURRENT pointer untouched.
-        """
-        from repro.incremental import (
-            DeltaMismatchError,
-            IncrementalStateStore,
-        )
-
-        tracer = get_tracer()
-        with tracer.span("serving.delta_rebuild"):
-            state = self.delta_state
-            if state is None:
-                tree, new_state = incremental.full_build(instance, variant)
-            else:
-                try:
-                    result = incremental.delta_build(
-                        state, instance, variant
-                    )
-                    tree, new_state = result.tree, result.state
-                except DeltaMismatchError:
-                    tracer.count("incremental.fallbacks")
-                    tree, new_state = incremental.full_build(
-                        instance, variant
-                    )
-        self.delta_state = new_state
-        # Shape only the published/archived form; the carried delta
-        # state keeps tracking the unshaped build lineage so later
-        # deltas still match it.
-        tree = self._maybe_shape(tree, instance, variant)
-        if store is not None:
-            snapshot_id = store.save(tree, instance, variant).snapshot_id
-            IncrementalStateStore(store.root).save(snapshot_id, new_state)
-            return self.generation_from_store(store, snapshot_id)
-        return prepare_generation(tree, instance, variant)
-
     # -- swapping ------------------------------------------------------------
 
     def swap(self, prepare: Callable[[], Generation]) -> Generation:
@@ -186,30 +127,12 @@ class HotSwapper:
 
     def swap_from_build(
         self,
-        builder,
+        builder: TreeBuilder,
         instance: OCTInstance,
         variant: Variant,
         store: SnapshotStore | None = None,
-        rebuild_mode: str = "full",
     ) -> Generation:
-        """Rebuild and publish the result.
-
-        ``rebuild_mode="full"`` takes any :class:`TreeBuilder` and
-        rebuilds from scratch; ``rebuild_mode="delta"`` takes an
-        :class:`~repro.incremental.IncrementalBuilder` and reuses the
-        swapper's carried build state (full rebuild on first use or
-        state mismatch).
-        """
-        if rebuild_mode == "delta":
-            return self.swap(
-                lambda: self.generation_from_delta(
-                    builder, instance, variant, store
-                )
-            )
-        if rebuild_mode != "full":
-            raise ValueError(
-                f"rebuild_mode must be 'full' or 'delta', got {rebuild_mode!r}"
-            )
+        """Rebuild from scratch and publish the result."""
         return self.swap(
             lambda: self.generation_from_build(builder, instance, variant, store)
         )

@@ -32,6 +32,7 @@ from urllib.parse import quote, urlsplit
 
 from repro.core.input_sets import OCTInstance
 from repro.core.tree import CategoryTree
+from repro.observability import percentile
 from repro.serving.engine import ServingEngine
 
 # Operation mix of a navigation-heavy storefront: mostly query->category
@@ -102,14 +103,6 @@ class LoadGenResult:
             "generation_after": self.generation_after,
             "swap_performed": self.swap_performed,
         }
-
-
-def percentile(sorted_samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending sample list."""
-    if not sorted_samples:
-        return 0.0
-    rank = max(0, min(len(sorted_samples) - 1, int(q * len(sorted_samples)) - 1))
-    return sorted_samples[rank]
 
 
 def build_workload(

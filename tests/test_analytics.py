@@ -269,79 +269,6 @@ class TestDrift:
         )
         assert engine.generation == generation_before + 1
 
-    def test_drift_rebuild_defaults_to_delta_and_reuses_mis(self, tmp_path):
-        """A drift-triggered rebuild rides the delta path by default.
-
-        The first apply bootstraps the swapper's carried delta state
-        (a plain ``CTCR`` is wrapped into an ``IncrementalBuilder``
-        transparently); a second drift that reweights only one conflict
-        component must delta-build, reusing the untouched component's
-        MIS solution instead of re-solving it.
-        """
-        # The paper's Figure 2 sets yield a 3-conflict MIS component
-        # that survives into the carried cache; the disjoint b-pair is
-        # where the traffic drifts, so the component's member weights
-        # never change and its solution must be reused.
-        instance = make_instance(
-            [
-                {"a", "b", "c", "d", "e"},
-                {"a", "b"},
-                {"c", "d", "e", "f"},
-                {"a", "b", "f", "g", "h"},
-                {"x1", "x2", "x3"},
-                {"x2", "x3", "x4"},
-            ],
-            weights=[2.0, 1.0, 1.0, 1.0, 4.0, 3.0],
-            labels=[
-                "black shirt", "black adidas shirt", "nike shirt",
-                "long sleeve shirt", "b-wide", "b-shift",
-            ],
-        )
-        variant = Variant.threshold_jaccard(0.8)
-        tree = CTCR().build(instance, variant)
-        store = SnapshotStore(tmp_path / "snapshots")
-        info = store.save(tree, instance, variant)
-        engine = ServingEngine.from_snapshot(store.load(info.snapshot_id))
-        swapper = HotSwapper(engine)
-        assert swapper.delta_state is None
-
-        def drift_toward_b(factor):
-            b_sids = [
-                q.sid for q in instance.sets if q.label.startswith("b-")
-            ]
-            return RebuildRecommendation(
-                should_rebuild=True,
-                total_variation=0.5,
-                rebuild_threshold=0.25,
-                reason="test drift",
-                drifted=(),
-                suggested_weights={
-                    sid: instance.sets[sid].weight * factor for sid in b_sids
-                },
-            )
-
-        # First apply: bootstraps the carried state with a full build.
-        generation = apply_recommendation(
-            drift_toward_b(2.0), swapper, CTCR(), instance, variant,
-            store=store,
-        )
-        assert generation is not None
-        assert swapper.delta_state is not None
-
-        # Second apply: weights-only churn on the b-component. The
-        # a-component's MIS solution must be reused from the carried
-        # state, not re-solved.
-        with use_tracer(Tracer()) as tracer:
-            generation2 = apply_recommendation(
-                drift_toward_b(4.0), swapper, CTCR(), instance, variant,
-                store=store,
-            )
-        assert generation2 is not None
-        gauges = tracer.gauges
-        assert gauges.get("incremental.sets_reweighted", 0) > 0
-        assert gauges.get("incremental.components_reused", 0) > 0
-        assert gauges.get("incremental.components_resolved", 0) == 0
-
 
 class TestCLI:
     def publish(self, tmp_path):

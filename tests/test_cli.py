@@ -154,6 +154,7 @@ class TestBuildEngineFlags:
         ["--bitset", "on"],
         ["--cct-cache", "on"],
         ["--cct-cluster", "legacy"],
+        ["--delta-from", "snapshots"],
     ], ids=lambda flag: flag[0])
     def test_removed_engine_switches_exit_2(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:

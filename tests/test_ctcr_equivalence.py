@@ -4,9 +4,9 @@
 mirrors the scalar closed forms term for term, so it must agree exactly
 with :func:`tests.oracles.pairwise_reference` — the per-item inverted
 index classifying one pair at a time — on every instance and variant:
-same pair classifications, and the same trees and scores when CTCR is
-handed the oracle's analysis instead of computing its own
-(``BuildReuse(analysis=...)``). These tests pin that contract.
+same pair classifications, and the same trees and scores when CTCR
+classifies its pairs with the oracle (``compute_pairwise`` patched on
+:mod:`repro.algorithms.ctcr`). These tests pin that contract.
 
 The same differential harness pins the observability layer: tracing is
 measurement only, so builds with tracing enabled must be bit-identical —
@@ -21,7 +21,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.algorithms import CCT, CTCR, BuildReuse, CTCRConfig
+from repro.algorithms import CCT, CTCR, CTCRConfig
+from repro.algorithms import ctcr as ctcr_module
 from repro.conflicts import two_conflicts
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.mis import MISConfig, clear_mis_cache
@@ -112,39 +113,40 @@ class TestPairwiseEquivalence:
                 )
 
 
-def build_fingerprint(instance, variant, reuse=None, **config):
-    tree = CTCR(CTCRConfig(**config)).build(instance, variant, reuse=reuse)
+def build_fingerprint(instance, variant, **config):
+    tree = CTCR(CTCRConfig(**config)).build(instance, variant)
     report = score_tree(tree, instance, variant)
     return tree_to_dict(tree), report.normalized, report.total, tree.to_text()
 
 
-def assert_tree_matches_oracle(instance, variant):
-    """Default CTCR == CTCR handed the scalar oracle's pairwise analysis."""
-    oracle = BuildReuse(analysis=pairwise_reference(instance, variant))
-    assert build_fingerprint(instance, variant) == build_fingerprint(
-        instance, variant, reuse=oracle
-    )
+def assert_tree_matches_oracle(monkeypatch, instance, variant):
+    """Default CTCR == CTCR classifying its pairs with the scalar oracle."""
+    default = build_fingerprint(instance, variant)
+    with monkeypatch.context() as patch:
+        patch.setattr(ctcr_module, "compute_pairwise", pairwise_reference)
+        oracle = build_fingerprint(instance, variant)
+    assert default == oracle
 
 
 class TestTreeEquivalence:
     @pytest.mark.parametrize(
         "variant", EQUIV_VARIANTS, ids=lambda v: str(v)
     )
-    def test_random_instance_trees_identical(self, variant):
+    def test_random_instance_trees_identical(self, variant, monkeypatch):
         for seed in (17, 18, 19):
             assert_tree_matches_oracle(
-                random_instance(seed, n_sets=25), variant
+                monkeypatch, random_instance(seed, n_sets=25), variant
             )
 
     def test_paper_examples_trees_identical(
-        self, figure2_instance, example32_instance, all_variants
+        self, figure2_instance, example32_instance, all_variants, monkeypatch
     ):
         for instance in (figure2_instance, example32_instance):
             for variant in all_variants:
-                assert_tree_matches_oracle(instance, variant)
+                assert_tree_matches_oracle(monkeypatch, instance, variant)
 
     @pytest.mark.slow
-    def test_tiny_dataset_trees_identical(self, tiny_dataset):
+    def test_tiny_dataset_trees_identical(self, tiny_dataset, monkeypatch):
         from repro.pipeline import preprocess
 
         for variant in (
@@ -153,7 +155,7 @@ class TestTreeEquivalence:
             Variant.cutoff_f1(0.7),
         ):
             instance, _report = preprocess(tiny_dataset, variant)
-            assert_tree_matches_oracle(instance, variant)
+            assert_tree_matches_oracle(monkeypatch, instance, variant)
 
     @pytest.mark.slow
     def test_n_jobs_parity(self, tiny_dataset):

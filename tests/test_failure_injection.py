@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import CCT, CTCR, CTCRConfig
-from repro.incremental import CatalogDelta
 from repro.algorithms.condense import condense
 from repro.core import CategoryTree, Variant, make_instance, score_tree
 from repro.mis import (
@@ -178,135 +177,50 @@ class TestCondenseInvariants:
 
 
 class TestIncrementalCrash:
-    """A crash mid-delta-build must not corrupt the snapshot store.
+    """A crash mid-rebuild must not corrupt the snapshot store.
 
-    The delta path only saves a snapshot (and its state sidecar) after
-    the build succeeds, so an injected failure anywhere inside the
-    rebuild must leave CURRENT pointing at the pre-crash snapshot, leave
-    no staged garbage behind, and let the next full rebuild publish
-    normally.
+    ``HotSwapper.swap_from_build`` only saves a snapshot after the build
+    succeeds, so an injected failure inside the rebuild must leave
+    CURRENT pointing at the pre-crash snapshot, leave no staged garbage
+    behind, and let the next rebuild publish normally.
     """
-
-    def _swapper_with_store(self, tmp_path, figure2_instance):
-        from repro.incremental import IncrementalBuilder
-        from repro.serving import ServingEngine, SnapshotStore
-        from repro.serving.hotswap import HotSwapper
-
-        variant = Variant.threshold_jaccard(0.8)
-        store = SnapshotStore(tmp_path)
-        engine = ServingEngine()
-        swapper = HotSwapper(engine)
-        builder = IncrementalBuilder(CTCRConfig())
-        swapper.swap_from_build(
-            builder, figure2_instance, variant, store, rebuild_mode="delta"
-        )
-        return swapper, builder, store, variant
 
     def test_crash_mid_delta_leaves_current_untouched(
         self, tmp_path, figure2_instance, monkeypatch
     ):
-        from tests.churn import random_delta
         import random
 
-        swapper, builder, store, variant = self._swapper_with_store(
-            tmp_path, figure2_instance
-        )
+        from repro.serving import ServingEngine, SnapshotStore
+        from repro.serving.hotswap import HotSwapper
+        from tests.churn import random_delta
+
+        variant = Variant.threshold_jaccard(0.8)
+        store = SnapshotStore(tmp_path)
+        swapper = HotSwapper(ServingEngine())
+        builder = CTCR(CTCRConfig())
+        swapper.swap_from_build(builder, figure2_instance, variant, store)
         current_before = store.current_id()
         assert current_before is not None
-        state_before = swapper.delta_state
+        generation_before = swapper.engine.generation
 
         delta = random_delta(figure2_instance, random.Random(1), frac=0.4)
         churned = delta.apply(figure2_instance)
 
         def boom(*args, **kwargs):
-            raise RuntimeError("injected crash mid-delta-build")
+            raise RuntimeError("injected crash mid-rebuild")
 
-        monkeypatch.setattr(type(builder), "delta_build", boom)
+        monkeypatch.setattr(type(builder), "build", boom)
         with pytest.raises(RuntimeError, match="injected crash"):
-            swapper.swap_from_build(
-                builder, churned, variant, store, rebuild_mode="delta"
-            )
+            swapper.swap_from_build(builder, churned, variant, store)
         monkeypatch.undo()
 
-        # CURRENT still points at the pre-crash snapshot and the store
-        # has no half-written staging directories.
+        # CURRENT still points at the pre-crash snapshot, the store has
+        # no half-written staging directories, and nothing was published.
         assert store.current_id() == current_before
         assert not [p for p in tmp_path.iterdir() if "staging" in p.name]
-        assert swapper.delta_state is state_before
+        assert swapper.engine.generation == generation_before
 
-        # The next rebuild (bootstrapping or delta) publishes normally.
-        gen = swapper.swap_from_build(
-            builder, churned, variant, store, rebuild_mode="delta"
-        )
+        # The next rebuild publishes normally.
+        gen = swapper.swap_from_build(builder, churned, variant, store)
         assert store.current_id() == gen.snapshot_id
         assert store.current_id() != current_before
-
-    def test_crash_inside_conflict_update_is_equally_safe(
-        self, tmp_path, figure2_instance, monkeypatch
-    ):
-        """Inject deeper: the pairwise-update stage itself dies."""
-        from repro.incremental import builder as builder_mod
-
-        swapper, builder, store, variant = self._swapper_with_store(
-            tmp_path, figure2_instance
-        )
-        current_before = store.current_id()
-        churned = CatalogDelta(
-            removed=frozenset({figure2_instance.sets[1].sid})
-        ).apply(figure2_instance)
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected crash in update_pairwise")
-
-        monkeypatch.setattr(builder_mod, "update_pairwise", boom)
-        with pytest.raises(RuntimeError, match="update_pairwise"):
-            swapper.swap_from_build(
-                builder, churned, variant, store, rebuild_mode="delta"
-            )
-        monkeypatch.undo()
-
-        assert store.current_id() == current_before
-        assert not [p for p in tmp_path.iterdir() if "staging" in p.name]
-        gen = swapper.swap_from_build(
-            builder, churned, variant, store, rebuild_mode="delta"
-        )
-        assert store.current_id() == gen.snapshot_id
-
-    def test_crash_during_sidecar_save_keeps_prior_sidecar(
-        self, tmp_path, figure2_instance, monkeypatch
-    ):
-        """A torn state-sidecar write never leaves a torn file."""
-        import json
-
-        from repro.incremental import IncrementalStateStore
-
-        swapper, builder, store, variant = self._swapper_with_store(
-            tmp_path, figure2_instance
-        )
-        current_before = store.current_id()
-        states = IncrementalStateStore(store.root)
-        assert states.has(current_before)
-
-        real_replace = __import__("os").replace
-
-        def torn_replace(src, dst):
-            if "incremental" in str(dst):
-                raise RuntimeError("injected crash during sidecar rename")
-            return real_replace(src, dst)
-
-        churned = CatalogDelta(
-            reweighted=((figure2_instance.sets[0].sid, 9.0),)
-        ).apply(figure2_instance)
-        import repro.incremental.state as state_mod
-
-        monkeypatch.setattr(state_mod.os, "replace", torn_replace)
-        with pytest.raises(RuntimeError, match="sidecar rename"):
-            swapper.swap_from_build(
-                builder, churned, variant, store, rebuild_mode="delta"
-            )
-        monkeypatch.undo()
-
-        # The old sidecar is still valid JSON (atomic replace semantics).
-        old_sidecar = states.path_for(current_before)
-        json.loads(old_sidecar.read_text())
-        assert states.load(current_before) is not None

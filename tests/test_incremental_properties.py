@@ -1,17 +1,15 @@
-"""Property tier for incremental rebuilds (ISSUE satellites 1 and 3).
+"""Property tier for catalog deltas and delta builds.
 
 The delta algebra and the build pipeline each carry a law:
 
 * **composition** — delta-building twice equals delta-building once
   with the composed delta, equals a from-scratch build of the final
   instance (``apply ∘ apply == apply ∘ compose``).
-* **identity** — the empty delta is a no-op: zero dirty pairs, zero
-  re-solved components, and an identical tree.
-* **weight sensitivity** (the cross-build invalidation edge): a
-  reweight-only delta changes MWIS inputs without changing any member
-  set, so cached MIS components whose weights changed must MISS — the
-  cache key is weight-inclusive by construction, and the regression
-  tests here pin both the key property and the end-to-end tree.
+* **identity** — the empty delta is a no-op on the instance.
+* **weight sensitivity**: a reweight-only delta changes MWIS inputs
+  without changing any member set, so the MIS component-cache key must
+  be weight-inclusive, and reweight-only churn must still build the
+  trees a from-scratch build does.
 """
 
 from __future__ import annotations
@@ -23,16 +21,17 @@ import pytest
 
 from tests.churn import delta_sequence, random_delta
 from repro.algorithms import CTCR, CTCRConfig
+from repro.conflicts.three_conflicts import compute_three_conflicts
+from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant
 from repro.core.input_sets import InputSet
 from repro.incremental import (
     CatalogDelta,
-    DeltaMismatchError,
     IncrementalBuilder,
-    IncrementalStateStore,
     InvalidDeltaError,
 )
 from repro.io import instance_to_dict, tree_to_dict
+from repro.mis import MISConfig, clear_mis_cache
 from repro.mis.cache import MISComponentCache
 from repro.mis.hypergraph_mis import (
     DEFAULT_MAX_EXACT_COMPONENT,
@@ -116,7 +115,7 @@ class TestDeltaAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Build composition (satellite 1)
+# Build composition
 # ---------------------------------------------------------------------------
 
 
@@ -144,34 +143,9 @@ class TestBuildComposition:
             assert tree_json(chained.tree) == tree_json(one_shot.tree)
             assert tree_json(chained.tree) == tree_json(full)
 
-    def test_empty_delta_build_is_a_full_reuse_noop(self, figure2_instance):
-        builder = IncrementalBuilder(CTCRConfig())
-        tree, state = builder.full_build(figure2_instance, VARIANT)
-        result = builder.delta_build(
-            state, CatalogDelta().apply(figure2_instance), VARIANT
-        )
-        counters = result.counters
-        assert tree_json(result.tree) == tree_json(tree)
-        assert counters["incremental.sets_added"] == 0
-        assert counters["incremental.sets_removed"] == 0
-        assert counters["incremental.sets_reweighted"] == 0
-        assert counters["incremental.pairs_reclassified"] == 0
-        assert counters["incremental.pairs_added"] == 0
-        assert counters["incremental.pairs_dropped"] == 0
-        # 100% component reuse: nothing is re-solved.
-        assert counters["incremental.components_resolved"] == 0
-
-    def test_variant_mismatch_raises(self, figure2_instance):
-        builder = IncrementalBuilder(CTCRConfig())
-        _tree, state = builder.full_build(figure2_instance, VARIANT)
-        with pytest.raises(DeltaMismatchError):
-            builder.delta_build(
-                state, figure2_instance, Variant.threshold_jaccard(0.8)
-            )
-
 
 # ---------------------------------------------------------------------------
-# Reweight invalidation (satellite 3)
+# Reweight invalidation
 # ---------------------------------------------------------------------------
 
 
@@ -196,39 +170,43 @@ class TestReweightInvalidation:
     def test_reweight_only_delta_resolves_its_component(
         self, figure2_instance
     ):
-        """A reweight that flips the MWIS winner must not reuse the
-        stale cached solution — regression for the cross-build
-        invalidation edge.
+        """A reweight that flips the MWIS winner must not replay the
+        stale solution from the process-global component cache.
 
         Under ``threshold_jaccard(0.8)`` figure2 yields one 3-conflict
         component that survives kernelization into the MIS cache; an
-        empty delta reuses it (control below), while reweighting a
-        member must re-solve it even though every member set is
+        unchanged rebuild replays it (control below), while reweighting
+        a member must re-solve it even though every member set is
         byte-identical.
         """
         variant = Variant.threshold_jaccard(0.8)
-        builder = IncrementalBuilder(CTCRConfig())
-        tree1, state = builder.full_build(figure2_instance, variant)
-        assert state.triples, "scenario needs a surviving 3-conflict"
+        triples = compute_three_conflicts(
+            compute_pairwise(figure2_instance, variant)
+        )
+        assert triples, "scenario needs a 3-conflict"
+        clear_mis_cache()
+        builder = CTCR(CTCRConfig(mis=MISConfig(use_cache=True)))
+        tree1 = builder.build(figure2_instance, variant)
 
-        # Control: no changes -> the cached component is reused.
-        control = builder.delta_build(state, figure2_instance, variant)
-        assert control.counters["incremental.components_reused"] >= 1
-        assert control.counters["incremental.components_resolved"] == 0
+        # Control: no changes -> the cached component is replayed.
+        builder.build(figure2_instance, variant)
+        assert builder.last_diagnostics.mis_cache_hits >= 1
+        assert builder.last_diagnostics.mis_cache_misses == 0
 
-        flip_sid = sorted(state.triples)[0][0]
+        flip_sid = sorted(triples)[0][0]
         delta = CatalogDelta(reweighted=((flip_sid, 50.0),))
         delta.validate(figure2_instance)
         churned = delta.apply(figure2_instance)
 
-        result = builder.delta_build(state, churned, variant)
+        tree = builder.build(churned, variant)
+        clear_mis_cache()
         oracle = CTCR(CTCRConfig()).build(churned, variant)
-        assert tree_json(result.tree) == tree_json(oracle)
+        assert tree_json(tree) == tree_json(oracle)
         # The winner flipped, so the trees genuinely differ...
-        assert tree_json(result.tree) != tree_json(tree1)
-        # ...because the reweighted component was re-solved, not reused.
-        assert result.counters["incremental.components_resolved"] >= 1
-        assert result.counters["incremental.components_reused"] == 0
+        assert tree_json(tree) != tree_json(tree1)
+        # ...because the reweighted component was re-solved, not replayed.
+        assert builder.last_diagnostics.mis_cache_misses >= 1
+        assert builder.last_diagnostics.mis_cache_hits == 0
 
     def test_reweight_differential_over_sequences(self, figure2_instance):
         """Reweight-only churn stays tree-identical to full rebuilds."""
@@ -242,31 +220,3 @@ class TestReweightInvalidation:
             state = result.state
             oracle = CTCR(CTCRConfig()).build(churned, VARIANT)
             assert tree_json(result.tree) == tree_json(oracle)
-
-
-# ---------------------------------------------------------------------------
-# State persistence
-# ---------------------------------------------------------------------------
-
-
-class TestStatePersistence:
-    def test_round_trip_preserves_delta_builds(self, tmp_path, figure2_instance):
-        builder = IncrementalBuilder(CTCRConfig())
-        _tree, state = builder.full_build(figure2_instance, VARIANT)
-        store = IncrementalStateStore(tmp_path)
-        store.save("snap-test", state)
-        loaded = store.load("snap-test")
-        assert loaded is not None
-        assert loaded.fingerprint == state.fingerprint
-        assert loaded.variant == state.variant
-        assert loaded.analysis.conflicts == state.analysis.conflicts
-        assert loaded.triples == state.triples
-
-        delta = random_delta(figure2_instance, random.Random(3), frac=0.4)
-        churned = delta.apply(figure2_instance)
-        from_loaded = builder.delta_build(loaded, churned, VARIANT)
-        from_live = builder.delta_build(state, churned, VARIANT)
-        assert tree_json(from_loaded.tree) == tree_json(from_live.tree)
-
-    def test_missing_sidecar_loads_as_none(self, tmp_path):
-        assert IncrementalStateStore(tmp_path).load("nope") is None

@@ -1,28 +1,17 @@
 """The public API surface: everything in __all__ must resolve."""
 
 import importlib
+import pkgutil
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.algorithms",
-    "repro.baselines",
-    "repro.catalog",
-    "repro.clustering",
-    "repro.conflicts",
-    "repro.core",
-    "repro.embeddings",
-    "repro.evaluation",
-    "repro.maintenance",
-    "repro.mis",
-    "repro.observability",
-    "repro.pipeline",
-    "repro.scale",
-    "repro.search",
-    "repro.serving",
-    "repro.shaping",
-    "repro.utils",
+import repro
+
+# Every subpackage of repro, found on disk so a new one cannot be missed.
+PACKAGES = ["repro"] + [
+    f"repro.{info.name}"
+    for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
 ]
 
 
@@ -41,8 +30,6 @@ def test_all_is_sorted(package):
 
 
 def test_version_string():
-    import repro
-
     assert repro.__version__.count(".") == 2
 
 

@@ -142,6 +142,16 @@ class TestEngineOperations:
         assert 0.0 <= stats["cache"]["hit_rate"] <= 1.0
         assert set(stats["latency"]) == {"p50_ms", "p95_ms", "p99_ms", "max_ms"}
 
+    def test_latency_percentiles_use_nearest_rank(self, engine):
+        """Rank ``ceil(q * n)``: p95 and p99 of 1..10 ms are 10 ms."""
+        engine._latencies.clear()
+        engine._latencies.extend(ms / 1000.0 for ms in range(1, 11))
+        latency = engine.stats()["latency"]
+        assert latency["p50_ms"] == pytest.approx(5.0)
+        assert latency["p95_ms"] == pytest.approx(10.0)
+        assert latency["p99_ms"] == pytest.approx(10.0)
+        assert latency["max_ms"] == pytest.approx(10.0)
+
 
 class TestCaching:
     def test_repeat_queries_hit_cache(self, engine):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.algorithms import CTCR
 from repro.core import Variant
+from repro.observability import percentile
 from repro.serving import (
     DEFAULT_MIX,
     HotSwapper,
@@ -12,7 +13,6 @@ from repro.serving import (
     build_workload,
     run_loadgen,
 )
-from repro.serving.loadgen import percentile
 
 
 @pytest.fixture()
@@ -62,6 +62,15 @@ class TestPercentile:
         assert percentile(samples, 0.5) == 2.0
         assert percentile(samples, 1.0) == 4.0
         assert percentile(samples, 0.01) == 1.0
+
+    def test_rank_is_ceil_of_q_times_n(self):
+        """p95 and p99 of 1..10 are the 10th sample, not the 9th."""
+        samples = [float(v) for v in range(1, 11)]
+        assert percentile(samples, 0.50) == 5.0
+        assert percentile(samples, 0.90) == 9.0
+        assert percentile(samples, 0.95) == 10.0
+        assert percentile(samples, 0.99) == 10.0
+        assert percentile(samples, 0.0) == 1.0
 
 
 class TestRunLoadgen:
