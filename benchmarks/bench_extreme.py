@@ -178,8 +178,7 @@ def run_point(
     index_s = time.perf_counter() - t0
 
     postings_bytes = sum(
-        len(shard._views[name])
-        for shard in indexes._shards
+        len(indexes._flat._views[name])
         for name in ("item_post_var", "item_place_var")
     )
     snapshot_bytes = postings_bytes + 64 * len(tree)

@@ -24,7 +24,7 @@ Written to ``benchmarks/BENCH_querycat.json``:
    republishes the CURRENT snapshot at the halfway mark; p50/p95/p99
    latency, throughput, and an **asserted zero errors** across the flip.
 4. **Identity gate**: every held-out prediction is recomputed by the
-   reader over the store's mapped files (``MmapSnapshotIndexes``) and
+   reader over the store's mapped file (``SnapshotIndexes.open``) and
    asserted equal to the in-process buffer's result, dict for dict.
 
 ``--tiny`` runs a seconds-scale version on dataset A for CI smoke (own
@@ -55,8 +55,8 @@ from repro.observability import percentile
 from repro.pipeline import PreprocessConfig, preprocess
 from repro.serving import (
     HotSwapper,
-    MmapSnapshotIndexes,
     ServingEngine,
+    SnapshotIndexes,
     SnapshotStore,
     categorize_query,
 )
@@ -215,8 +215,8 @@ def run(tiny: bool = False) -> dict:
         )
 
         # -- identity gate: the mapping must answer dict-for-dict ------------
-        flat_paths = store.flat_paths(info.snapshot_id)
-        with MmapSnapshotIndexes(flat_paths) as mm:
+        flat_path = store.ensure_flat(info.snapshot_id)
+        with SnapshotIndexes.open(flat_path) as mm:
             for r in records:
                 assert categorize_query(mm, r["label"]) == r["result"], (
                     f"mapped reader diverged on {r['label']!r}"

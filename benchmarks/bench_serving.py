@@ -4,7 +4,7 @@ Three experiments over one snapshotted CTCR tree, all written to
 ``benchmarks/BENCH_serving.json``:
 
 1. **Load test with a mid-run hot swap**: a deterministic closed-loop
-   workload (the storefront mix from :data:`repro.serving.DEFAULT_MIX`)
+   workload (the storefront mix from :data:`benchmarks.loadgen.DEFAULT_MIX`)
    hammered by 8 worker threads; at the halfway mark a coordinator
    reloads the CURRENT snapshot and publishes it as a new generation
    while the workers keep issuing requests. Records p50/p95/p99/mean
@@ -22,8 +22,8 @@ Three experiments over one snapshotted CTCR tree, all written to
    runs entirely off the read path.
 
 The payload also records the snapshot's on-disk footprint: per-section
-flat-file bytes summed across shards (``snapshot_sections``) and the
-RSS the flat mappings keep resident after a read sweep
+flat-file bytes (``snapshot_sections``) and the RSS the flat mapping
+keeps resident after a read sweep
 (``mapped_resident_bytes``, ``null`` off-Linux).
 
 ``--tiny`` runs a seconds-scale version on dataset A for CI smoke (own
@@ -44,6 +44,7 @@ if str(_ROOT) not in sys.path:  # allow `python benchmarks/bench_...py`
 
 from benchmarks.common import bench_report, write_bench_json
 from benchmarks.conftest import instance_for
+from benchmarks.loadgen import build_workload, run_loadgen
 from repro.algorithms import CTCR
 from repro.core import Variant
 from repro.observability import get_tracer
@@ -51,10 +52,8 @@ from repro.serving import (
     HotSwapper,
     ServingEngine,
     SnapshotStore,
-    build_workload,
     describe_flat,
     prepare_mmap_generation,
-    run_loadgen,
 )
 
 VARIANT = Variant.threshold_jaccard(0.8)
@@ -112,12 +111,12 @@ def run(tiny: bool = False) -> dict:
         warm = run_loadgen(warm_engine, workload, n_workers=n_workers)
 
         # -- snapshot footprint: per-section bytes + mapped residency --------
-        flat_paths = store.flat_paths(info.snapshot_id)
-        snapshot_sections = section_bytes(flat_paths)
+        flat_path = store.ensure_flat(info.snapshot_id)
+        snapshot_sections = section_bytes(flat_path)
         mmap_generation = prepare_mmap_generation(store)
         for item in list(loaded.instance.universe)[:200]:
             mmap_generation.indexes.placements(item)  # touch the pages
-        resident = mapped_resident_bytes(flat_paths)
+        resident = mapped_resident_bytes(flat_path)
         mmap_generation.indexes.close()
 
         # -- experiment 3: prepare vs publish cost ---------------------------
@@ -165,27 +164,24 @@ def run(tiny: bool = False) -> dict:
     return payload
 
 
-def section_bytes(paths) -> dict[str, int]:
-    """Per-section bytes, summed across shard files."""
-    sections: dict[str, int] = {}
-    for path in paths:
-        for sec in describe_flat(path)["sections"]:
-            sections[sec["name"]] = sections.get(sec["name"], 0) + sec["bytes"]
-    return sections
+def section_bytes(path) -> dict[str, int]:
+    """Per-section bytes of one flat file."""
+    return {
+        sec["name"]: sec["bytes"] for sec in describe_flat(path)["sections"]
+    }
 
 
-def mapped_resident_bytes(paths) -> int | None:
-    """RSS attributed to the given files in /proc/self/smaps (Linux)."""
+def mapped_resident_bytes(path) -> int | None:
+    """RSS attributed to the file's mappings in /proc/self/smaps (Linux)."""
     smaps = Path("/proc/self/smaps")
     if not smaps.exists():  # pragma: no cover - non-Linux
         return None
-    names = {p.name for p in paths}
     total = 0
     tracking = False
     for line in smaps.read_text().splitlines():
         first = line.split(None, 1)[0] if line else ""
         if "-" in first:  # an address-range header line
-            tracking = any(line.endswith(name) for name in names)
+            tracking = line.endswith(path.name)
         elif tracking and line.startswith("Rss:"):
             total += int(line.split()[1]) * 1024
     return total

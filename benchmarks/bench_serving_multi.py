@@ -36,10 +36,11 @@ if str(_ROOT) not in sys.path:  # allow `python benchmarks/bench_...py`
 
 from benchmarks.common import available_cpus, bench_report, write_bench_json
 from benchmarks.conftest import instance_for
+from benchmarks.loadgen import build_workload, run_http_loadgen
 from repro.algorithms import CTCR
 from repro.core import Variant, make_instance
 from repro.observability import get_tracer
-from repro.serving import SnapshotStore, build_workload, run_http_loadgen
+from repro.serving import SnapshotStore
 
 VARIANT = Variant.threshold_jaccard(0.8)
 

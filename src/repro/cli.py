@@ -15,9 +15,8 @@ Commands:
                   load a snapshot, answer categorize/browse/search
                   queries, hot-swap on demand).
 * ``inspect-snapshot`` — print the flat binary snapshot's section table
-                  (name, kind, count, bytes, % of total) per shard, with
-                  per-group subtotals comparing the dense and succinct
-                  layouts.
+                  (name, kind, count, bytes, % of total), with per-group
+                  subtotals.
 * ``categorize-query`` — map free-text queries onto the tree via the
                   staged decision procedure (exact label hit, token
                   overlap, confidence-thresholded back-off).
@@ -241,9 +240,6 @@ def cmd_serve(args) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     if args.workers > 1 and store is None:
         print(
             "error: --workers > 1 requires --snapshot-dir (worker "
@@ -272,7 +268,7 @@ def cmd_serve(args) -> int:
                 max_requests=args.max_requests,
             )
             return _serve_loop(server, engine)
-        info = store.save(tree, instance, variant, flat_shards=args.shards)
+        info = store.save(tree, instance, variant)
         print(f"built and saved snapshot {info.snapshot_id}")
 
     # The workers map the store's files themselves: the parent never
@@ -292,9 +288,8 @@ def _serve_multi(args, store) -> int:
     """Run N SO_REUSEPORT worker processes on one mmap'd snapshot."""
     from repro.serving.supervisor import ServingSupervisor
 
-    # Sharding is fixed at compile time; ensure the flat layout exists
-    # with the requested shard count before the workers map it.
-    paths = store.ensure_flat(store.current_id(), shards=args.shards)
+    # Compile the flat file once here rather than in every worker.
+    store.ensure_flat(store.current_id())
     supervisor = ServingSupervisor(
         store,
         n_workers=args.workers,
@@ -307,8 +302,7 @@ def _serve_multi(args, store) -> int:
     supervisor.start()
     print(
         f"serving on {supervisor.base_url} with {args.workers} workers "
-        f"(snapshot {store.current_id()}, {len(paths)} flat shard(s), "
-        f"pids {supervisor.pids()})",
+        f"(snapshot {store.current_id()}, pids {supervisor.pids()})",
         flush=True,
     )
     try:
@@ -483,16 +477,17 @@ def cmd_analytics(args) -> int:
 
 
 def cmd_inspect_snapshot(args) -> int:
-    """Print the flat section table of a snapshot's shard files."""
+    """Print the flat section table of a snapshot's flat file."""
     from pathlib import Path
 
     from repro.serving import SnapshotStore, describe_flat
     from repro.serving.shm import SECTION_GROUPS
+    from repro.serving.snapshot import FLAT_FILE
 
     target = Path(args.dir)
     if (target / "manifest.json").exists():
         # A snapshot directory directly.
-        paths = sorted(target.glob("indexes-*.flat"))
+        path = target / FLAT_FILE
     else:
         store = SnapshotStore(target)
         snapshot_id = args.snapshot or store.current_id()
@@ -503,50 +498,42 @@ def cmd_inspect_snapshot(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        paths = store.flat_paths(snapshot_id)
-    if not paths:
+        path = store.root / snapshot_id / FLAT_FILE
+    if not path.exists():
         print(
-            "error: no flat shard files found (save with flat_shards >= 1 "
-            "or backfill via SnapshotStore.ensure_flat)",
+            f"error: no flat file {path} (compile it with "
+            "SnapshotStore.ensure_flat)",
             file=sys.stderr,
         )
         return 2
 
+    info = describe_flat(path)
+    print(
+        f"{path.name}: format v{info['format_version']}, "
+        f"{info['file_bytes']} bytes on disk"
+    )
     group_totals: dict[str, int] = {}
-    grand_total = 0
-    for path in paths:
-        info = describe_flat(path)
-        total = sum(s["bytes"] for s in info["sections"]) or 1
-        header = info["header"]
-        print(
-            f"{path.name}: format v{info['format_version']}, "
-            f"shard {header['shard_index'] + 1}/{header['shard_count']}, "
-            f"{info['file_bytes']} bytes on disk"
-        )
-        print(
-            format_table(
-                ["section", "group", "kind", "count", "bytes", "%"],
+    for s in info["sections"]:
+        group_totals[s["group"]] = group_totals.get(s["group"], 0) + s["bytes"]
+    total = sum(group_totals.values()) or 1
+    print(
+        format_table(
+            ["section", "group", "kind", "count", "bytes", "%"],
+            [
                 [
-                    [
-                        s["name"], s["group"], s["kind"], s["count"],
-                        s["bytes"], round(100.0 * s["bytes"] / total, 1),
-                    ]
-                    for s in info["sections"]
-                ],
-            )
+                    s["name"], s["group"], s["kind"], s["count"],
+                    s["bytes"], round(100.0 * s["bytes"] / total, 1),
+                ]
+                for s in info["sections"]
+            ],
         )
-        for s in info["sections"]:
-            group_totals[s["group"]] = (
-                group_totals.get(s["group"], 0) + s["bytes"]
-            )
-            grand_total += s["bytes"]
-
-    print("group subtotals (all shards):")
+    )
+    print("group subtotals:")
     print(
         format_table(
             ["group", "bytes", "%"],
             [
-                [g, b, round(100.0 * b / (grand_total or 1), 1)]
+                [g, b, round(100.0 * b / total, 1)]
                 for g, b in sorted(
                     group_totals.items(), key=lambda kv: -kv[1]
                 )
@@ -815,11 +802,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="serve from N worker processes sharing the port via "
         "SO_REUSEPORT, each mmap-ing the snapshot's flat layout "
         "(requires --snapshot-dir; default: 1, in-process)",
-    )
-    p_serve.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="split the flat snapshot's item data into N shard files "
-        "(category tree replicated per shard; default: 1)",
     )
     p_serve.add_argument(
         "--poll-interval", type=float, default=0.25, metavar="SECONDS",

@@ -6,16 +6,14 @@ versioned flat binary snapshot layout (:mod:`repro.serving.shm`) with a
 succinct tree representation — pre-order subtree intervals and
 delta-compressed varint postings (:mod:`repro.serving.succinct`) — and
 one reader over it (:mod:`repro.serving.indexes`), which opens either
-an in-process buffer compiled from a tree or the store's files mapped
-read-only. On top sit a thread-safe query engine with an LRU result
-cache (:mod:`repro.serving.engine`), atomic hot swaps of rebuilt trees
-(:mod:`repro.serving.hotswap`), a zero-dependency HTTP/JSON frontend
-(:mod:`repro.serving.http`, CLI: ``python -m repro serve``), a
-deterministic closed-loop load generator (:mod:`repro.serving.loadgen`,
-benchmark: ``benchmarks/bench_serving.py``), a multi-process
-SO_REUSEPORT supervisor whose workers map the same files
-(:mod:`repro.serving.supervisor`, CLI: ``python -m repro serve
---workers N``), and staged free-text query categorization with
+an in-process buffer compiled from a tree or a snapshot's one flat
+file mapped read-only. On top sit a thread-safe query engine with an
+LRU result cache (:mod:`repro.serving.engine`), atomic hot swaps of
+rebuilt trees (:mod:`repro.serving.hotswap`), a zero-dependency
+HTTP/JSON frontend (:mod:`repro.serving.http`, CLI: ``python -m repro
+serve``), a multi-process SO_REUSEPORT supervisor whose workers map the
+same file (:mod:`repro.serving.supervisor`, CLI: ``python -m repro
+serve --workers N``), and staged free-text query categorization with
 confidence-thresholded back-off up the hierarchy
 (:mod:`repro.serving.querycat`, CLI: ``python -m repro
 categorize-query``).
@@ -40,17 +38,7 @@ from repro.serving.engine import (
 )
 from repro.serving.hotswap import HotSwapper
 from repro.serving.http import ServingHTTPServer, make_server, serve_in_background
-from repro.serving.indexes import BestCategory, MmapSnapshotIndexes, SnapshotIndexes
-from repro.serving.loadgen import (
-    DEFAULT_MIX,
-    HttpLoadGenResult,
-    LoadGenResult,
-    Request,
-    build_workload,
-    request_path,
-    run_http_loadgen,
-    run_loadgen,
-)
+from repro.serving.indexes import BestCategory, SnapshotIndexes
 from repro.serving.querycat import (
     DEFAULT_CONFIDENCE_THRESHOLD,
     DEFAULT_TOP_K,
@@ -62,7 +50,6 @@ from repro.serving.shm import (
     SECTION_GROUPS,
     compile_flat_indexes,
     describe_flat,
-    flat_format_version,
     flat_header,
     prepare_mmap_generation,
 )
@@ -72,7 +59,6 @@ from repro.serving.snapshot import (
     SnapshotError,
     SnapshotInfo,
     SnapshotStore,
-    flat_file_name,
     variant_from_spec,
     variant_spec,
 )
@@ -82,17 +68,12 @@ from repro.serving.supervisor import ServingSupervisor, WorkerConfig
 __all__ = [
     "BestCategory",
     "DEFAULT_CONFIDENCE_THRESHOLD",
-    "DEFAULT_MIX",
     "DEFAULT_TOP_K",
     "EulerTour",
     "FLAT_FORMAT_VERSION",
     "Generation",
     "HotSwapper",
-    "HttpLoadGenResult",
-    "LoadGenResult",
     "LoadedSnapshot",
-    "MmapSnapshotIndexes",
-    "Request",
     "SECTION_GROUPS",
     "SNAPSHOT_FORMAT_VERSION",
     "ServingEngine",
@@ -104,22 +85,16 @@ __all__ = [
     "SnapshotInfo",
     "SnapshotStore",
     "WorkerConfig",
-    "build_workload",
     "categorize_query",
     "compile_flat_indexes",
     "decode_postings",
     "describe_flat",
     "encode_postings",
-    "flat_file_name",
-    "flat_format_version",
     "flat_header",
     "make_server",
     "prepare_generation",
     "prepare_mmap_generation",
     "record_query_counters",
-    "request_path",
-    "run_http_loadgen",
-    "run_loadgen",
     "serve_in_background",
     "variant_from_spec",
     "variant_spec",

@@ -32,9 +32,11 @@ Endpoints (all JSON):
                           reloads the store's CURRENT snapshot)
 ========================  =====================================================
 
-Errors: 400 on malformed parameters (including ``top_k < 1``), 404 on
-unknown paths/cids, 409 when ``/admin/swap`` is called on a server
-without a snapshot store.
+Errors: 400 on malformed parameters (including ``top_k < 1``) and on
+a swap request with a bad ``Content-Length``, a body that is not a JSON
+object or a ``snapshot_id`` that is not a string; 404 on unknown
+paths/cids and on a ``snapshot_id`` the store does not hold; 409 when
+``/admin/swap`` is called on a server without a snapshot store.
 """
 
 from __future__ import annotations
@@ -362,7 +364,20 @@ class _Handler(BaseHTTPRequestHandler):
                 409, {"error": "this server has no snapshot store attached"}
             )
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        # rfile.read(-1) would block until the client hangs up. With no
+        # usable length the body cannot be skipped, so the connection
+        # closes after the 400.
+        if length < 0:
+            self.close_connection = True
+            raise _BadRequest(
+                "Content-Length must be a non-negative integer, "
+                f"got {raw_length!r}"
+            )
         body = self.rfile.read(length) if length else b""
         snapshot_id: str | None = None
         if body.strip():
@@ -373,6 +388,11 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(payload, dict):
                 raise _BadRequest("swap body must be a JSON object")
             snapshot_id = payload.get("snapshot_id")
+            if snapshot_id is not None and not isinstance(snapshot_id, str):
+                raise _BadRequest(
+                    "snapshot_id must be a string, got "
+                    f"{type(snapshot_id).__name__}"
+                )
         generation = self.server.swapper.swap_from_store(store, snapshot_id)
         self._reply(
             200,

@@ -15,9 +15,10 @@ walking or mutating the tree:
 
 The reader is built one of two ways, and both construct this class:
 ``SnapshotIndexes(tree, instance, variant)`` compiles the tree into an
-in-process ``bytes`` buffer, and :func:`MmapSnapshotIndexes` maps a
-store's shard files read-only. "In-memory vs mmap" is only "buffer vs
-mapping", so the answers of the two are identical by construction.
+in-process ``bytes`` buffer, and :meth:`SnapshotIndexes.open` reads a
+compiled buffer or maps a store's flat file read-only. "In-memory vs
+mmap" is only "buffer vs mapping", so the answers of the two are
+identical by construction.
 
 Scoring reuses the scalar
 :func:`repro.core.similarity.variant_score_from_sizes` on the
@@ -46,14 +47,13 @@ from repro.serving.shm import (
     FlatCategory,
     _ChildrenMapping,
     _decode_rows,
-    _FlatShard,
+    _FlatFile,
     _ParentMapping,
     _RowMapping,
     compile_flat_indexes,
     encode_item,
-    shard_of,
 )
-from repro.serving.snapshot import SnapshotError, variant_from_spec
+from repro.serving.snapshot import variant_from_spec
 from repro.serving.succinct import EulerTour
 
 Item = Hashable
@@ -89,54 +89,26 @@ class SnapshotIndexes:
         self._open(compile_flat_indexes(tree, variant))
 
     @classmethod
-    def open(cls, sources: Sequence[str | Path | bytes]) -> "SnapshotIndexes":
-        """Open compiled shards: ``bytes`` buffers or shard file paths."""
+    def open(cls, source: str | Path | bytes) -> "SnapshotIndexes":
+        """Open a compiled flat snapshot: a ``bytes`` buffer or a path."""
         indexes = cls.__new__(cls)
-        indexes._open(sources)
+        indexes._open(source)
         return indexes
 
-    def _open(self, sources: Sequence[str | Path | bytes]) -> None:
-        if not sources:
-            raise SnapshotError("no flat snapshot shard files to map")
-        shards: list[_FlatShard] = []
-        try:
-            for source in sources:
-                shards.append(_FlatShard(source))
-            shards.sort(key=lambda s: s.header["shard_index"])
-            first = shards[0].header
-            expected = first["shard_count"]
-            if len(shards) != expected or [
-                s.header["shard_index"] for s in shards
-            ] != list(range(expected)):
-                raise SnapshotError(
-                    f"expected {expected} flat shards, got "
-                    f"{[s.header['shard_index'] for s in shards]}"
-                )
-            for shard in shards[1:]:
-                for field in ("variant", "root_cid", "n_categories",
-                              "universe_size", "shard_count"):
-                    if shard.header[field] != first[field]:
-                        raise SnapshotError(
-                            f"flat shard {shard.path} disagrees with "
-                            f"{shards[0].path} on {field!r}"
-                        )
-        except Exception:
-            for shard in shards:
-                shard.close()
-            raise
-        self._shards = shards
-        tree_shard = shards[0]  # category/token sections: any shard
-        self._tree_shard = tree_shard
-        views = tree_shard._views
+    def _open(self, source: str | Path | bytes) -> None:
+        flat = _FlatFile(source)
+        self._flat = flat
+        header = flat.header
+        views = flat._views
         self._cat_cids = views["cat_cids"]
-        self.variant = variant_from_spec(first["variant"])
-        self.root_cid = int(first["root_cid"])
-        self._n_categories = int(first["n_categories"])
-        self._n_label_docs = int(first["n_label_docs"])
-        self.sizes = _RowMapping(tree_shard, "cat_size")
-        self.depths = _RowMapping(tree_shard, "cat_depth")
-        self.parent_of = _ParentMapping(tree_shard, "cat_parent")
-        self.children_of = _ChildrenMapping(tree_shard)
+        self.variant = variant_from_spec(header["variant"])
+        self.root_cid = int(header["root_cid"])
+        self._n_categories = int(header["n_categories"])
+        self._n_label_docs = int(header["n_label_docs"])
+        self.sizes = _RowMapping(flat, "cat_size")
+        self.depths = _RowMapping(flat, "cat_depth")
+        self.parent_of = _ParentMapping(flat, "cat_parent")
+        self.children_of = _ChildrenMapping(flat)
         self._euler = EulerTour(views["cat_parent"], views["cat_tout"])
 
     # -- simple lookups ------------------------------------------------------
@@ -150,15 +122,11 @@ class SnapshotIndexes:
         """Always False: the dense bitset kernel is not part of serving."""
         return False
 
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
     def _row(self, cid: int) -> int:
         return self.sizes._row(cid)
 
     def _raw_label(self, row: int) -> str:
-        views = self._tree_shard._views
+        views = self._flat._views
         offsets = views["cat_label_off"]
         return bytes(
             views["cat_labels"][offsets[row]: offsets[row + 1]]
@@ -167,7 +135,7 @@ class SnapshotIndexes:
     def category(self, cid: int) -> FlatCategory:
         """The category view for a cid; raises ``KeyError`` when unknown."""
         row = self._row(cid)
-        views = self._tree_shard._views
+        views = self._flat._views
         return FlatCategory(
             cid=cid,
             label=self._raw_label(row) or None,
@@ -182,12 +150,12 @@ class SnapshotIndexes:
         key = encode_item(item)
         if key is None:
             return ()
-        shard = self._shards[shard_of(key, len(self._shards))]
-        code = shard.find_item(key)
+        flat = self._flat
+        code = flat.find_item(key)
         if code is None:
             return ()
         get_tracer().count("serving.succinct.postings_decoded")
-        return _decode_rows(*(shard.place if placements else shard.post), code)
+        return _decode_rows(*(flat.place if placements else flat.post), code)
 
     def placements(self, item: Item) -> tuple[int, ...]:
         """The most-specific categories containing an item (pre-order)."""
@@ -249,23 +217,23 @@ class SnapshotIndexes:
         accumulation order — so relevance floats match the offline
         engine bit for bit, in any process.
         """
-        shard = self._tree_shard
+        flat = self._flat
         tokens = tokenize(query)
         if not tokens:
             return []
         weights: dict[str, float] = {}
         token_ids: dict[str, int | None] = {}
         for token in sorted(set(tokens)):
-            ti = shard.find_token(token)
+            ti = flat.find_token(token)
             token_ids[token] = ti
-            df = shard._views["tok_df"][ti] if ti is not None else 0
+            df = flat._views["tok_df"][ti] if ti is not None else 0
             weights[token] = self._idf(df)
         best_possible = sum(weights.values())
         if best_possible <= 0:
             return []
         cat_cids = self._cat_cids
-        tok_post = shard._views["tok_post"]
-        tok_post_off = shard._views["tok_post_off"]
+        tok_post = flat._views["tok_post"]
+        tok_post_off = flat._views["tok_post_off"]
         scores: dict[int, float] = {}
         for token, weight in weights.items():
             ti = token_ids[token]
@@ -288,22 +256,20 @@ class SnapshotIndexes:
     def intersection_counts(self, items: frozenset) -> dict[int, int]:
         """``{cid: |q ∩ C|}`` for the nonzero categories, pre-order.
 
-        Each item resolves in its owning shard and contributes one count
-        per decoded posting row; counts sum exactly across shards.
+        Each known item contributes one count per decoded posting row.
         """
-        n_shards = len(self._shards)
+        flat = self._flat
         counts: dict[int, int] = {}
         n_known = 0
         for item in items:
             key = encode_item(item)
             if key is None:
                 continue
-            shard = self._shards[shard_of(key, n_shards)]
-            code = shard.find_item(key)
+            code = flat.find_item(key)
             if code is None:
                 continue
             n_known += 1
-            for row in _decode_rows(*shard.post, code):
+            for row in _decode_rows(*flat.post, code):
                 counts[row] = counts.get(row, 0) + 1
         if n_known:
             get_tracer().count("serving.succinct.postings_decoded", n_known)
@@ -353,9 +319,8 @@ class SnapshotIndexes:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the shard file descriptors (mappings follow their views)."""
-        for shard in self._shards:
-            shard.close()
+        """Release the file descriptor (the mapping follows its views)."""
+        self._flat.close()
 
     def __enter__(self) -> "SnapshotIndexes":
         return self
@@ -363,9 +328,3 @@ class SnapshotIndexes:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def MmapSnapshotIndexes(  # noqa: N802 - reads like the class it builds
-    paths: Sequence[str | Path],
-) -> SnapshotIndexes:
-    """Map a snapshot's flat shard files read-only and open the reader."""
-    return SnapshotIndexes.open(list(paths))

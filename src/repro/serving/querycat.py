@@ -27,9 +27,9 @@ tokens match no label resolve to stage ``nohit`` (both uncategorized).
 Everything here is written against a small read API —
 ``find_labels``, ``label_of``, ``path_to_root``, ``is_ancestor``,
 ``depths`` — which :class:`~repro.serving.indexes.SnapshotIndexes`
-serves identically from a buffer, a mapping or sharded supervisor
-workers (the differential tier in ``tests/test_querycat.py`` checks all
-of them against a brute-force walk of the tree). Results are
+serves identically from a buffer, a mapping or supervisor workers (the
+differential tier in ``tests/test_querycat.py`` checks all of them
+against a brute-force walk of the tree). Results are
 JSON-native dicts, so an HTTP round trip preserves them exactly.
 """
 

@@ -2,17 +2,18 @@
 
 Every read op is answered from this layout. The in-process backend
 compiles a tree into ``bytes`` and reads the buffer; worker processes
-(:mod:`repro.serving.supervisor`) ``mmap`` the *same* read-only files
+(:mod:`repro.serving.supervisor`) ``mmap`` the *same* read-only file
 from the snapshot store, so the kernel shares one page-cache copy of the
 indexes across every worker — no per-process deserialization, no
-per-process heap. Both go through :class:`_FlatShard` and the one reader
+per-process heap. Both go through :class:`_FlatFile` and the one reader
 class, :class:`~repro.serving.indexes.SnapshotIndexes`.
 
-The layout is a single self-describing binary blob per shard::
+The layout is a single self-describing binary blob, stored as
+``indexes.flat`` in each snapshot directory::
 
-    magic "ROCT" | u32 flat_format_version | u64 header_len
+    magic "ROCT" | u32 format_version | u64 header_len
     header JSON  (section table: name -> {offset, count, kind}, plus
-                  variant spec, category/item/label counts, shard k-of-S)
+                  variant spec, category/item/label counts)
     8-aligned native-endian sections (offsets relative to the 8-aligned
                   end of the header)
     trailer "TROC" | u64 file_size
@@ -44,30 +45,24 @@ Sections (read through zero-copy ``memoryview.cast`` views):
 ``tok_post``         token -> label doc rows (``tok_post_off``)
 ===================  =======================================================
 
-Format version 3 carries exactly these sections. Files of older
-versions (v1, and v2 with its dense postings, bit matrix and sparse
-LCA table) are rejected on open with a hint to run
-:meth:`SnapshotStore.ensure_flat`, which recompiles them in place.
-
-Sharding splits the *item* sections by ``crc32(item key) % shard_count``;
-the category tree and label-search sections are replicated into every
-shard, so any single shard answers ``browse``/``path``/``search`` alone
-and the reader only fans out item lookups. Per-shard intersection counts
-sum exactly, so sharded and unsharded answers are identical — the
-differential tests in ``tests/`` check every read op against a
-brute-force walk of the tree (``tests/oracles.py``).
+Format version 4 carries exactly these sections in one file. Files of
+older versions (v1 to v3) are rejected on open with a hint to run
+:meth:`SnapshotStore.ensure_flat`, which compiles ``indexes.flat`` from
+the snapshot's ``tree.json``. The differential tests in ``tests/``
+check every read op against a brute-force walk of the tree
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import json
 import mmap
+import os
 import struct
 import sys
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from repro.core.tree import CategoryTree
 from repro.core.variants import Variant
@@ -79,7 +74,7 @@ from repro.serving.succinct import EulerTour, concat_postings, decode_postings
 Item = Hashable
 
 FLAT_MAGIC = b"ROCT"
-FLAT_FORMAT_VERSION = 3
+FLAT_FORMAT_VERSION = 4
 _TRAILER_MAGIC = b"TROC"
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header byte length
 _TRAILER = struct.Struct("<4sQ")  # trailer magic, total file size
@@ -123,11 +118,6 @@ def encode_item(item: Item) -> bytes | None:
     except (TypeError, ValueError):
         return None
     return payload.encode("utf-8")
-
-
-def shard_of(key: bytes, shard_count: int) -> int:
-    """The shard owning an item key (deterministic across processes)."""
-    return zlib.crc32(key) % shard_count if shard_count > 1 else 0
 
 
 # -- compiler ----------------------------------------------------------------
@@ -183,18 +173,14 @@ def _offsets(lengths: Sequence[int]) -> list[int]:
     return out
 
 
-def compile_flat_indexes(
-    tree: CategoryTree, variant: Variant, shards: int = 1
-) -> list[bytes]:
-    """Compile a tree into ``shards`` flat snapshot blobs.
+def compile_flat_indexes(tree: CategoryTree, variant: Variant) -> bytes:
+    """Compile a tree into one flat snapshot blob.
 
     Item postings are every category containing the item (pre-order);
     placements are the *minimal* (most-specific) ones, i.e. the item's
     branch placements. The variant only stamps the header: it is the
     default scoring variant of ``best_category``.
     """
-    if shards < 1:
-        raise SnapshotError(f"shard count must be >= 1, got {shards}")
     tracer = get_tracer()
     with tracer.span("serving.compile_flat"):
         cats = list(tree.categories())  # pre-order, root first
@@ -218,10 +204,10 @@ def compile_flat_indexes(
             [row_of[child.cid] for child in cat.children] for cat in cats
         ]
 
-        # Label search (replicated per shard): the same SearchEngine the
-        # offline search uses, so tokenization and document frequencies
-        # agree. Sorted token order makes the per-token binary search
-        # possible; posting order within a token does not affect scores.
+        # Label search: the same SearchEngine the offline search uses, so
+        # tokenization and document frequencies agree. Sorted token order
+        # makes the per-token binary search possible; posting order within
+        # a token does not affect scores.
         engine = SearchEngine()
         for cat in cats:
             if cat.label:
@@ -247,8 +233,8 @@ def compile_flat_indexes(
                 if item not in covered:
                     placements.setdefault(item, []).append(row)
 
-        # Items, partitioned by key shard and sorted by key within it.
-        per_shard: list[list[tuple[bytes, Item]]] = [[] for _ in range(shards)]
+        # Items sorted by canonical key, for the binary search on lookup.
+        entries: list[tuple[bytes, Item]] = []
         for item in postings:
             key = encode_item(item)
             if key is None:
@@ -256,111 +242,114 @@ def compile_flat_indexes(
                     "flat snapshot layout requires JSON-representable "
                     f"items, got {type(item).__name__}: {item!r}"
                 )
-            per_shard[shard_of(key, shards)].append((key, item))
+            entries.append((key, item))
+        entries.sort(key=lambda kv: kv[0])
+        keys = [key for key, _ in entries]
+        post_blob, post_voff = concat_postings(
+            [postings[item] for _, item in entries]
+        )
+        place_blob, place_voff = concat_postings(
+            [placements.get(item, ()) for _, item in entries]
+        )
 
-        files: list[bytes] = []
-        for shard_index in range(shards):
-            entries = sorted(per_shard[shard_index], key=lambda kv: kv[0])
-            keys = [key for key, _ in entries]
-            post_blob, post_voff = concat_postings(
-                [postings[item] for _, item in entries]
-            )
-            place_blob, place_voff = concat_postings(
-                [placements.get(item, ()) for _, item in entries]
-            )
+        writer = _SectionWriter()
+        writer.add_i64("cat_cids", cids)
+        writer.add_i64("cat_parent", parents)
+        writer.add_i64("cat_depth", [cat.depth for cat in cats])
+        writer.add_i64("cat_size", [len(cat.items) for cat in cats])
+        writer.add_i64("cat_children_off", _offsets(map(len, children)))
+        writer.add_i64(
+            "cat_children", [row for per in children for row in per]
+        )
+        writer.add_i64("cat_label_off", _offsets(map(len, labels)))
+        writer.add_blob("cat_labels", b"".join(labels))
+        writer.add_i64("cid_to_row", cid_to_row)
+        writer.add_i32("cat_tout", tout)
+        writer.add_i64("item_off", _offsets(map(len, keys)))
+        writer.add_blob("item_keys", b"".join(keys))
+        writer.add_i32("item_post_voff", post_voff)
+        writer.add_blob("item_post_var", post_blob)
+        writer.add_i32("item_place_voff", place_voff)
+        writer.add_blob("item_place_var", place_blob)
+        writer.add_i64("tok_off", _offsets(map(len, tok_blobs)))
+        writer.add_blob("tok_blob", b"".join(tok_blobs))
+        writer.add_i64("tok_df", [len(tok_index.postings[t]) for t in tokens])
+        writer.add_i64("tok_post_off", _offsets(map(len, tok_posts)))
+        writer.add_i64("tok_post", [r for per in tok_posts for r in per])
 
-            writer = _SectionWriter()
-            writer.add_i64("cat_cids", cids)
-            writer.add_i64("cat_parent", parents)
-            writer.add_i64("cat_depth", [cat.depth for cat in cats])
-            writer.add_i64("cat_size", [len(cat.items) for cat in cats])
-            writer.add_i64("cat_children_off", _offsets(map(len, children)))
-            writer.add_i64(
-                "cat_children", [row for per in children for row in per]
-            )
-            writer.add_i64("cat_label_off", _offsets(map(len, labels)))
-            writer.add_blob("cat_labels", b"".join(labels))
-            writer.add_i64("cid_to_row", cid_to_row)
-            writer.add_i32("cat_tout", tout)
-            writer.add_i64("item_off", _offsets(map(len, keys)))
-            writer.add_blob("item_keys", b"".join(keys))
-            writer.add_i32("item_post_voff", post_voff)
-            writer.add_blob("item_post_var", post_blob)
-            writer.add_i32("item_place_voff", place_voff)
-            writer.add_blob("item_place_var", place_blob)
-            writer.add_i64("tok_off", _offsets(map(len, tok_blobs)))
-            writer.add_blob("tok_blob", b"".join(tok_blobs))
-            writer.add_i64(
-                "tok_df", [len(tok_index.postings[t]) for t in tokens]
-            )
-            writer.add_i64("tok_post_off", _offsets(map(len, tok_posts)))
-            writer.add_i64("tok_post", [r for per in tok_posts for r in per])
-
-            files.append(
-                writer.render(
-                    {
-                        "format": "repro-flat-snapshot",
-                        "byteorder": sys.byteorder,
-                        "variant": variant_spec(variant),
-                        "root_cid": tree.root.cid,
-                        "n_categories": n_cats,
-                        "max_cid": max_cid,
-                        "universe_size": len(postings),
-                        "n_label_docs": len(tok_index.doc_lengths),
-                        "shard_index": shard_index,
-                        "shard_count": shards,
-                        "n_shard_items": len(entries),
-                    }
-                )
-            )
-        tracer.count("serving.flat_bytes", sum(len(f) for f in files))
-    return files
+        blob = writer.render(
+            {
+                "format": "repro-flat-snapshot",
+                "byteorder": sys.byteorder,
+                "variant": variant_spec(variant),
+                "root_cid": tree.root.cid,
+                "n_categories": n_cats,
+                "max_cid": max_cid,
+                "universe_size": len(postings),
+                "n_label_docs": len(tok_index.doc_lengths),
+            }
+        )
+        tracer.count("serving.flat_bytes", len(blob))
+    return blob
 
 
 # -- reader ------------------------------------------------------------------
 
 
+def _read_header(
+    path: str | Path, size: int, read: Callable[[int, int], bytes]
+) -> tuple[int, dict, int]:
+    """Parse a flat file's prefix and header JSON, whatever its version.
+
+    ``read(lo, hi)`` returns bytes ``lo:hi`` of a file of ``size``
+    bytes. Returns ``(format_version, header, data_start)``, where the
+    sections begin at ``data_start``. Nothing after the header is read.
+    """
+    if size < _PREFIX.size + _TRAILER.size:
+        raise SnapshotError(
+            f"flat snapshot {path} is truncated "
+            f"({size} bytes is smaller than any valid file)"
+        )
+    magic, version, header_len = _PREFIX.unpack(read(0, _PREFIX.size))
+    if magic != FLAT_MAGIC:
+        raise SnapshotError(
+            f"{path} is not a flat snapshot "
+            f"(bad magic {magic!r}, expected {FLAT_MAGIC!r})"
+        )
+    header_end = _PREFIX.size + header_len
+    if header_end > size - _TRAILER.size:
+        raise SnapshotError(f"flat snapshot {path} header overruns the file")
+    try:
+        header = json.loads(read(_PREFIX.size, header_end))
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise SnapshotError(
+            f"flat snapshot {path} has a corrupt header"
+        ) from exc
+    return version, header, _align8(header_end)
+
+
 def flat_header(path: str | Path) -> tuple[int, dict]:
     """``(format_version, header dict)`` of a flat file, without mapping.
 
-    Validates only the prefix (magic + header JSON); section payloads and
-    the trailer are not touched, so this works on any version — it is
-    how :meth:`SnapshotStore.ensure_flat` detects stale files that need
-    an in-place recompile.
+    Reads only the prefix and the header JSON; section payloads and the
+    trailer are not touched, so this works on any version — it is how
+    :meth:`SnapshotStore.ensure_flat` detects stale files that need a
+    recompile.
     """
-    path = Path(path)
     with open(path, "rb") as fh:
-        prefix = fh.read(_PREFIX.size)
-        if len(prefix) < _PREFIX.size:
-            raise SnapshotError(
-                f"flat snapshot {path} is truncated "
-                f"({len(prefix)} bytes is smaller than any valid file)"
-            )
-        magic, version, header_len = _PREFIX.unpack(prefix)
-        if magic != FLAT_MAGIC:
-            raise SnapshotError(
-                f"{path} is not a flat snapshot "
-                f"(bad magic {magic!r}, expected {FLAT_MAGIC!r})"
-            )
-        header_bytes = fh.read(header_len)
-        if len(header_bytes) < header_len:
-            raise SnapshotError(f"flat snapshot {path} header overruns the file")
-        try:
-            header = json.loads(header_bytes)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(
-                f"flat snapshot {path} has a corrupt header"
-            ) from exc
+
+        def read(lo: int, hi: int) -> bytes:
+            fh.seek(lo)
+            return fh.read(hi - lo)
+
+        version, header, _ = _read_header(
+            path, os.fstat(fh.fileno()).st_size, read
+        )
     return version, header
 
 
-def flat_format_version(path: str | Path) -> int:
-    """The on-disk format version of one flat shard file."""
-    return flat_header(path)[0]
-
-
 def describe_flat(path: str | Path) -> dict:
-    """The section table of one flat shard, for ``repro inspect-snapshot``.
+    """The section table of one flat file, for ``repro inspect-snapshot``.
 
     Returns ``{"path", "format_version", "header", "file_bytes",
     "sections": [{"name", "group", "kind", "count", "bytes"}, ...]}``
@@ -420,11 +409,11 @@ def _decode_rows(voff, blob, code: int) -> Sequence[int]:
     return decode_postings(blob[lo:hi])
 
 
-class _FlatShard:
-    """One shard: validated header + zero-copy section views.
+class _FlatFile:
+    """One flat file: validated header + zero-copy section views.
 
     ``source`` is either a compiled ``bytes`` buffer (the in-process
-    backend) or the path of a shard file, which is mapped read-only.
+    backend) or the path of a flat file, which is mapped read-only.
     """
 
     def __init__(self, source: str | Path | bytes) -> None:
@@ -436,9 +425,8 @@ class _FlatShard:
             self.path = Path(source)
             data = self._map()
         try:
-            self.header = self._validate(data)
+            self.header, data_start = self._validate(data)
             view = memoryview(data)
-            data_start = _align8(_PREFIX.size + len(self._header_bytes))
             self._views: dict[str, memoryview] = {}
             for name, spec in self.header["sections"].items():
                 fmt, width = _KINDS[spec["kind"]]
@@ -474,19 +462,19 @@ class _FlatShard:
                 f"cannot map flat snapshot {self.path}: {exc}"
             ) from exc
 
-    def _validate(self, data) -> dict:
+    def _validate(self, data) -> tuple[dict, int]:
+        """``(header, data_start)`` of a whole, current-version file."""
         size = len(data)
-        if size < _PREFIX.size + _TRAILER.size:
+        # The trailer is checked first: a cut can fall inside the header.
+        trailer = _TRAILER.pack(_TRAILER_MAGIC, size)
+        if bytes(data[-_TRAILER.size:]) != trailer:
             raise SnapshotError(
-                f"flat snapshot {self.path} is truncated "
-                f"({size} bytes is smaller than any valid file)"
+                f"flat snapshot {self.path} is torn or truncated "
+                f"(no trailer recording its {size} bytes)"
             )
-        magic, version, header_len = _PREFIX.unpack(data[: _PREFIX.size])
-        if magic != FLAT_MAGIC:
-            raise SnapshotError(
-                f"{self.path} is not a flat snapshot "
-                f"(bad magic {magic!r}, expected {FLAT_MAGIC!r})"
-            )
+        version, header, data_start = _read_header(
+            self.path, size, lambda lo, hi: data[lo:hi]
+        )
         if version > FLAT_FORMAT_VERSION:
             raise SnapshotError(
                 f"flat snapshot format version {version} is newer than "
@@ -499,30 +487,13 @@ class _FlatShard:
                 f"(supported: {FLAT_FORMAT_VERSION}); recompile it with "
                 "SnapshotStore.ensure_flat"
             )
-        t_magic, t_size = _TRAILER.unpack(data[size - _TRAILER.size:])
-        if t_magic != _TRAILER_MAGIC or t_size != size:
-            raise SnapshotError(
-                f"flat snapshot {self.path} is torn or truncated "
-                f"(trailer records {t_size} bytes, file has {size})"
-            )
-        if _PREFIX.size + header_len > size - _TRAILER.size:
-            raise SnapshotError(
-                f"flat snapshot {self.path} header overruns the file"
-            )
-        self._header_bytes = data[_PREFIX.size: _PREFIX.size + header_len]
-        try:
-            header = json.loads(self._header_bytes)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(
-                f"flat snapshot {self.path} has a corrupt header"
-            ) from exc
         if header.get("byteorder") != sys.byteorder:
             raise SnapshotError(
                 f"flat snapshot {self.path} was written on a "
                 f"{header.get('byteorder')}-endian machine; this one is "
                 f"{sys.byteorder}-endian"
             )
-        return header
+        return header, data_start
 
     # -- lookups -------------------------------------------------------------
 
@@ -561,7 +532,7 @@ class _FlatShard:
         if self._file is not None and not self._file.closed:
             self._file.close()
 
-    def __enter__(self) -> "_FlatShard":
+    def __enter__(self) -> "_FlatFile":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -571,14 +542,14 @@ class _FlatShard:
 class _RowMapping:
     """cid-keyed read-only mapping over a per-row i64 section view."""
 
-    __slots__ = ("_shard", "_view")
+    __slots__ = ("_flat", "_view")
 
-    def __init__(self, shard: _FlatShard, name: str) -> None:
-        self._shard = shard
-        self._view = shard._views[name]
+    def __init__(self, flat: _FlatFile, name: str) -> None:
+        self._flat = flat
+        self._view = flat._views[name]
 
     def _row(self, cid: int) -> int:
-        cid_to_row = self._shard._views["cid_to_row"]
+        cid_to_row = self._flat._views["cid_to_row"]
         if isinstance(cid, int) and 0 <= cid < len(cid_to_row):
             row = cid_to_row[cid]
             if row >= 0:
@@ -596,10 +567,10 @@ class _RowMapping:
         return True
 
     def __len__(self) -> int:
-        return self._shard.header["n_categories"]
+        return self._flat.header["n_categories"]
 
     def __iter__(self):
-        return iter(self._shard._views["cat_cids"])
+        return iter(self._flat._views["cat_cids"])
 
 
 class _ParentMapping(_RowMapping):
@@ -609,19 +580,19 @@ class _ParentMapping(_RowMapping):
         parent_row = self._view[self._row(cid)]
         if parent_row < 0:
             return None
-        return self._shard._views["cat_cids"][parent_row]
+        return self._flat._views["cat_cids"][parent_row]
 
 
 class _ChildrenMapping(_RowMapping):
     """cid -> tuple of child cids, in tree (pre-)order."""
 
-    def __init__(self, shard: _FlatShard) -> None:
-        super().__init__(shard, "cat_children_off")
+    def __init__(self, flat: _FlatFile) -> None:
+        super().__init__(flat, "cat_children_off")
 
     def __getitem__(self, cid: int) -> tuple[int, ...]:
         row = self._row(cid)
-        children = self._shard._views["cat_children"]
-        cat_cids = self._shard._views["cat_cids"]
+        children = self._flat._views["cat_children"]
+        cat_cids = self._flat._views["cat_cids"]
         return tuple(
             cat_cids[child_row]
             for child_row in children[self._view[row]: self._view[row + 1]]
@@ -633,12 +604,12 @@ def prepare_mmap_generation(store, snapshot_id: str | None = None):
 
     The counterpart of :func:`repro.serving.engine.prepare_generation`
     for store-sourced generations: no tree or instance is deserialized —
-    the flat shard files are mapped read-only (compiled on demand for
-    stores written before the current format) and the generation carries
+    the flat file is mapped read-only (compiled on demand for stores
+    written before the current format) and the generation carries
     ``tree=None, instance=None``.
     """
     from repro.serving.engine import Generation
-    from repro.serving.indexes import MmapSnapshotIndexes
+    from repro.serving.indexes import SnapshotIndexes
 
     if snapshot_id is None:
         snapshot_id = store.current_id()
@@ -646,7 +617,7 @@ def prepare_mmap_generation(store, snapshot_id: str | None = None):
             raise SnapshotError(f"no current snapshot in {store.root}")
     tracer = get_tracer()
     with tracer.span("serving.prepare_mmap"):
-        indexes = MmapSnapshotIndexes(store.ensure_flat(snapshot_id))
+        indexes = SnapshotIndexes.open(store.ensure_flat(snapshot_id))
     return Generation(
         tree=None,
         instance=None,

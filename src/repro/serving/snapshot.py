@@ -17,6 +17,7 @@ Store layout (everything JSON, reusing :mod:`repro.io` payload shapes)::
         manifest.json             # SNAPSHOT_FORMAT_VERSION + metadata
         tree.json                 # repro.io tree payload
         instance.json             # repro.io instance payload
+        indexes.flat              # compiled read layout (repro.serving.shm)
 
 Writes are atomic at the directory level: content is staged into a
 temporary sibling and published with ``os.replace``, and ``CURRENT`` is
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,12 +50,10 @@ _MANIFEST = "manifest.json"
 _TREE = "tree.json"
 _INSTANCE = "instance.json"
 _CURRENT = "CURRENT"
-_FLAT_GLOB = "indexes-*.flat"
-
-
-def flat_file_name(shard_index: int, shard_count: int) -> str:
-    """The shard file name inside a snapshot dir (sorts in shard order)."""
-    return f"indexes-{shard_index:04d}-of-{shard_count:04d}.flat"
+FLAT_FILE = "indexes.flat"
+# Every id snapshot_digest can produce, and nothing else: ids name
+# directories, so anything else ("..", "/") could escape the store.
+_SNAPSHOT_ID = re.compile(r"snap-[0-9a-f]{16}")
 
 
 class SnapshotError(ReproError):
@@ -210,7 +210,6 @@ class SnapshotStore:
         variant: Variant,
         build_run_id: str = "",
         activate: bool = True,
-        flat_shards: int = 1,
     ) -> SnapshotInfo:
         """Persist a built tree as a snapshot; returns its manifest.
 
@@ -219,11 +218,9 @@ class SnapshotStore:
         Saving content that already exists is a no-op (same id); with
         ``activate`` (the default) the snapshot also becomes ``CURRENT``.
 
-        ``flat_shards`` also compiles the mmap-able flat layout
-        (:mod:`repro.serving.shm`) into the staged directory, split into
-        that many item shards, so the snapshot publishes atomically with
-        both formats; ``flat_shards=0`` skips it (the flat files are
-        then compiled on first mmap use via :meth:`ensure_flat`).
+        The mmap-able flat layout (:mod:`repro.serving.shm`) is compiled
+        into the staged directory too, so the snapshot publishes
+        atomically with both formats.
         """
         tree_payload = tree_to_dict(tree)
         instance_payload = instance_to_dict(instance)
@@ -256,8 +253,7 @@ class SnapshotStore:
                         json.dumps(payload, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8",
                     )
-                if flat_shards > 0:
-                    self._write_flat(staging, tree_payload, flat_shards)
+                self._write_flat(staging, tree_payload)
                 try:
                     os.replace(staging, target)
                 except OSError:  # pragma: no cover - concurrent save race
@@ -272,14 +268,12 @@ class SnapshotStore:
             self.activate(snapshot_id)
         return self.info(snapshot_id)
 
-    def _write_flat(
-        self, directory: Path, tree_payload: dict, shards: int
-    ) -> list[Path]:
-        """Compile and write the flat shard files into a snapshot dir.
+    def _write_flat(self, directory: Path, tree_payload: dict) -> Path:
+        """Compile and write the flat file into a snapshot dir.
 
         Compiles from the *round-tripped* tree (the JSON payload a later
-        reload would see) so the mapped files answer exactly what a
-        reloaded snapshot compiled in process would. Each file lands via
+        reload would see) so the mapped file answers exactly what a
+        reloaded snapshot compiled in process would. The file lands via
         write-to-temp + ``os.replace``, so a concurrent compiler (two
         workers racing :meth:`ensure_flat`) just overwrites identical
         content.
@@ -287,64 +281,62 @@ class SnapshotStore:
         from repro.serving.shm import compile_flat_indexes
 
         # The variant only stamps the header; read it back from the
-        # manifest (staging writes it before the flat files).
+        # manifest (staging writes it before the flat file).
         manifest = json.loads(
             (directory / _MANIFEST).read_text(encoding="utf-8")
         )
         variant = variant_from_spec(manifest["variant"])
-        tree = tree_from_dict(tree_payload)
-        paths: list[Path] = []
-        for shard_index, blob in enumerate(
-            compile_flat_indexes(tree, variant, shards=shards)
+        blob = compile_flat_indexes(tree_from_dict(tree_payload), variant)
+        path = directory / FLAT_FILE
+        tmp = directory / f".{FLAT_FILE}.tmp-{os.getpid()}"
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+        return path
+
+    def _dir(self, snapshot_id: str) -> Path:
+        """The directory of a snapshot id (which need not exist yet).
+
+        Raises :class:`SnapshotError` for any id :func:`snapshot_digest`
+        cannot produce, so no id reaches outside the store.
+        """
+        if not isinstance(snapshot_id, str) or not _SNAPSHOT_ID.fullmatch(
+            snapshot_id
         ):
-            path = directory / flat_file_name(shard_index, shards)
-            tmp = directory / f".{path.name}.tmp-{os.getpid()}"
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-            paths.append(path)
-        return paths
+            raise SnapshotError(f"no snapshot {snapshot_id!r} in {self.root}")
+        return self.root / snapshot_id
 
     def flat_paths(self, snapshot_id: str) -> list[Path]:
-        """The snapshot's flat shard files, sorted (empty when absent)."""
-        return sorted((self.root / snapshot_id).glob(_FLAT_GLOB))
+        """The snapshot's flat file as a list (empty when absent)."""
+        path = self._dir(snapshot_id) / FLAT_FILE
+        return [path] if path.exists() else []
 
-    def ensure_flat(self, snapshot_id: str, shards: int = 1) -> list[Path]:
-        """The flat shard files, compiling them first when missing.
+    def ensure_flat(self, snapshot_id: str) -> Path:
+        """The snapshot's flat file, compiling it first when needed.
 
-        Lets worker processes map snapshots written before the flat
-        layout existed (or saved with ``flat_shards=0``): the compile is
-        idempotent and each file is published atomically, so concurrent
-        workers race harmlessly. An existing current-version flat set is
-        returned as-is whatever its shard count — sharding is fixed at
-        compile time. Files written by an older format version are
-        recompiled in place at their existing shard count (the
-        format-version migration path: old stores upgrade on first read,
-        and the atomic per-file replace means concurrent readers only
-        ever see whole files).
+        ``indexes.flat`` is compiled from ``tree.json`` when it is
+        missing or has an older format version, so stores written before
+        the current format upgrade on first read. The compile is
+        idempotent and the file is published atomically, so concurrent
+        workers race harmlessly and readers only ever see whole files.
+        Flat files of older layouts under other names are left in place
+        and never read.
         """
-        from repro.serving.shm import FLAT_FORMAT_VERSION, flat_format_version
+        from repro.serving.shm import FLAT_FORMAT_VERSION, flat_header
 
-        existing = self.flat_paths(snapshot_id)
-        if existing:
-            if all(
-                flat_format_version(path) == FLAT_FORMAT_VERSION
-                for path in existing
-            ):
-                return existing
-            # Recompile at the existing shard count so the new files
-            # overwrite the old set exactly (no mixed-version leftovers).
-            shards = len(existing)
-        directory = self.root / snapshot_id
+        directory = self._dir(snapshot_id)
+        path = directory / FLAT_FILE
+        if path.exists() and flat_header(path)[0] >= FLAT_FORMAT_VERSION:
+            return path
         if not (directory / _MANIFEST).exists():
             raise SnapshotError(f"no snapshot {snapshot_id!r} in {self.root}")
         tree_payload = json.loads(
             (directory / _TREE).read_text(encoding="utf-8")
         )
-        return self._write_flat(directory, tree_payload, shards)
+        return self._write_flat(directory, tree_payload)
 
     def activate(self, snapshot_id: str) -> None:
         """Point ``CURRENT`` at an existing snapshot (atomic replace)."""
-        if not (self.root / snapshot_id / _MANIFEST).exists():
+        if not (self._dir(snapshot_id) / _MANIFEST).exists():
             raise SnapshotError(f"no snapshot {snapshot_id!r} in {self.root}")
         tmp = self.root / f".{_CURRENT}.tmp-{os.getpid()}"
         tmp.write_text(snapshot_id + "\n", encoding="utf-8")
@@ -362,7 +354,7 @@ class SnapshotStore:
 
     def info(self, snapshot_id: str) -> SnapshotInfo:
         """Read one snapshot's manifest (without the tree payload)."""
-        path = self.root / snapshot_id / _MANIFEST
+        path = self._dir(snapshot_id) / _MANIFEST
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
@@ -380,7 +372,7 @@ class SnapshotStore:
             if snapshot_id is None:
                 raise SnapshotError(f"no current snapshot in {self.root}")
         info = self.info(snapshot_id)
-        directory = self.root / snapshot_id
+        directory = self._dir(snapshot_id)
         tree = tree_from_dict(
             json.loads((directory / _TREE).read_text(encoding="utf-8"))
         )
@@ -394,7 +386,7 @@ class SnapshotStore:
         infos = [
             self.info(p.name)
             for p in sorted(self.root.iterdir())
-            if p.is_dir() and (p / _MANIFEST).exists()
+            if _SNAPSHOT_ID.fullmatch(p.name) and (p / _MANIFEST).exists()
         ]
         infos.sort(key=lambda i: (i.created_at, i.snapshot_id))
         return infos

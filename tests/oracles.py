@@ -27,7 +27,7 @@ scalar :func:`~repro.core.similarity.variant_score_from_sizes` over
 plain set intersections with the offline scorer's tie-break (higher
 precision, then greater depth) and the lower cid last; label search is
 the offline :class:`~repro.search.SearchEngine`. The differential suites
-compare the reader against it over buffers, mappings and shards.
+compare the reader against it over buffers and mappings.
 :func:`assert_reads_match` is the shared comparison: every read op,
 exact values, floats and dict orders.
 """

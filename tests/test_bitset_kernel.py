@@ -166,12 +166,17 @@ class TestIntersections:
 
 
 @pytest.mark.slow
-def test_benchmark_smoke():
+def test_benchmark_smoke(tmp_path, monkeypatch):
     """The kernel benchmark's --smoke mode runs end to end."""
     root = Path(__file__).resolve().parents[1]
     if str(root) not in sys.path:
         sys.path.insert(0, str(root))
+    from benchmarks import common
     from benchmarks.bench_bitset_kernel import run
 
+    # The report block must not land in the tracked benchmarks/results.log.
+    log = tmp_path / "results.log"
+    monkeypatch.setattr(common, "RESULTS_LOG", log)
     rows = run(smoke=True)
     assert rows, "smoke run produced no measurements"
+    assert "=== Sparse kernel" in log.read_text(encoding="utf-8")

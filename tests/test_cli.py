@@ -285,6 +285,13 @@ class TestServingCommands:
         assert rc == 0
         assert len(served) == 1 and served[0].current_id() is not None
 
+    def test_removed_shards_flag_exits_2(self, capsys):
+        # Every snapshot holds one flat file; there is nothing to split.
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["serve", "--shards", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("top_k", ["0", "-3"])
     def test_categorize_query_top_k_below_one(self, capsys, top_k):
         rc = main(

@@ -364,14 +364,19 @@ class TestSolverFacade:
 
 
 @pytest.mark.slow
-def test_bench_mis_engine_tiny_smoke():
+def test_bench_mis_engine_tiny_smoke(tmp_path, monkeypatch):
     """The MIS engine benchmark's --tiny mode runs end to end."""
     root = Path(__file__).resolve().parents[1]
     if str(root) not in sys.path:
         sys.path.insert(0, str(root))
+    from benchmarks import common
     from benchmarks.bench_mis_engine import run
 
+    # The report block must not land in the tracked benchmarks/results.log.
+    log = tmp_path / "results.log"
+    monkeypatch.setattr(common, "RESULTS_LOG", log)
     payload = run(tiny=True)
+    assert "=== MIS engine" in log.read_text(encoding="utf-8")
     assert payload["stage_rows"], "tiny run produced no measurements"
     assert all(r["speedup"] > 0 for r in payload["stage_rows"])
     # Tiny mode must not clobber the committed full-mode numbers.

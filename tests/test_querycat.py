@@ -7,8 +7,8 @@ no-hit queries, and deterministic tie-breaks.
 
 Differential tier: the same query batch answered by a brute-force walk
 of the tree (``tests/oracles.py``), the reader over a compiled buffer,
-over mapped shard files, and real sharded-supervisor worker processes
-over HTTP — all results must be *equal dicts*, which together with JSON
+over a mapped flat file, and real supervisor worker processes over
+HTTP — all results must be *equal dicts*, which together with JSON
 round-tripping makes "bit-identical in every process" a checked
 property, not a hope.
 """
@@ -25,7 +25,6 @@ from repro.core import Variant, make_instance
 from repro.labeling import apply_label_suggestions, suggest_labels
 from repro.observability import Tracer, use_tracer
 from repro.serving import (
-    MmapSnapshotIndexes,
     ServingEngine,
     ServingSupervisor,
     SnapshotIndexes,
@@ -319,7 +318,7 @@ class TestHTTPEndpoint:
 
 
 class TestDifferential:
-    """Oracle == buffer == mapping == sharded supervisor, for one batch."""
+    """Oracle == buffer == mapping == supervisor, for one batch."""
 
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory):
@@ -329,7 +328,7 @@ class TestDifferential:
             tree, suggest_labels(tree, instance, VARIANT)
         )
         store = SnapshotStore(tmp_path_factory.mktemp("snapshots"))
-        info = store.save(tree, instance, VARIANT, flat_shards=2)
+        info = store.save(tree, instance, VARIANT)
         return store, info
 
     def reference(self, store_info, buffered=False):
@@ -350,8 +349,8 @@ class TestDifferential:
     def test_mmap_matches_in_memory(self, store):
         expected = self.reference(store)
         _store, info = store
-        paths = _store.flat_paths(info.snapshot_id)
-        with MmapSnapshotIndexes(paths) as mm:
+        path = _store.ensure_flat(info.snapshot_id)
+        with SnapshotIndexes.open(path) as mm:
             got = [
                 categorize_query(mm, text, threshold=0.8)
                 for text in QUERIES

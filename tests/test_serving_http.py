@@ -1,6 +1,8 @@
 """Tests for the HTTP/JSON serving frontend (real sockets, port 0)."""
 
+import http.client
 import json
+import os
 import socket
 import urllib.error
 import urllib.request
@@ -30,6 +32,24 @@ def _post(server, path, payload=None):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _post_swap_raw(server, content_length: str, body: bytes = b""):
+    """POST /admin/swap with a hand-written Content-Length header.
+
+    Returns the response status; a server that never answers makes the
+    read time out instead of hanging the test.
+    """
+    conn = http.client.HTTPConnection(
+        "127.0.0.1", server.server_port, timeout=5
+    )
+    try:
+        conn.putrequest("POST", "/admin/swap")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(body)
+        return conn.getresponse().status
+    finally:
+        conn.close()
 
 
 @pytest.fixture()
@@ -190,6 +210,51 @@ class TestAdminSwap:
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(request, timeout=10)
         assert exc_info.value.code == 400
+
+
+class TestHostileSwap:
+    """Malformed or path-escaping swap requests never swap or stall."""
+
+    def test_negative_content_length_is_400(self, served):
+        # rfile.read(-1) would wait for the client to hang up.
+        server, engine, _, _ = served
+        assert _post_swap_raw(server, "-1") == 400
+        assert engine.generation == 1
+
+    def test_non_integer_content_length_is_400(self, served):
+        server, engine, _, _ = served
+        assert _post_swap_raw(server, "abc") == 400
+        assert engine.generation == 1
+
+    def test_non_string_snapshot_id_is_400(self, served):
+        server, engine, _, _ = served
+        status, body = _post(server, "/admin/swap", {"snapshot_id": 5})
+        assert status == 400
+        assert "snapshot_id must be a string" in body["error"]
+        assert engine.generation == 1
+
+    def test_snapshot_id_outside_the_store_is_404(
+        self, served, tmp_path_factory
+    ):
+        server, engine, store, instance = served
+        serving = engine.current.snapshot_id
+        other_store = SnapshotStore(tmp_path_factory.mktemp("other"))
+        variant = Variant.perfect_recall(0.5)
+        other = other_store.save(
+            CTCR().build(instance, variant), instance, variant
+        )
+        other_dir = other_store.root / other.snapshot_id
+        for path in other_store.flat_paths(other.snapshot_id):
+            path.unlink()
+        escaping = os.path.relpath(other_dir, store.root)
+        assert escaping.startswith("..")
+        status, body = _post(server, "/admin/swap", {"snapshot_id": escaping})
+        assert status == 404
+        assert "no snapshot" in body["error"]
+        assert engine.current.snapshot_id == serving
+        assert engine.generation == 1
+        # Nothing was compiled into the other store either.
+        assert not list(other_dir.glob("*.flat"))
 
 
 class TestMaxRequests:

@@ -2,17 +2,11 @@
 
 import pytest
 
+from benchmarks.loadgen import DEFAULT_MIX, build_workload, run_loadgen
 from repro.algorithms import CTCR
 from repro.core import Variant
 from repro.observability import percentile
-from repro.serving import (
-    DEFAULT_MIX,
-    HotSwapper,
-    ServingEngine,
-    SnapshotStore,
-    build_workload,
-    run_loadgen,
-)
+from repro.serving import HotSwapper, ServingEngine, SnapshotStore
 
 
 @pytest.fixture()

@@ -8,7 +8,7 @@ indistinguishable. These tests pin that:
 - differential: every read op of the one reader equals a brute-force
   walk of the tree (``tests/oracles.py``) on the paper examples, a real
   dataset, all variants, a ``repro.scale`` catalog shaped like the
-  serve_cold benchmark, over a buffer, a mapping, and several shards;
+  serve_cold benchmark, over a buffer and a mapping;
 - crash injection: torn, truncated, wrong-magic, corrupt-header and
   future-version flat files are rejected structurally (never a wrong
   answer, never a leaked fd);
@@ -32,16 +32,16 @@ from repro.labeling import apply_label_suggestions, suggest_labels
 from repro.scale import ExtremeCatalog, scaled_spec
 from repro.serving import (
     FLAT_FORMAT_VERSION,
-    MmapSnapshotIndexes,
     ServingEngine,
     SnapshotError,
     SnapshotIndexes,
     SnapshotStore,
     compile_flat_indexes,
-    flat_file_name,
+    flat_header,
     prepare_mmap_generation,
 )
-from repro.serving.shm import FLAT_MAGIC, _PREFIX, encode_item, shard_of
+from repro.serving.shm import FLAT_MAGIC, _PREFIX, encode_item
+from repro.serving.snapshot import FLAT_FILE
 from tests.oracles import TreeOracle, assert_reads_match, queries_for
 
 
@@ -51,39 +51,30 @@ def build_labeled_tree(instance, variant):
     return tree
 
 
-def write_flat(tmp_path, tree, variant, shards=1):
-    """Compile and write flat shard files; returns their paths."""
-    paths = []
-    for shard_index, blob in enumerate(
-        compile_flat_indexes(tree, variant, shards=shards)
-    ):
-        path = tmp_path / flat_file_name(shard_index, shards)
-        path.write_bytes(blob)
-        paths.append(path)
-    return paths
+def write_flat(tmp_path, tree, variant):
+    """Compile and write a flat file; returns its path."""
+    path = tmp_path / FLAT_FILE
+    path.write_bytes(compile_flat_indexes(tree, variant))
+    return path
 
 
-def open_reader(tmp_path, tree, variant, shards=1, buffered=False):
-    """The one reader over compiled buffers or over mapped files."""
+def open_reader(tmp_path, tree, variant, buffered=False):
+    """The one reader over a compiled buffer or over a mapped file."""
     if buffered:
-        return SnapshotIndexes.open(
-            compile_flat_indexes(tree, variant, shards=shards)
-        )
-    return MmapSnapshotIndexes(write_flat(tmp_path, tree, variant, shards))
+        return SnapshotIndexes.open(compile_flat_indexes(tree, variant))
+    return SnapshotIndexes.open(write_flat(tmp_path, tree, variant))
 
 
 class TestDifferentialIdentity:
-    @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("buffered", [False, True])
     def test_figure2_all_variants(
-        self, figure2_instance, all_variants, tmp_path, shards, buffered
+        self, figure2_instance, all_variants, tmp_path, buffered
     ):
         for i, variant in enumerate(all_variants):
             tree = build_labeled_tree(figure2_instance, variant)
             sub = tmp_path / f"v{i}"
             sub.mkdir()
-            with open_reader(sub, tree, variant, shards, buffered) as ix:
-                assert ix.shard_count == shards
+            with open_reader(sub, tree, variant, buffered) as ix:
                 assert not ix.uses_bitset
                 oracle = TreeOracle(tree, variant)
                 assert_reads_match(ix, oracle, queries_for(figure2_instance))
@@ -91,8 +82,8 @@ class TestDifferentialIdentity:
     def test_example32(self, example32_instance, tmp_path):
         variant = Variant.threshold_jaccard(0.6)
         tree = build_labeled_tree(example32_instance, variant)
-        paths = write_flat(tmp_path, tree, variant, shards=2)
-        with MmapSnapshotIndexes(paths) as mm:
+        path = write_flat(tmp_path, tree, variant)
+        with SnapshotIndexes.open(path) as mm:
             assert_reads_match(
                 mm, TreeOracle(tree, variant), queries_for(example32_instance)
             )
@@ -104,32 +95,16 @@ class TestDifferentialIdentity:
         variant = Variant.threshold_jaccard(0.6)
         instance, _ = preprocess(tiny_dataset, variant)
         tree = build_labeled_tree(instance, variant)
-        with open_reader(tmp_path, tree, variant, 4, buffered) as ix:
+        with open_reader(tmp_path, tree, variant, buffered) as ix:
             assert_reads_match(
                 ix, TreeOracle(tree, variant), queries_for(instance)
             )
 
-    def test_sharded_equals_unsharded(self, figure2_instance, tmp_path):
-        variant = Variant.threshold_jaccard(0.6)
-        tree = build_labeled_tree(figure2_instance, variant)
-        (tmp_path / "s1").mkdir()
-        (tmp_path / "s5").mkdir()
-        one = write_flat(tmp_path / "s1", tree, variant, shards=1)
-        many = write_flat(tmp_path / "s5", tree, variant, shards=5)
-        with MmapSnapshotIndexes(one) as a, MmapSnapshotIndexes(many) as b:
-            for q in queries_for(figure2_instance):
-                assert a.intersection_counts(frozenset(q)) == (
-                    b.intersection_counts(frozenset(q))
-                )
-                assert a.best_category(frozenset(q)) == (
-                    b.best_category(frozenset(q))
-                )
-
     def test_compile_is_deterministic(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
         tree = build_labeled_tree(figure2_instance, variant)
-        assert compile_flat_indexes(tree, variant, shards=3) == (
-            compile_flat_indexes(tree, variant, shards=3)
+        assert compile_flat_indexes(tree, variant) == (
+            compile_flat_indexes(tree, variant)
         )
 
 
@@ -178,7 +153,7 @@ class TestScaleCatalogDifferential:
             sets.append(frozenset(items))
         return batches, sets
 
-    @pytest.mark.parametrize("source", ["buffer", "mapping", "shards3"])
+    @pytest.mark.parametrize("source", ["buffer", "mapping"])
     def test_engine_answers_match_oracle(self, catalog, tmp_path, source):
         tree, instance, variant, oracle = catalog
         if source == "buffer":
@@ -187,15 +162,9 @@ class TestScaleCatalogDifferential:
             )
         else:
             store = SnapshotStore(tmp_path)
-            store.save(
-                tree, instance, variant,
-                flat_shards=3 if source == "shards3" else 1,
-            )
+            store.save(tree, instance, variant)
             engine = ServingEngine(cache_size=0)
             engine.publish(prepare_mmap_generation(store))
-            assert engine.current.indexes.shard_count == (
-                3 if source == "shards3" else 1
-            )
             # Saving renumbers cids: compare against the stored tree.
             tree = store.load().tree
             oracle = TreeOracle(tree, variant)
@@ -221,11 +190,16 @@ class TestStoreIntegration:
         variant = Variant.threshold_jaccard(0.6)
         tree = build_labeled_tree(figure2_instance, variant)
         store = SnapshotStore(tmp_path)
-        info = store.save(tree, figure2_instance, variant, flat_shards=2)
-        paths = store.flat_paths(info.snapshot_id)
-        assert [p.name for p in paths] == [
-            flat_file_name(0, 2), flat_file_name(1, 2)
-        ]
+        info = store.save(tree, figure2_instance, variant)
+        directory = tmp_path / info.snapshot_id
+        assert [p.name for p in directory.glob("*.flat")] == [FLAT_FILE]
+        assert store.flat_paths(info.snapshot_id) == [directory / FLAT_FILE]
+        version, header = flat_header(directory / FLAT_FILE)
+        assert version == FLAT_FORMAT_VERSION == 4
+        gone = {"shard_index", "shard_count", "n_shard_items"}
+        assert not gone & set(header)
+        with pytest.raises(TypeError):
+            store.save(tree, figure2_instance, variant, flat_shards=2)
 
     def test_flat_matches_round_tripped_snapshot(
         self, figure2_instance, tmp_path
@@ -238,7 +212,7 @@ class TestStoreIntegration:
         info = store.save(tree, figure2_instance, variant)
         loaded = store.load(info.snapshot_id)
         oracle = TreeOracle(loaded.tree, loaded.variant)
-        with MmapSnapshotIndexes(store.flat_paths(info.snapshot_id)) as mm:
+        with SnapshotIndexes.open(store.ensure_flat(info.snapshot_id)) as mm:
             assert_reads_match(mm, oracle, queries_for(figure2_instance))
 
     def test_ensure_flat_compiles_for_old_snapshots(
@@ -251,9 +225,9 @@ class TestStoreIntegration:
         for path in store.flat_paths(info.snapshot_id):
             path.unlink()  # simulate a snapshot from before the flat layout
         assert store.flat_paths(info.snapshot_id) == []
-        paths = store.ensure_flat(info.snapshot_id, shards=2)
-        assert len(paths) == 2
-        assert store.ensure_flat(info.snapshot_id) == paths  # idempotent
+        path = store.ensure_flat(info.snapshot_id)
+        assert store.flat_paths(info.snapshot_id) == [path]
+        assert store.ensure_flat(info.snapshot_id) == path  # idempotent
 
     def test_ensure_flat_unknown_snapshot(self, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -282,25 +256,25 @@ class TestCrashInjection:
     def flat_path(self, figure2_instance, tmp_path):
         variant = Variant.threshold_jaccard(0.6)
         tree = build_labeled_tree(figure2_instance, variant)
-        return write_flat(tmp_path, tree, variant)[0]
+        return write_flat(tmp_path, tree, variant)
 
     def test_wrong_magic(self, flat_path):
         blob = bytearray(flat_path.read_bytes())
         blob[:4] = b"NOPE"
         flat_path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="bad magic"):
-            MmapSnapshotIndexes([flat_path])
+            SnapshotIndexes.open(flat_path)
 
     def test_truncated_tail(self, flat_path):
         blob = flat_path.read_bytes()
         flat_path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(SnapshotError, match="torn or truncated"):
-            MmapSnapshotIndexes([flat_path])
+            SnapshotIndexes.open(flat_path)
 
     def test_truncated_to_almost_nothing(self, flat_path):
         flat_path.write_bytes(flat_path.read_bytes()[:5])
         with pytest.raises(SnapshotError, match="truncated"):
-            MmapSnapshotIndexes([flat_path])
+            SnapshotIndexes.open(flat_path)
 
     def test_torn_trailer(self, flat_path):
         # A partially-flushed write: right length, trailer never landed.
@@ -308,7 +282,7 @@ class TestCrashInjection:
         blob[-12:] = b"\0" * 12
         flat_path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="torn or truncated"):
-            MmapSnapshotIndexes([flat_path])
+            SnapshotIndexes.open(flat_path)
 
     def test_future_format_version(self, flat_path):
         blob = bytearray(flat_path.read_bytes())
@@ -320,25 +294,14 @@ class TestCrashInjection:
         )
         flat_path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="newer than supported"):
-            MmapSnapshotIndexes([flat_path])
+            SnapshotIndexes.open(flat_path)
 
     def test_corrupt_header_json(self, flat_path):
         blob = bytearray(flat_path.read_bytes())
         blob[_PREFIX.size: _PREFIX.size + 8] = b"{broken!"
         flat_path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="corrupt header"):
-            MmapSnapshotIndexes([flat_path])
-
-    def test_incomplete_shard_set(self, figure2_instance, tmp_path):
-        variant = Variant.threshold_jaccard(0.6)
-        tree = build_labeled_tree(figure2_instance, variant)
-        paths = write_flat(tmp_path, tree, variant, shards=3)
-        with pytest.raises(SnapshotError, match="expected 3 flat shards"):
-            MmapSnapshotIndexes(paths[:2])
-
-    def test_empty_path_list(self):
-        with pytest.raises(SnapshotError, match="no flat snapshot"):
-            MmapSnapshotIndexes([])
+            SnapshotIndexes.open(flat_path)
 
     def test_rejected_files_leak_no_descriptors(self, flat_path):
         import resource
@@ -350,7 +313,7 @@ class TestCrashInjection:
         # Far more attempts than any fd headroom: a leak would hit EMFILE.
         for _ in range(min(soft + 64, 4096)):
             with pytest.raises(SnapshotError):
-                MmapSnapshotIndexes([flat_path])
+                SnapshotIndexes.open(flat_path)
 
 
 class TestEncoding:
@@ -369,11 +332,6 @@ class TestEncoding:
         assert encode_item(("a",)) == b'["a"]'  # tuples render as arrays
         assert encode_item(frozenset({"x"})) is None
         assert encode_item(float("nan")) is None
-
-    def test_shard_of_stable(self):
-        assert shard_of(b'"a"', 1) == 0
-        assert 0 <= shard_of(b'"a"', 7) < 7
-        assert shard_of(b'"a"', 7) == shard_of(b'"a"', 7)
 
 
 # Random catalogs: JSON-representable items, a couple of variants.
@@ -406,14 +364,14 @@ _variants = st.sampled_from(
 
 class TestRoundTripProperties:
     @settings(max_examples=40, deadline=None)
-    @given(_instances, _variants, st.integers(1, 4))
+    @given(_instances, _variants)
     def test_random_catalogs_round_trip(
-        self, tmp_path_factory, instance, variant, shards
+        self, tmp_path_factory, instance, variant
     ):
         tree = CTCR().build(instance, variant)
         tmp_path = tmp_path_factory.mktemp("flat")
-        paths = write_flat(tmp_path, tree, variant, shards=shards)
-        with MmapSnapshotIndexes(paths) as mm:
+        path = write_flat(tmp_path, tree, variant)
+        with SnapshotIndexes.open(path) as mm:
             assert_reads_match(
                 mm, TreeOracle(tree, variant), [q.items for q in instance.sets]
             )

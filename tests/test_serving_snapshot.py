@@ -112,6 +112,22 @@ class TestSnapshotStore:
         with pytest.raises(SnapshotError):
             store.activate("snap-doesnotexist")
 
+    def test_ids_snapshot_digest_cannot_produce_are_rejected(
+        self, tmp_path, built
+    ):
+        # Ids name directories: one that escapes the store must not
+        # reach another store's snapshot, even when that one exists.
+        tree, instance, variant = built
+        other = SnapshotStore(tmp_path / "other").save(tree, instance, variant)
+        store = SnapshotStore(tmp_path / "store")
+        for bad in (f"../other/{other.snapshot_id}", "snap-ABCDEF0123456789",
+                    other.snapshot_id + "0", 5):
+            for call in (store.info, store.load, store.activate,
+                         store.flat_paths, store.ensure_flat):
+                with pytest.raises(SnapshotError, match="no snapshot"):
+                    call(bad)
+        assert store.current_id() is None
+
     def test_no_staging_leftovers(self, tmp_path, built):
         tree, instance, variant = built
         store = SnapshotStore(tmp_path)

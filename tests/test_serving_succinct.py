@@ -1,25 +1,28 @@
 """Differential tier for the succinct read path.
 
 Serving has one representation — pre-order subtree intervals and
-delta-compressed varint postings in the v3 flat layout — read by one
+delta-compressed varint postings in the v4 flat layout — read by one
 class. These tests pin its answers against a brute-force walk of the
 tree (``tests/oracles.py``) at every layer:
 
 - reader: buffers compiled in process and mapped files, labeled and
-  unlabeled trees, sharded and unsharded;
+  unlabeled trees;
 - format: headers, section groups, missing sections;
 - migration: older-version files are rejected with a recompile hint and
-  upgraded in place by ``SnapshotStore.ensure_flat`` at their existing
-  shard count;
+  ``SnapshotStore.ensure_flat`` compiles ``indexes.flat`` in their
+  place; stores holding only v3 files (one file or a shard set) still
+  serve, in process and from supervisor workers;
 - engine/HTTP: batched ``categorize_items`` equals the per-item loop,
   including across a mid-run hot swap from a buffer to a mapping.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -28,22 +31,22 @@ from repro.algorithms import CTCR
 from repro.core import Variant
 from repro.observability import Tracer, use_tracer
 from repro.serving import (
+    FLAT_FORMAT_VERSION,
     HotSwapper,
-    MmapSnapshotIndexes,
     ServingEngine,
+    ServingSupervisor,
     SnapshotError,
     SnapshotIndexes,
     SnapshotStore,
     compile_flat_indexes,
     describe_flat,
-    flat_file_name,
-    flat_format_version,
     flat_header,
     make_server,
     prepare_mmap_generation,
     serve_in_background,
 )
-from repro.serving.shm import _PREFIX, _TRAILER, FLAT_MAGIC, _FlatShard
+from repro.serving.shm import _PREFIX, _TRAILER, FLAT_MAGIC, _FlatFile
+from repro.serving.snapshot import FLAT_FILE
 from tests.oracles import TreeOracle, assert_reads_match, queries_for
 from tests.test_serving_shm import build_labeled_tree, write_flat
 
@@ -119,33 +122,33 @@ class TestMmapDifferential:
 
         instance, _ = preprocess(tiny_dataset, VARIANT)
         tree = make_tree(instance)
-        paths = write_flat(tmp_path, tree, VARIANT, shards=4)
-        with MmapSnapshotIndexes(paths) as mm:
+        path = write_flat(tmp_path, tree, VARIANT)
+        with SnapshotIndexes.open(path) as mm:
             assert_reads_match(
                 mm, TreeOracle(tree, VARIANT), queries_for(instance)
             )
 
     def test_succinct_only_auto_resolves(self, figure2_instance, tmp_path):
-        # A v3 file carries only the succinct sections; it opens with no
+        # A v4 file carries only the succinct sections; it opens with no
         # representation to choose.
         tree = make_tree(figure2_instance)
-        paths = write_flat(tmp_path, tree, VARIANT)
-        _, header = flat_header(paths[0])
+        path = write_flat(tmp_path, tree, VARIANT)
+        _, header = flat_header(path)
         assert "reprs" not in header
-        with MmapSnapshotIndexes(paths) as mm:
+        with SnapshotIndexes.open(path) as mm:
             assert_reads_match(
                 mm, TreeOracle(tree, VARIANT), queries_for(figure2_instance)
             )
 
     def test_compile_is_deterministic(self, figure2_instance):
         tree = make_tree(figure2_instance)
-        assert compile_flat_indexes(tree, VARIANT, shards=2) == (
-            compile_flat_indexes(tree, VARIANT, shards=2)
+        assert compile_flat_indexes(tree, VARIANT) == (
+            compile_flat_indexes(tree, VARIANT)
         )
 
 
 def rewrite_header(blob: bytes, version: int, edit) -> bytes:
-    """Re-render a compiled shard with an edited header and version.
+    """Re-render a compiled flat file with an edited header and version.
 
     Section offsets are relative to the 8-aligned end of the header, so
     the header is padded back to an 8-byte boundary.
@@ -161,32 +164,61 @@ def rewrite_header(blob: bytes, version: int, edit) -> bytes:
     return body + _TRAILER.pack(b"TROC", len(body) + _TRAILER.size)
 
 
+def write_v3_layout(directory, shard_count):
+    """Replace a snapshot's flat file with v3 ``indexes-*-of-*.flat`` files.
+
+    The v3 layout split the items across ``shard_count`` files, each
+    header naming its shard. The files here carry every item (only the
+    headers matter: nothing may read them). Returns their paths.
+    """
+    flat = directory / FLAT_FILE
+    blob = flat.read_bytes()
+    flat.unlink()
+    paths = []
+    for index in range(shard_count):
+        path = directory / f"indexes-{index:04d}-of-{shard_count:04d}.flat"
+        path.write_bytes(
+            rewrite_header(
+                blob, 3,
+                lambda h: h.update(
+                    shard_index=index,
+                    shard_count=shard_count,
+                    n_shard_items=h["universe_size"],
+                ),
+            )
+        )
+        paths.append(path)
+    return paths
+
+
 class TestReprSelection:
     def test_missing_repr_rejected(self, figure2_instance, tmp_path):
         # A file whose postings group is missing cannot be served.
-        blob = compile_flat_indexes(make_tree(figure2_instance), VARIANT)[0]
+        blob = compile_flat_indexes(make_tree(figure2_instance), VARIANT)
 
         def drop_postings(header):
             for name in ("item_post_voff", "item_post_var"):
                 del header["sections"][name]
 
-        path = tmp_path / flat_file_name(0, 1)
-        path.write_bytes(rewrite_header(blob, 3, drop_postings))
+        path = tmp_path / FLAT_FILE
+        path.write_bytes(
+            rewrite_header(blob, FLAT_FORMAT_VERSION, drop_postings)
+        )
         with pytest.raises(SnapshotError, match="missing section"):
-            MmapSnapshotIndexes([path])
+            SnapshotIndexes.open(path)
 
     def test_flat_header_and_version(self, figure2_instance, tmp_path):
-        path = write_flat(tmp_path, make_tree(figure2_instance), VARIANT)[0]
-        assert flat_format_version(path) == 3
+        path = write_flat(tmp_path, make_tree(figure2_instance), VARIANT)
         version, header = flat_header(path)
-        assert version == 3
-        assert header["shard_count"] == 1
+        assert version == 4
+        gone = {"shard_index", "shard_count", "n_shard_items"}
+        assert not gone & set(header)
         assert header["variant"] == "threshold-jaccard:0.6"
 
     def test_describe_flat_sections(self, figure2_instance, tmp_path):
-        path = write_flat(tmp_path, make_tree(figure2_instance), VARIANT)[0]
+        path = write_flat(tmp_path, make_tree(figure2_instance), VARIANT)
         desc = describe_flat(path)
-        assert desc["format_version"] == 3
+        assert desc["format_version"] == 4
         assert desc["file_bytes"] == path.stat().st_size
         groups = {s["name"]: s["group"] for s in desc["sections"]}
         assert groups["cat_tout"] == "tree"
@@ -220,22 +252,19 @@ class TestMigration:
         path = store.flat_paths(info.snapshot_id)[0]
         self._downgrade_version(path)
         with pytest.raises(SnapshotError, match="ensure_flat"):
-            MmapSnapshotIndexes([path])
+            SnapshotIndexes.open(path)
 
     def test_ensure_flat_recompiles_stale_version(
         self, figure2_instance, tmp_path
     ):
-        store, info = self._save(
-            figure2_instance, tmp_path, flat_shards=3
-        )
-        for path in store.flat_paths(info.snapshot_id):
-            self._downgrade_version(path)
-        paths = store.ensure_flat(info.snapshot_id)
-        assert len(paths) == 3  # recompiled at the existing shard count
-        for path in paths:
-            assert flat_format_version(path) == 3
+        store, info = self._save(figure2_instance, tmp_path)
+        stale = store.flat_paths(info.snapshot_id)[0]
+        self._downgrade_version(stale)
+        path = store.ensure_flat(info.snapshot_id)
+        assert path == stale  # recompiled in place
+        assert flat_header(path)[0] == FLAT_FORMAT_VERSION
         loaded = store.load(info.snapshot_id)
-        with MmapSnapshotIndexes(paths) as mm:
+        with SnapshotIndexes.open(path) as mm:
             assert_reads_match(
                 mm, TreeOracle(loaded.tree, loaded.variant),
                 queries_for(figure2_instance),
@@ -246,7 +275,7 @@ class TestMigration:
     ):
         # A v2 file that carries a single representation (its header
         # names it under "reprs") is stale: opening it directly names
-        # the migration, and ensure_flat recompiles it to v3 in place.
+        # the migration, and ensure_flat recompiles it in place.
         store, info = self._save(figure2_instance, tmp_path)
         path = store.flat_paths(info.snapshot_id)[0]
         path.write_bytes(
@@ -254,13 +283,12 @@ class TestMigration:
                 path.read_bytes(), 2, lambda h: h.update(reprs=["flat"])
             )
         )
-        assert flat_format_version(path) == 2
+        assert flat_header(path)[0] == 2
         with pytest.raises(SnapshotError, match="ensure_flat"):
-            MmapSnapshotIndexes([path])
-        paths = store.ensure_flat(info.snapshot_id)
-        assert paths == [path]
+            SnapshotIndexes.open(path)
+        assert store.ensure_flat(info.snapshot_id) == path
         version, header = flat_header(path)
-        assert version == 3 and "reprs" not in header
+        assert version == FLAT_FORMAT_VERSION and "reprs" not in header
         engine = ServingEngine(cache_size=0)
         engine.publish(prepare_mmap_generation(store))
         loaded = store.load(info.snapshot_id)
@@ -272,29 +300,80 @@ class TestMigration:
         self, figure2_instance, tmp_path
     ):
         store, info = self._save(figure2_instance, tmp_path)
-        before = [
-            (p, p.stat().st_mtime_ns)
-            for p in store.flat_paths(info.snapshot_id)
-        ]
-        paths = store.ensure_flat(info.snapshot_id)
-        assert [(p, p.stat().st_mtime_ns) for p in paths] == before
+        path = store.flat_paths(info.snapshot_id)[0]
+        before = path.stat().st_mtime_ns
+        assert store.ensure_flat(info.snapshot_id) == path
+        assert path.stat().st_mtime_ns == before
+
+    @pytest.mark.parametrize("shard_count", [1, 3])
+    def test_v3_store_still_serves(
+        self, figure2_instance, tmp_path, shard_count
+    ):
+        # A store written before v4 holds only indexes-KKKK-of-SSSS.flat
+        # files. Each is rejected on its own; serving compiles
+        # indexes.flat from tree.json and never reads or removes them.
+        store, info = self._save(figure2_instance, tmp_path)
+        directory = store.root / info.snapshot_id
+        leftovers = write_v3_layout(directory, shard_count)
+        contents = [path.read_bytes() for path in leftovers]
+        for path in leftovers:
+            with pytest.raises(SnapshotError, match="ensure_flat"):
+                SnapshotIndexes.open(path)
+        assert store.flat_paths(info.snapshot_id) == []
+        loaded = store.load(info.snapshot_id)
+        oracle = TreeOracle(loaded.tree, loaded.variant)
+        queries = queries_for(figure2_instance)
+
+        generation = prepare_mmap_generation(store)
+        assert_reads_match(generation.indexes, oracle, queries)
+        generation.indexes.close()
+        assert store.flat_paths(info.snapshot_id) == [directory / FLAT_FILE]
+
+        # A supervisor worker over the same directory, over HTTP.
+        (directory / FLAT_FILE).unlink()
+        with ServingSupervisor(store, n_workers=1) as supervisor:
+            for item in oracle.items:
+                body = _get_json(
+                    supervisor.base_url,
+                    "/categorize?item=" + urllib.parse.quote(item),
+                )
+                assert body["placements"] == oracle.categorize(item)
+            for query in queries:
+                items = ",".join(sorted(query))
+                body = _get_json(
+                    supervisor.base_url,
+                    "/best-category?items=" + urllib.parse.quote(items),
+                )
+                best = oracle.best_category(query)
+                assert body["best"] == (
+                    None if best is None else dataclasses.asdict(best)
+                )
+        assert [path.read_bytes() for path in leftovers] == contents
+        assert sorted(p.name for p in directory.glob("*.flat")) == sorted(
+            [FLAT_FILE] + [path.name for path in leftovers]
+        )
+
+
+def _get_json(base_url: str, path: str) -> dict:
+    with urllib.request.urlopen(base_url + path, timeout=10) as response:
+        return json.loads(response.read())
 
 
 class TestFlatShardLifecycle:
     def test_context_manager_and_idempotent_close(
         self, figure2_instance, tmp_path
     ):
-        path = write_flat(tmp_path, make_tree(figure2_instance), VARIANT)[0]
-        with _FlatShard(path) as shard:
-            assert shard.header["n_categories"] == len(
+        path = write_flat(tmp_path, make_tree(figure2_instance), VARIANT)
+        with _FlatFile(path) as flat:
+            assert flat.header["n_categories"] == len(
                 make_tree(figure2_instance)
             )
-        shard.close()  # double close after __exit__: must be a no-op
-        shard.close()
+        flat.close()  # double close after __exit__: must be a no-op
+        flat.close()
 
     def test_indexes_close_idempotent(self, figure2_instance, tmp_path):
         tree = make_tree(figure2_instance)
-        mm = MmapSnapshotIndexes(write_flat(tmp_path, tree, VARIANT))
+        mm = SnapshotIndexes.open(write_flat(tmp_path, tree, VARIANT))
         mm.close()
         mm.close()
         buffered = SnapshotIndexes(tree, figure2_instance, VARIANT)
@@ -396,12 +475,11 @@ class TestInspectSnapshotCLI:
 
         tree = make_tree(figure2_instance)
         store = SnapshotStore(tmp_path)
-        store.save(tree, figure2_instance, VARIANT, flat_shards=2)
+        store.save(tree, figure2_instance, VARIANT)
         rc = main(["inspect-snapshot", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "shard 1/2" in out and "shard 2/2" in out
-        assert "format v3" in out
+        assert f"{FLAT_FILE}: format v4" in out
         assert "cat_tout" in out and "item_post_var" in out
         assert "cat_bits" not in out
         assert "group subtotals" in out

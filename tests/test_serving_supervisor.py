@@ -25,16 +25,11 @@ import urllib.request
 
 import pytest
 
+from benchmarks.loadgen import build_workload, run_http_loadgen
 from repro.algorithms import CTCR
 from repro.core import Variant, make_instance
 from repro.labeling import apply_label_suggestions, suggest_labels
-from repro.serving import (
-    ServingSupervisor,
-    SnapshotError,
-    SnapshotStore,
-    build_workload,
-    run_http_loadgen,
-)
+from repro.serving import ServingSupervisor, SnapshotError, SnapshotStore
 
 VARIANT = Variant.threshold_jaccard(0.6)
 
@@ -226,36 +221,6 @@ class TestMultiprocessStress:
         # The respawned worker serves too.
         status, _, _ = get_json(supervisor.base_url, "/healthz")
         assert status == 200
-
-
-class TestShardedServing:
-    def test_four_shard_snapshot_served_identically(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        built = catalog_instance(extra=3)
-        info = store.save(
-            CTCR().build(built, VARIANT), built, VARIANT, flat_shards=4
-        )
-        assert len(store.flat_paths(info.snapshot_id)) == 4
-        loaded = store.load(info.snapshot_id)
-        instance, tree = loaded.instance, loaded.tree
-        supervisor = ServingSupervisor(store, n_workers=2, poll_interval=0.1)
-        with supervisor:
-            workload = build_workload(instance, tree, n_requests=150, seed=5)
-            result = run_http_loadgen(
-                supervisor.base_url, workload, n_connections=8
-            )
-            assert result.errors == 0, result.error_messages
-            # Spot-check a sharded answer against the in-process engine.
-            from repro.serving import ServingEngine
-
-            engine = ServingEngine.from_snapshot(store.load())
-            items = ",".join(sorted(instance.sets[0].items))
-            _, body, _ = get_json(
-                supervisor.base_url, f"/best-category?items={items}"
-            )
-            best = engine.best_category(instance.sets[0].items)
-            assert body["best"]["cid"] == best.cid
-            assert body["best"]["score"] == best.score
 
 
 @pytest.mark.slow
