@@ -7,18 +7,14 @@ curve is locally flat (robust tuning, Section 5.4).
 
 from benchmarks.common import bench_report
 from benchmarks.conftest import instance_for
-from repro.algorithms import CTCR, CTCRConfig
+from repro.algorithms import CTCR
 from repro.core import Variant
 from repro.evaluation import threshold_sweep
-from repro.mis import MISConfig
 
 BASE = Variant.threshold_jaccard(0.8)
 DELTAS = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
-# The sweep re-solves near-identical conflict components at adjacent
-# deltas, so the MIS memo cache is on (results are identical either
-# way; bench_mis_engine measures the hit rate on a fine grid).
-BUILDER = CTCR(CTCRConfig(mis=MISConfig(use_cache=True)))
+BUILDER = CTCR()
 
 
 def test_fig8g_threshold_sweep(benchmark):

@@ -7,17 +7,14 @@ steeply as the precision requirement relaxes.
 
 from benchmarks.common import bench_report
 from benchmarks.conftest import instance_for
-from repro.algorithms import CTCR, CTCRConfig
+from repro.algorithms import CTCR
 from repro.core import Variant
 from repro.evaluation import threshold_sweep
-from repro.mis import MISConfig
 
 BASE = Variant.perfect_recall(0.6)
 DELTAS = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
 
-# MIS memo cache on: adjacent deltas re-solve shared conflict
-# components (identical results either way).
-BUILDER = CTCR(CTCRConfig(mis=MISConfig(use_cache=True)))
+BUILDER = CTCR()
 
 
 def test_fig8h_pr_sweep(benchmark):

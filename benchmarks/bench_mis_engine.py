@@ -14,12 +14,9 @@ Two experiments, both written to ``benchmarks/BENCH_mis.json``:
    so the comparison stays honest as the engine evolves. The largest
    instance must show at least a 3x speedup.
 
-2. **Cache hit rate** (Figure 8g robustness protocol): a fine threshold
-   sweep around the taxonomists' preferred delta = 0.8 on dataset C with
-   the component memo-cache enabled. Fine grids mostly do not cross
-   classification boundaries between adjacent deltas, so consecutive
-   sweep points re-solve identical conflict components; the cache must
-   serve more than half of all component solves.
+2. **Sweep wall time** (Figure 8g robustness protocol): a fine
+   threshold sweep around the taxonomists' preferred delta = 0.8 on
+   dataset C, one CTCR build per delta.
 
 ``--tiny`` runs a seconds-scale version of both experiments (small
 instances, coarse sweep, no thresholds asserted) so CI can keep the
@@ -39,14 +36,12 @@ if str(_ROOT) not in sys.path:  # allow `python benchmarks/bench_...py`
 
 from benchmarks.common import bench_report, write_bench_json
 from benchmarks.conftest import instance_for
-from repro.algorithms import CTCR, CTCRConfig
+from repro.algorithms import CTCR
 from repro.conflicts.ranking import rank_sets
 from repro.conflicts.three_conflicts import compute_three_conflicts
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant
 from repro.evaluation import threshold_sweep
-from repro.mis import MISConfig
-from repro.mis.cache import clear_mis_cache, get_mis_cache
 from repro.mis.exact import BudgetExceededError
 from repro.mis.hypergraph_mis import (
     WeightedHypergraph,
@@ -73,7 +68,6 @@ MIN_SPEEDUP_LARGEST = 3.0
 SWEEP_BASE = Variant.threshold_jaccard(0.8)
 SWEEP_DELTAS = [round(0.75 + 0.005 * i, 4) for i in range(31)]
 TINY_SWEEP_DELTAS = [round(0.78 + 0.02 * i, 4) for i in range(5)]
-MIN_CACHE_HIT_RATE = 0.5
 
 
 # -- pre-PR engine, inlined as the fixed baseline --------------------------
@@ -241,33 +235,19 @@ def _stage_row(label: str, name: str, kwargs: dict, reps: int) -> dict:
     }
 
 
-# -- experiment 2: memo-cache hit rate on the Figure 8g sweep --------------
+# -- experiment 2: wall time of the Figure 8g sweep ------------------------
 
 
-def _sweep_once(instance, deltas, use_cache: bool) -> float:
-    clear_mis_cache()
-    builder = CTCR(CTCRConfig(mis=MISConfig(use_cache=use_cache)))
-    start = time.perf_counter()
-    threshold_sweep(builder, instance, SWEEP_BASE, deltas)
-    return time.perf_counter() - start
-
-
-def _cache_experiment(deltas: list[float]) -> dict:
+def _sweep_experiment(deltas: list[float]) -> dict:
     instance = instance_for("C", SWEEP_BASE)
-    seconds_off = _sweep_once(instance, deltas, use_cache=False)
-    seconds_on = _sweep_once(instance, deltas, use_cache=True)
-    cache = get_mis_cache()
-    total = cache.hits + cache.misses
+    start = time.perf_counter()
+    threshold_sweep(CTCR(), instance, SWEEP_BASE, deltas)
     return {
         "dataset": "C",
         "variant_family": "threshold-jaccard",
         "points": len(deltas),
         "delta_range": [deltas[0], deltas[-1]],
-        "hits": cache.hits,
-        "misses": cache.misses,
-        "hit_rate": round(cache.hits / total, 4) if total else 0.0,
-        "sweep_seconds_cache_off": round(seconds_off, 2),
-        "sweep_seconds_cache_on": round(seconds_on, 2),
+        "sweep_seconds": round(time.perf_counter() - start, 2),
     }
 
 
@@ -277,11 +257,11 @@ def run(tiny: bool = False) -> dict:
         _stage_row(label, name, kwargs, 1 if tiny else reps)
         for label, name, kwargs, reps in series
     ]
-    sweep = _cache_experiment(TINY_SWEEP_DELTAS if tiny else SWEEP_DELTAS)
+    sweep = _sweep_experiment(TINY_SWEEP_DELTAS if tiny else SWEEP_DELTAS)
 
     bench_report(
         "MIS engine — conflict-resolution stage, pre-PR vs kernelized bitset",
-        "stage >= 3x on the largest instance; sweep cache hit rate > 50%",
+        "stage >= 3x on the largest instance",
         [
             "instance", "sets", "3-conflicts",
             "legacy s", "engine s", "speedup",
@@ -295,11 +275,8 @@ def run(tiny: bool = False) -> dict:
         ]
         + [
             [
-                "8g sweep", f"{sweep['points']} pts",
-                f"hit rate {sweep['hit_rate']:.0%}",
-                sweep["sweep_seconds_cache_off"],
-                sweep["sweep_seconds_cache_on"],
-                "-",
+                "8g sweep", f"{sweep['points']} pts", "-", "-",
+                sweep["sweep_seconds"], "-",
             ]
         ],
     )
@@ -313,7 +290,7 @@ def run(tiny: bool = False) -> dict:
             "speedup": rows[-1]["speedup"],
             "min_required": MIN_SPEEDUP_LARGEST,
         },
-        "cache_sweep": {**sweep, "min_required": MIN_CACHE_HIT_RATE},
+        "sweep": sweep,
     }
     # Tiny mode gets its own file so CI smoke runs never clobber the
     # committed full-mode numbers.
@@ -323,10 +300,6 @@ def run(tiny: bool = False) -> dict:
         assert rows[-1]["speedup"] >= MIN_SPEEDUP_LARGEST, (
             f"stage speedup {rows[-1]['speedup']}x on {rows[-1]['instance']} "
             f"below {MIN_SPEEDUP_LARGEST}x"
-        )
-        assert sweep["hit_rate"] > MIN_CACHE_HIT_RATE, (
-            f"cache hit rate {sweep['hit_rate']:.0%} below "
-            f"{MIN_CACHE_HIT_RATE:.0%}"
         )
     return payload
 
@@ -340,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tiny",
         action="store_true",
-        help="small instances, coarse sweep, no threshold assertions",
+        help="small instances, coarse sweep, no threshold assertion",
     )
     args = parser.parse_args(argv)
     run(tiny=args.tiny)

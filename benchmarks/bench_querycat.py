@@ -54,7 +54,6 @@ from repro.labeling import apply_label_suggestions, suggest_labels
 from repro.observability import percentile
 from repro.pipeline import PreprocessConfig, preprocess
 from repro.serving import (
-    HotSwapper,
     ServingEngine,
     SnapshotIndexes,
     SnapshotStore,
@@ -223,14 +222,13 @@ def run(tiny: bool = False) -> dict:
                 )
 
         # -- latency under load with a mid-run hot swap ----------------------
-        swapper = HotSwapper(engine)
         texts = sorted({r["label"] for r in records}) or ["category"]
         load = _latency_loop(
             engine,
             texts,
             n_requests,
             n_workers,
-            swap=lambda: swapper.swap_from_store(store),
+            swap=lambda: engine.swap(store),
         )
         assert load["errors"] == 0, (
             f"hot swap dropped requests: {load['error_messages']}"

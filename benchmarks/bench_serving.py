@@ -49,7 +49,6 @@ from repro.algorithms import CTCR
 from repro.core import Variant
 from repro.observability import get_tracer
 from repro.serving import (
-    HotSwapper,
     ServingEngine,
     SnapshotStore,
     describe_flat,
@@ -86,13 +85,12 @@ def run(tiny: bool = False) -> dict:
 
         # -- experiment 1: load + mid-run hot swap ---------------------------
         engine = ServingEngine.from_snapshot(loaded)
-        swapper = HotSwapper(engine)
         swap_result = run_loadgen(
             engine,
             workload,
             n_workers=n_workers,
             swap_at=0.5,
-            swap=lambda: swapper.swap_from_store(store),
+            swap=lambda: engine.swap(store),
         )
         assert swap_result.errors == 0, (
             f"hot swap dropped requests: {swap_result.error_messages}"
@@ -121,7 +119,7 @@ def run(tiny: bool = False) -> dict:
 
         # -- experiment 3: prepare vs publish cost ---------------------------
         t0 = time.perf_counter()
-        generation = swapper.generation_from_store(store)
+        generation = prepare_mmap_generation(store)
         prepare_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         engine.publish(generation)

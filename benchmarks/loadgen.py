@@ -16,7 +16,7 @@ mid-run hot swap can be *proven* harmless by ``result.errors == 0``.
 :func:`run_loadgen` optionally triggers a swap mid-run: when the
 completed-request count crosses ``swap_at`` × total, a coordinator
 thread invokes the provided callable (typically
-``HotSwapper.swap_from_store``) while the workers keep hammering.
+``ServingEngine.swap``) while the workers keep hammering.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ The offline pipeline builds a category tree; ``repro.serving`` puts it
 online. This example runs the whole loop in one process: build a tree
 from a small synthetic dataset, persist it as a content-addressed
 snapshot, serve it over HTTP on a private port, issue the storefront's
-read requests, hot-swap to a rebuilt tree mid-flight, and read the
-engine's own stats. Run::
+read requests, hot-swap to a rebuilt tree mid-flight, roll back over
+HTTP, and read the engine's own stats. Run::
 
-    python examples/serving_quickstart.py
+    PYTHONPATH=src python examples/serving_quickstart.py
 
 The same server is available from the shell as
 ``python -m repro serve --dataset A --snapshot-dir snapshots/``.
@@ -22,7 +22,6 @@ from repro.catalog import load_dataset
 from repro.labeling import apply_label_suggestions, suggest_labels
 from repro.pipeline import preprocess
 from repro.serving import (
-    HotSwapper,
     ServingEngine,
     SnapshotStore,
     make_server,
@@ -30,10 +29,13 @@ from repro.serving import (
 )
 
 
-def get(port: int, path: str) -> dict:
+def get(port: int, path: str, body: dict | None = None) -> dict:
+    """GET ``path``, or POST ``body`` as JSON when one is given."""
+    data = None if body is None else json.dumps(body).encode()
     with urllib.request.urlopen(
-        f"http://127.0.0.1:{port}{path}", timeout=10
+        f"http://127.0.0.1:{port}{path}", data=data, timeout=10
     ) as response:
+        assert response.status == 200, (path, response.status)
         return json.loads(response.read())
 
 
@@ -54,8 +56,10 @@ def main() -> None:
             f"score {info.score:.4f}"
         )
 
-        # 3. Serve the store's CURRENT snapshot over HTTP (port 0 = free).
-        engine = ServingEngine.from_snapshot(store.load())
+        # 3. Serve the store's CURRENT snapshot over HTTP (port 0 = free):
+        #    the engine maps the snapshot's flat file read-only.
+        engine = ServingEngine()
+        engine.swap(store)
         server = make_server(engine, store=store)
         serve_in_background(server)
         port = server.server_port
@@ -75,17 +79,26 @@ def main() -> None:
                 f"{best['best']['label']!r} (score {best['best']['score']:.3f})"
             )
 
-        # 5. Hot-swap to a rebuilt tree: prepare off-path, publish with
-        #    one atomic flip — readers never block, no request drops.
-        swapper = HotSwapper(engine)
-        generation = swapper.swap_from_build(
-            CTCR(), instance, variant, store=store
-        )
+        # 5. Hot-swap to a rebuilt tree: save it (it becomes CURRENT),
+        #    then map it off-path and publish with one atomic flip —
+        #    readers never block, no request drops.
+        stricter = Variant.threshold_jaccard(0.9)
+        rebuilt = store.save(CTCR().build(instance, stricter), instance, stricter)
+        generation = engine.swap(store)
         print(f"hot-swapped to generation {generation.number}")
         health = get(port, "/healthz")
         assert health["generation"] == generation.number
+        assert health["snapshot_id"] == rebuilt.snapshot_id
 
-        # 6. The engine reports its own serving stats.
+        # 6. Roll back over HTTP: naming a snapshot activates it in the
+        #    store, so every worker polling CURRENT would follow too.
+        swapped = get(port, "/admin/swap", {"snapshot_id": info.snapshot_id})
+        print(f"rolled back to {swapped['snapshot_id']} "
+              f"(generation {swapped['generation']})")
+        assert store.current_id() == info.snapshot_id
+        assert get(port, "/healthz")["generation"] == swapped["generation"]
+
+        # 7. The engine reports its own serving stats.
         stats = get(port, "/stats")
         print(
             f"served {stats['requests']} requests, cache hit rate "
@@ -93,8 +106,7 @@ def main() -> None:
             f"{stats['generation']}"
         )
 
-        server.shutdown()
-        server.server_close()
+        server.stop()
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.core.input_sets import InputSet, Item, OCTInstance
-from repro.core.scoring import ScoreReport, score_tree
 from repro.core.similarity import variant_score
 from repro.core.tree import Category, CategoryTree
 from repro.core.variants import Variant
@@ -20,13 +19,6 @@ class TreeBuilder(abc.ABC):
     @abc.abstractmethod
     def build(self, instance: OCTInstance, variant: Variant) -> CategoryTree:
         """Construct a valid category tree for an instance and variant."""
-
-    def build_scored(
-        self, instance: OCTInstance, variant: Variant
-    ) -> tuple[CategoryTree, ScoreReport]:
-        """Build a tree and evaluate it in one call."""
-        tree = self.build(instance, variant)
-        return tree, score_tree(tree, instance, variant)
 
 
 @dataclass

@@ -36,7 +36,6 @@ from repro.conflicts.two_conflicts import PairwiseAnalysis, compute_pairwise
 from repro.core.input_sets import InputSet, OCTInstance
 from repro.core.tree import Category, CategoryTree
 from repro.core.variants import SimilarityKind, Variant
-from repro.mis.cache import get_mis_cache
 from repro.mis.hypergraph_mis import WeightedHypergraph
 from repro.mis.solver import MISConfig, solve_conflicts
 from repro.observability import get_tracer
@@ -68,8 +67,6 @@ class CTCRDiagnostics:
     selected: int = 0
     selected_weight: float = 0.0
     intermediates_added: int = 0
-    mis_cache_hits: int = 0
-    mis_cache_misses: int = 0
 
     _GAUGE_PREFIX = "ctcr.diag."
 
@@ -87,8 +84,6 @@ class CTCRDiagnostics:
             "selected": self.selected,
             "selected_weight": self.selected_weight,
             "intermediates_added": self.intermediates_added,
-            "mis_cache_hits": self.mis_cache_hits,
-            "mis_cache_misses": self.mis_cache_misses,
         }
 
     @classmethod
@@ -107,7 +102,6 @@ class CTCRDiagnostics:
         for int_field in (
             "num_sets", "num_two_conflicts", "num_three_conflicts",
             "selected", "intermediates_added",
-            "mis_cache_hits", "mis_cache_misses",
         ):
             fields[int_field] = int(fields[int_field])
         return cls(**fields)
@@ -145,16 +139,7 @@ class CTCR(TreeBuilder):
                     + [frozenset(e) for e in conflict_structure.triples],
                 )
             with tracer.span("ctcr.mis"):
-                # Cache deltas are read off the cache object directly so
-                # the diagnostics view works even under a NullTracer.
-                cache = get_mis_cache() if self.config.mis.use_cache else None
-                hits0, misses0 = (
-                    (cache.hits, cache.misses) if cache else (0, 0)
-                )
                 selected_sids = solve_conflicts(hypergraph, self.config.mis)
-                if cache is not None:
-                    diag.mis_cache_hits = cache.hits - hits0
-                    diag.mis_cache_misses = cache.misses - misses0
             selected = [
                 q for q in ranking.ordered if q.sid in selected_sids
             ]  # rank order: parents appear before children

@@ -10,8 +10,8 @@ package turns those manifests into decisions:
   against the snapshot's build-time weights (via
   :mod:`repro.maintenance.outliers`) and emits a
   :class:`RebuildRecommendation`;
-* :func:`apply_recommendation` — acts on the recommendation through a
-  :class:`~repro.serving.hotswap.HotSwapper`.
+* :func:`apply_recommendation` — acts on the recommendation: rebuild,
+  save to the snapshot store, hot-swap the serving engine.
 
 CLI: ``python -m repro analytics {report,drift}``; operator guide:
 docs/serving_analytics.md.

@@ -4,10 +4,9 @@ The snapshot was built for the traffic the input-set weights described;
 live ``serving.querycat.traffic.*`` counters describe the traffic the
 tree actually receives. When the two distributions diverge, the tree is
 optimizing yesterday's workload — this module quantifies the divergence
-and emits a :class:`RebuildRecommendation` that
-:class:`~repro.serving.hotswap.HotSwapper` can act on directly
-(:func:`apply_recommendation`), optionally after reweighting the
-instance toward the live distribution (:func:`reweighted_instance`).
+and emits a :class:`RebuildRecommendation` that a serving engine can act
+on directly (:func:`apply_recommendation`), optionally after reweighting
+the instance toward the live distribution (:func:`reweighted_instance`).
 
 Detection is built on :mod:`repro.maintenance.outliers`: per-category
 divergence uses :func:`~repro.maintenance.outliers.detect_distribution_outliers`
@@ -171,25 +170,25 @@ def reweighted_instance(
 
 def apply_recommendation(
     recommendation: RebuildRecommendation,
-    swapper,
+    engine,
     builder,
     instance: OCTInstance,
     variant,
-    store=None,
+    store,
     reweight: bool = True,
 ):
-    """Act on a rebuild recommendation through a ``HotSwapper``.
+    """Act on a rebuild recommendation: build, save, hot-swap.
 
     No-op (returns None) when no rebuild is recommended; otherwise
     rebuilds from scratch — by default from the live-reweighted
-    instance — and atomically publishes the new generation via
-    :meth:`~repro.serving.hotswap.HotSwapper.swap_from_build`,
-    persisting to ``store`` when given. Returns the published
-    generation.
+    instance — saves and activates the tree in ``store``, and publishes
+    it on ``engine`` with :meth:`~repro.serving.engine.ServingEngine.swap`.
+    Returns the published generation.
     """
     if not recommendation.should_rebuild:
         return None
     source = (
         reweighted_instance(instance, recommendation) if reweight else instance
     )
-    return swapper.swap_from_build(builder, source, variant, store=store)
+    info = store.save(builder.build(source, variant), source, variant)
+    return engine.swap(store, info.snapshot_id)

@@ -15,7 +15,6 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.clustering.agglomerative import agglomerative_clustering
 from repro.clustering.dendrogram import Dendrogram
 from repro.core.tree import CategoryTree
 
@@ -89,14 +88,3 @@ def tree_from_item_dendrogram(
         for child in child_map[node_id]:
             stack.append((child, cat))
     return tree
-
-
-def cluster_groups(
-    vectors: np.ndarray,
-    members: list[list[Item]],
-    linkage: str = "average",
-    metric: str = "euclidean",
-) -> tuple[Dendrogram, list[list[Item]]]:
-    """Agglomerative clustering over group vectors."""
-    dendrogram = agglomerative_clustering(vectors, linkage=linkage, metric=metric)
-    return dendrogram, members

@@ -38,6 +38,7 @@ cProfile stats); see docs/operations.md.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -63,31 +64,17 @@ from repro.observability import (
     use_tracer,
 )
 from repro.pipeline import preprocess
+from repro.serving.snapshot import SnapshotError, variant_from_spec
 
 
 def parse_variant(spec: str) -> Variant:
     """Parse ``kind:delta`` variant specs (``exact`` has no delta)."""
-    if spec == "exact":
-        return Variant.exact()
     try:
-        name, raw_delta = spec.split(":")
-        delta = float(raw_delta)
-    except ValueError as exc:
+        return variant_from_spec(spec)
+    except SnapshotError as exc:
         raise SystemExit(
-            f"bad variant {spec!r}; expected e.g. threshold-jaccard:0.8"
+            f"{exc}; expected e.g. threshold-jaccard:0.8 or exact"
         ) from exc
-    constructors = {
-        "threshold-jaccard": Variant.threshold_jaccard,
-        "cutoff-jaccard": Variant.cutoff_jaccard,
-        "threshold-f1": Variant.threshold_f1,
-        "cutoff-f1": Variant.cutoff_f1,
-        "perfect-recall": Variant.perfect_recall,
-    }
-    if name not in constructors:
-        raise SystemExit(
-            f"unknown variant kind {name!r}; one of {sorted(constructors)}"
-        )
-    return constructors[name](delta)
 
 
 def _load(args) -> tuple:
@@ -115,12 +102,8 @@ def _jobs_arg(raw: str) -> int:
 
 
 def _ctcr_config(args) -> CTCRConfig:
-    """CTCR tuning from the MIS engine flags (--mis-jobs, --mis-cache)."""
-    mis = MISConfig(
-        n_jobs=getattr(args, "mis_jobs", 1),
-        use_cache=getattr(args, "mis_cache", "on") == "on",
-    )
-    return CTCRConfig(mis=mis)
+    """CTCR tuning from the MIS engine flag (--mis-jobs)."""
+    return CTCRConfig(mis=MISConfig(n_jobs=getattr(args, "mis_jobs", 1)))
 
 
 def _builder(name: str, dataset, args=None) -> TreeBuilder:
@@ -226,66 +209,68 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    """Serve a category tree over HTTP (snapshot-backed, hot-swappable)."""
+def _serving_source(args):
+    """Where ``serve`` and ``categorize-query`` read their tree from.
+
+    With ``--snapshot-dir`` the answer is the store's CURRENT snapshot;
+    an empty store first gets one built from the dataset/instance flags.
+    Returns ``(store, None)``. Without it, returns ``(None, engine)``
+    over a one-off in-memory build.
+    """
     from repro.labeling import apply_label_suggestions, suggest_labels
-    from repro.serving import (
-        ServingEngine,
-        SnapshotStore,
-        make_server,
-        prepare_mmap_generation,
-    )
+    from repro.serving import ServingEngine, SnapshotStore
 
     store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers > 1 and store is None:
-        print(
-            "error: --workers > 1 requires --snapshot-dir (worker "
-            "processes coordinate through the store's CURRENT pointer)",
-            file=sys.stderr,
-        )
-        return 2
-
     if store is not None and store.current_id() is not None:
         info = store.info(store.current_id())
         print(
             f"loaded snapshot {info.snapshot_id} "
             f"(variant {info.variant}, score {info.score:.4f})"
         )
-    else:
-        instance, dataset, variant = _load(args)
-        builder = _builder(args.algorithm, dataset, args)
-        tree = builder.build(instance, variant)
-        apply_label_suggestions(tree, suggest_labels(tree, instance, variant))
-        if store is None:
-            engine = ServingEngine.from_tree(
-                tree, instance, variant, cache_size=args.cache_size
-            )
-            server = make_server(
-                engine, host=args.host, port=args.port,
-                max_requests=args.max_requests,
-            )
-            return _serve_loop(server, engine)
-        info = store.save(tree, instance, variant)
-        print(f"built and saved snapshot {info.snapshot_id}")
+        return store, None
+    instance, dataset, variant = _load(args)
+    tree = _builder(args.algorithm, dataset, args).build(instance, variant)
+    apply_label_suggestions(tree, suggest_labels(tree, instance, variant))
+    if store is None:
+        cache_size = getattr(args, "cache_size", 4096)
+        return None, ServingEngine.from_tree(
+            tree, instance, variant, cache_size=cache_size
+        )
+    info = store.save(tree, instance, variant)
+    print(f"built and saved snapshot {info.snapshot_id}")
+    return store, None
 
-    # The workers map the store's files themselves: the parent never
-    # holds an engine of its own.
-    if args.workers > 1:
-        return _serve_multi(args, store)
-    engine = ServingEngine(cache_size=args.cache_size)
-    engine.publish(prepare_mmap_generation(store, info.snapshot_id))
+
+def cmd_serve(args) -> int:
+    """Serve a category tree over HTTP (snapshot-backed, hot-swappable)."""
+    from repro.serving import make_server
+
+    if args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 2
+    if args.workers > 1 and not args.snapshot_dir:
+        print(
+            "error: --workers > 1 requires --snapshot-dir (worker "
+            "processes coordinate through the store's CURRENT pointer)",
+            file=sys.stderr,
+        )
+        return 2
+    store, engine = _serving_source(args)
+    if store is not None:
+        return _serve_supervised(args, store)
     server = make_server(
         engine, host=args.host, port=args.port,
-        store=store, max_requests=args.max_requests,
+        max_requests=args.max_requests,
     )
     return _serve_loop(server, engine)
 
 
-def _serve_multi(args, store) -> int:
-    """Run N SO_REUSEPORT worker processes on one mmap'd snapshot."""
+def _serve_supervised(args, store) -> int:
+    """Serve a store from N SO_REUSEPORT worker processes.
+
+    The workers map the store's flat file themselves and follow its
+    CURRENT pointer; the parent never holds an engine of its own.
+    """
     from repro.serving.supervisor import ServingSupervisor
 
     # Compile the flat file once here rather than in every worker.
@@ -338,41 +323,11 @@ def _serve_loop(server, engine) -> int:
         pass
     finally:
         server.server_close()
-    stats = engine.stats()
     print(
-        f"served {stats['requests']} requests "
-        f"(cache hit rate {stats['cache']['hit_rate']:.2f})"
+        f"served {server.requests_handled} requests "
+        f"(cache hit rate {engine.stats()['cache']['hit_rate']:.2f})"
     )
     return 0
-
-
-def _query_engine(args):
-    """Resolve a ServingEngine for offline query categorization.
-
-    Mirrors ``cmd_serve``'s sourcing rules: serve the store's CURRENT
-    snapshot when one exists, otherwise build from the dataset/instance
-    flags (saving to the store when given).
-    """
-    from repro.labeling import apply_label_suggestions, suggest_labels
-    from repro.serving import ServingEngine, SnapshotStore
-
-    store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
-    if store is not None and store.current_id() is not None:
-        loaded = store.load()
-        print(
-            f"loaded snapshot {loaded.info.snapshot_id} "
-            f"(variant {loaded.info.variant})"
-        )
-        return ServingEngine.from_snapshot(loaded)
-    instance, dataset, variant = _load(args)
-    builder = _builder(args.algorithm, dataset, args)
-    tree = builder.build(instance, variant)
-    apply_label_suggestions(tree, suggest_labels(tree, instance, variant))
-    if store is not None:
-        info = store.save(tree, instance, variant)
-        print(f"built and saved snapshot {info.snapshot_id}")
-        return ServingEngine.from_snapshot(store.load(info.snapshot_id))
-    return ServingEngine.from_tree(tree, instance, variant)
 
 
 def cmd_categorize_query(args) -> int:
@@ -394,7 +349,12 @@ def cmd_categorize_query(args) -> int:
             f"error: --top-k must be >= 1, got {args.top_k}", file=sys.stderr
         )
         return 2
-    engine = _query_engine(args)
+    store, engine = _serving_source(args)
+    if engine is None:
+        from repro.serving import ServingEngine
+
+        engine = ServingEngine()
+        engine.swap(store)
     results = engine.categorize_queries(
         queries, threshold=args.confidence_threshold, top_k=args.top_k
     )
@@ -705,14 +665,6 @@ def make_parser() -> argparse.ArgumentParser:
             "conflict components solve in parallel "
             "(-1 = all CPUs, default: 1)",
         )
-        p.add_argument(
-            "--mis-cache",
-            choices=["on", "off"],
-            default="on",
-            help="memoize solved MIS components across builds in this "
-            "process — threshold sweeps re-solve near-identical "
-            "conflict structures per delta (default: on)",
-        )
 
     # "oct" is the paper's name for the problem; both spellings build one
     # tree with identical flags.
@@ -799,9 +751,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="serve from N worker processes sharing the port via "
-        "SO_REUSEPORT, each mmap-ing the snapshot's flat layout "
-        "(requires --snapshot-dir; default: 1, in-process)",
+        help="serve the store from N worker processes sharing the port "
+        "via SO_REUSEPORT, each mapping the snapshot's flat file and "
+        "following CURRENT (N > 1 requires --snapshot-dir; default: 1 "
+        "worker process)",
     )
     p_serve.add_argument(
         "--poll-interval", type=float, default=0.25, metavar="SECONDS",
@@ -1104,10 +1057,21 @@ def _run_observed(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    if getattr(args, "trace", False) or getattr(args, "manifest", None) \
-            or getattr(args, "profile", None):
-        return _run_observed(args)
-    return args.func(args)
+    try:
+        if getattr(args, "trace", False) or getattr(args, "manifest", None) \
+                or getattr(args, "profile", None):
+            rc = _run_observed(args)
+        else:
+            rc = args.func(args)
+        # Flush inside the try, so a reader that went away (``| head``)
+        # surfaces here rather than in the interpreter's exit flush.
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the exit flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -26,11 +26,10 @@ All tests honour per-set thresholds, and items whose branch bound exceeds
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as _np
 
-from repro.core.input_sets import InputSet, Item
+from repro.core.input_sets import InputSet
 from repro.core.variants import SimilarityKind, Variant
 
 _EPS = 1e-9
@@ -118,17 +117,6 @@ def can_cover_together(
         budget_upper = 2.0 * len(upper) * (1.0 - delta_upper) / delta_upper
     y2 = max(0, needed_lower - intersection)
     return y2 <= budget_upper + _EPS
-
-
-def effective_shared(
-    q1: InputSet, q2: InputSet, bound: Callable[[Item], int]
-) -> int:
-    """Shared items that must be partitioned between separate branches.
-
-    Items with branch bound greater than 1 may appear on both branches,
-    so only bound-1 items constrain a separate cover.
-    """
-    return sum(1 for item in q1.items & q2.items if bound(item) == 1)
 
 
 # ---------------------------------------------------------------------------

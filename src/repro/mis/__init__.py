@@ -1,6 +1,5 @@
 """Maximum-weight independent set solvers (graphs and hypergraphs)."""
 
-from repro.mis.cache import MISComponentCache, clear_mis_cache, get_mis_cache
 from repro.mis.exact import BudgetExceededError, clique_cover_bound, solve_exact
 from repro.mis.graph import WeightedGraph
 from repro.mis.greedy import (
@@ -24,15 +23,12 @@ from repro.mis.solver import MISConfig, solve_conflicts
 __all__ = [
     "BudgetExceededError",
     "HyperReductionResult",
-    "MISComponentCache",
     "MISConfig",
     "ReductionResult",
     "WeightedGraph",
     "WeightedHypergraph",
-    "clear_mis_cache",
     "clique_cover_bound",
     "expand_solution",
-    "get_mis_cache",
     "greedy_hypergraph_mis",
     "greedy_mwis",
     "iterated_local_search",

@@ -26,13 +26,9 @@ engine stacks four accelerations in front of the branch-and-bound:
 3. **Greedy warm start**: the branch-and-bound opens with the greedy
    solution as its incumbent instead of an empty one, which turns the
    suffix-weight bound into an actual prune on the first descent.
-4. **Component parallelism + memo cache**: connected components are
-   independent subproblems, fanned out via
-   :func:`repro.utils.parallel.parallel_map` (worker counter deltas
-   merge back per the tracing protocol) after the parent filters out
-   components already solved in this process
-   (:mod:`repro.mis.cache` — threshold sweeps re-solve near-identical
-   structures per δ).
+4. **Component parallelism**: connected components are independent
+   subproblems, fanned out via :func:`repro.utils.parallel.parallel_map`
+   (worker counter deltas merge back per the tracing protocol).
 
 The node budget is **per component**: every component gets the full
 budget, which keeps serial and pooled runs byte-identical (a shared
@@ -52,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
 from repro.core.bitset import iter_bits
-from repro.mis.cache import MISComponentCache
 from repro.mis.exact import BudgetExceededError
 from repro.mis.hypergraph_reductions import (
     expand_solution,
@@ -62,7 +57,7 @@ from repro.observability import get_tracer
 from repro.utils.parallel import parallel_map
 
 # Components at or below this size get the exact branch-and-bound;
-# larger ones fall to greedy. The MIS component-cache key includes it.
+# larger ones fall to greedy.
 DEFAULT_MAX_EXACT_COMPONENT = 2000
 
 Vertex = Hashable
@@ -319,14 +314,11 @@ def solve_hypergraph_mis(
     max_exact_component: int = DEFAULT_MAX_EXACT_COMPONENT,
     kernelize: bool = True,
     n_jobs: int = 1,
-    cache: MISComponentCache | None = None,
 ) -> set[Vertex]:
     """Kernelize, split into components, solve each, expand back.
 
-    ``node_budget`` applies per component. With a ``cache``, components
-    whose canonical key was solved earlier in this process are replayed
-    without any solving; ``n_jobs > 1`` fans the remaining components
-    out to a process pool.
+    ``node_budget`` applies per component; ``n_jobs > 1`` fans the
+    components out to a process pool.
     """
     tracer = get_tracer()
     if kernelize:
@@ -340,38 +332,22 @@ def solve_hypergraph_mis(
         kernel = hg
 
     kernel_solution: set[Vertex] = set()
-    pending: list[tuple[WeightedHypergraph, str | None]] = []
+    payloads: list[tuple] = []
     for component in sorted(kernel.connected_components(), key=len):
         sub = _subhypergraph(kernel, component)
         if not sub.edges:
             kernel_solution |= component
             continue
         tracer.count("mis.components")
-        key = None
-        if cache is not None:
-            key = cache.key(sub, node_budget, exact, max_exact_component)
-            hit = cache.get(key)
-            if hit is not None:
-                tracer.count("mis.cache_hits")
-                kernel_solution |= hit
-                continue
-            tracer.count("mis.cache_misses")
-        pending.append((sub, key))
+        payloads.append((sub, node_budget, exact, max_exact_component))
 
-    if pending:
-        payloads = [
-            (sub, node_budget, exact, max_exact_component)
-            for sub, _ in pending
-        ]
+    if payloads:
         # chunk_size=1: component costs are wildly uneven (they arrive
         # sorted by size), so each gets its own pool task.
-        solutions = parallel_map(
+        for solution in parallel_map(
             _solve_component_chunk, payloads, n_jobs=n_jobs, chunk_size=1
-        )
-        for (sub, key), solution in zip(pending, solutions):
+        ):
             kernel_solution |= solution
-            if cache is not None and key is not None:
-                cache.put(key, solution)
 
     if reduction is not None:
         return expand_solution(reduction, kernel_solution)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mis.cache import get_mis_cache
 from repro.mis.exact import BudgetExceededError, solve_exact
 from repro.mis.graph import WeightedGraph
 from repro.mis.greedy import solve_greedy
@@ -29,10 +28,8 @@ class MISConfig:
     """Tuning knobs for the MIS stage of CTCR.
 
     ``n_jobs`` fans independent conflict components out to a process
-    pool on the hypergraph path; ``use_cache`` replays components
-    already solved in this process (threshold sweeps re-solve
-    near-identical structures per δ). Neither changes results: all
-    combinations return byte-identical selections.
+    pool on the hypergraph path; it never changes results: every
+    worker count returns byte-identical selections.
 
     The two engines budget differently: ``node_budget`` is the graph
     path's *shared* allowance across the whole instance, while
@@ -45,7 +42,6 @@ class MISConfig:
     node_budget: int = 500_000
     hyper_node_budget: int = 50_000
     n_jobs: int = 1
-    use_cache: bool = False
 
     def describe(self) -> str:
         return "exact" if self.exact else "greedy"
@@ -78,7 +74,6 @@ def solve_conflicts(
                 node_budget=config.hyper_node_budget,
                 exact=config.exact,
                 n_jobs=config.n_jobs,
-                cache=get_mis_cache() if config.use_cache else None,
             )
         graph = _to_graph(hg)
         if config.exact:

@@ -42,8 +42,8 @@ from repro.observability.tracer import NullTracer, Tracer
 # the raw material of the repro.analytics report and drift detector.
 # v8: shaping.* counters/gauges from latency/memory-budgeted tree
 # shaping (runs, removed, hub_splits, width_pruned, quality_given_up,
-# met) emitted by repro.shaping.TreeShaper and the HotSwapper
-# shape-then-publish path.
+# met) emitted by repro.shaping.TreeShaper (and, until v13, by the
+# swap path's shape-then-publish hook).
 # v9: serving.succinct.requests (equal to serving.requests now that every
 # generation reads the succinct layout) and serving.succinct.bitset_fanin
 # (its dense-kernel path is gone) are no longer emitted.
@@ -62,7 +62,12 @@ from repro.observability.tracer import NullTracer, Tracer
 # incremental.delta_wall_s and incremental.est_full_wall_s, and the
 # counter incremental.fallbacks, are no longer emitted
 # (incremental.staging_{hits,misses} stay).
-SCHEMA_VERSION = 12
+# v13: one swap path and no MIS component cache — the counters
+# serving.succinct.batched_lca, mis.cache_hits and mis.cache_misses, the
+# gauges ctcr.diag.mis_cache_hits and ctcr.diag.mis_cache_misses, and
+# the spans serving.prepare, serving.rebuild and serving.shape are no
+# longer emitted.
+SCHEMA_VERSION = 13
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource

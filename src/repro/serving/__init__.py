@@ -8,12 +8,13 @@ delta-compressed varint postings (:mod:`repro.serving.succinct`) — and
 one reader over it (:mod:`repro.serving.indexes`), which opens either
 an in-process buffer compiled from a tree or a snapshot's one flat
 file mapped read-only. On top sit a thread-safe query engine with an
-LRU result cache (:mod:`repro.serving.engine`), atomic hot swaps of
-rebuilt trees (:mod:`repro.serving.hotswap`), a zero-dependency
-HTTP/JSON frontend (:mod:`repro.serving.http`, CLI: ``python -m repro
-serve``), a multi-process SO_REUSEPORT supervisor whose workers map the
-same file (:mod:`repro.serving.supervisor`, CLI: ``python -m repro
-serve --workers N``), and staged free-text query categorization with
+LRU result cache that hot-swaps to any stored snapshot
+(:mod:`repro.serving.engine`), a zero-dependency HTTP/JSON frontend
+(:mod:`repro.serving.http`), a multi-process SO_REUSEPORT supervisor
+whose workers map the same file and follow the store's ``CURRENT``
+pointer (:mod:`repro.serving.supervisor`, CLI: ``python -m repro serve
+--snapshot-dir DIR [--workers N]``), and staged free-text query
+categorization with
 confidence-thresholded back-off up the hierarchy
 (:mod:`repro.serving.querycat`, CLI: ``python -m repro
 categorize-query``).
@@ -24,19 +25,14 @@ Quickstart::
 
     store = SnapshotStore("snapshots/")
     store.save(tree, instance, variant)           # content-addressed
-    engine = ServingEngine.from_snapshot(store.load())
+    engine = ServingEngine()
+    engine.swap(store)                            # map + publish CURRENT
     engine.best_category({"p1", "p2"})            # scored best category
     engine.categorize_item("p1")                  # branch placements
     engine.browse()                               # root navigation page
 """
 
-from repro.serving.engine import (
-    Generation,
-    ServingEngine,
-    ServingError,
-    prepare_generation,
-)
-from repro.serving.hotswap import HotSwapper
+from repro.serving.engine import Generation, ServingEngine, ServingError
 from repro.serving.http import ServingHTTPServer, make_server, serve_in_background
 from repro.serving.indexes import BestCategory, SnapshotIndexes
 from repro.serving.querycat import (
@@ -72,7 +68,6 @@ __all__ = [
     "EulerTour",
     "FLAT_FORMAT_VERSION",
     "Generation",
-    "HotSwapper",
     "LoadedSnapshot",
     "SECTION_GROUPS",
     "SNAPSHOT_FORMAT_VERSION",
@@ -92,7 +87,6 @@ __all__ = [
     "encode_postings",
     "flat_header",
     "make_server",
-    "prepare_generation",
     "prepare_mmap_generation",
     "record_query_counters",
     "serve_in_background",

@@ -1,14 +1,13 @@
 """The thread-safe category-tree serving engine.
 
 A :class:`ServingEngine` answers navigation and categorization queries
-against one *generation* — an immutable bundle of (tree, instance,
-variant, :class:`~repro.serving.indexes.SnapshotIndexes`). Requests read
-the current generation through a single attribute load (atomic under the
+against one *generation* — one opened
+:class:`~repro.serving.indexes.SnapshotIndexes`. Requests read the
+current generation through a single attribute load (atomic under the
 GIL), so readers never block each other and never see a half-installed
-tree; :meth:`ServingEngine.publish` installs a fully prepared generation
-with one reference flip (see :mod:`repro.serving.hotswap` for the swap
-choreography). In-flight requests keep using the generation they
-started on.
+tree. :meth:`ServingEngine.swap` maps a stored snapshot and publishes it
+with one reference flip; in-flight requests keep using the generation
+they started on.
 
 Read results are memoized in an LRU cache keyed by (generation, op,
 args), so a swap invalidates logically without a stop-the-world flush:
@@ -23,7 +22,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from repro.core.exceptions import ReproError
@@ -34,7 +33,8 @@ from repro.observability import get_tracer, percentile
 from repro.serving.indexes import BestCategory, SnapshotIndexes
 from repro.serving.querycat import categorize_query as _categorize_query
 from repro.serving.querycat import record_query_counters
-from repro.serving.snapshot import LoadedSnapshot
+from repro.serving.shm import prepare_mmap_generation
+from repro.serving.snapshot import LoadedSnapshot, SnapshotStore
 
 Item = Hashable
 
@@ -48,44 +48,13 @@ class Generation:
     """One immutable, queryable build of the category tree.
 
     ``number`` is assigned by :meth:`ServingEngine.publish` (monotonic,
-    starting at 1); before publication it is 0. ``tree`` and
-    ``instance`` are None for store-sourced generations
-    (:func:`repro.serving.shm.prepare_mmap_generation`), which map the
-    store's flat files instead of deserializing them — the indexes alone
-    answer every read op.
+    starting at 1); before publication it is 0. The indexes alone answer
+    every read op, whether compiled in process or mapped from a store.
     """
 
-    tree: CategoryTree | None
-    instance: OCTInstance | None
-    variant: Variant
     indexes: SnapshotIndexes
     snapshot_id: str = ""
     number: int = 0
-    published_at: float = 0.0
-
-
-def prepare_generation(
-    tree: CategoryTree,
-    instance: OCTInstance,
-    variant: Variant,
-    snapshot_id: str = "",
-) -> Generation:
-    """Compile a tree into an in-process buffer and open it (off-path).
-
-    This is the slow half of a hot swap — run it in the background (or
-    before serving starts) and hand the result to
-    :meth:`ServingEngine.publish`.
-    """
-    tracer = get_tracer()
-    with tracer.span("serving.prepare"):
-        indexes = SnapshotIndexes(tree, instance, variant)
-    return Generation(
-        tree=tree,
-        instance=instance,
-        variant=variant,
-        indexes=indexes,
-        snapshot_id=snapshot_id,
-    )
 
 
 class _LRUCache:
@@ -136,7 +105,9 @@ class ServingEngine:
         self, cache_size: int = 4096, latency_window: int = 65536
     ) -> None:
         self._gen: Generation | None = None
-        self._publish_lock = threading.Lock()
+        # Re-entrant: swap() holds it across prepare + publish, so two
+        # swaps cannot publish out of order.
+        self._publish_lock = threading.RLock()
         self._generation_counter = 0
         self._cache = _LRUCache(cache_size)
         self._op_stats: dict[str, _OpStats] = {}
@@ -158,14 +129,8 @@ class ServingEngine:
     ) -> "ServingEngine":
         """An engine serving one loaded snapshot (generation 1)."""
         engine = cls(cache_size=cache_size)
-        engine.publish(
-            prepare_generation(
-                loaded.tree,
-                loaded.instance,
-                loaded.variant,
-                snapshot_id=loaded.info.snapshot_id,
-            )
-        )
+        indexes = SnapshotIndexes(loaded.tree, loaded.instance, loaded.variant)
+        engine.publish(Generation(indexes, loaded.info.snapshot_id))
         return engine
 
     @classmethod
@@ -178,7 +143,7 @@ class ServingEngine:
     ) -> "ServingEngine":
         """An engine serving an in-memory tree (no snapshot store)."""
         engine = cls(cache_size=cache_size)
-        engine.publish(prepare_generation(tree, instance, variant))
+        engine.publish(Generation(SnapshotIndexes(tree, instance, variant)))
         return engine
 
     def publish(self, generation: Generation) -> Generation:
@@ -192,12 +157,22 @@ class ServingEngine:
         with self._publish_lock:
             self._generation_counter += 1
             generation.number = self._generation_counter
-            generation.published_at = time.time()
             self._gen = generation  # the atomic flip
         tracer = get_tracer()
         tracer.count("serving.swaps")
         tracer.gauge("serving.generation", generation.number)
         return generation
+
+    def swap(
+        self, store: SnapshotStore, snapshot_id: str | None = None
+    ) -> Generation:
+        """Map a stored snapshot (default: CURRENT) and publish it.
+
+        Mapping the flat file is the slow half and never touches the
+        read path; the lock only orders concurrent swaps.
+        """
+        with self._publish_lock:
+            return self.publish(prepare_mmap_generation(store, snapshot_id))
 
     @property
     def generation(self) -> int:
@@ -293,25 +268,26 @@ class ServingEngine:
     def categorize_items(self, items: Iterable[Item]) -> list[list[dict]]:
         """Batched :meth:`categorize_item`: one result list per item.
 
-        All placement paths resolve through one
-        :meth:`~repro.serving.indexes.SnapshotIndexes.paths_to_root_batch`
-        call, which shares every common path prefix in a single pre-order
-        sweep instead of one root walk per item.
-        Results are exactly what the per-item op returns, in input order.
+        Each distinct placement cid resolves its root path once, however
+        many items share it. Results are exactly what the per-item op
+        returns, in input order.
         """
         batch = tuple(items)
 
         def compute(gen: Generation) -> list[list[dict]]:
             ix = gen.indexes
             placements = [ix.placements(item) for item in batch]
-            all_cids = {cid for cids in placements for cid in cids}
-            paths = ix.paths_to_root_batch(all_cids)
+            paths = {
+                cid: [ix.label_of(p) for p in ix.path_to_root(cid)]
+                for cids in placements
+                for cid in cids
+            }
             return [
                 [
                     {
                         "cid": cid,
                         "label": ix.label_of(cid),
-                        "path": [ix.label_of(p) for p in paths[cid]],
+                        "path": paths[cid],
                     }
                     for cid in cids
                 ]
@@ -486,7 +462,9 @@ class ServingEngine:
         return {
             "generation": gen.number if gen is not None else 0,
             "snapshot_id": gen.snapshot_id if gen is not None else "",
-            "variant": gen.variant.describe() if gen is not None else "",
+            "variant": (
+                gen.indexes.variant.describe() if gen is not None else ""
+            ),
             "n_categories": gen.indexes.n_categories if gen is not None else 0,
             "cache": {
                 "size": len(cache),

@@ -13,8 +13,8 @@ Endpoints (all JSON):
 ``GET /categorize?item=`` the item's branch placements
 ``GET /categorize-batch?items=a,b,c``
                           batched categorize: one placement list per
-                          item (path prefixes are shared through one
-                          pre-order sweep)
+                          item (each distinct category's root path is
+                          resolved once)
 ``GET /best-category?items=a,b,c[&delta=0.7][&variant=spec]``
                           best-scoring category for a query result set
 ``GET /browse[?cid=N]``   one navigation page (root when ``cid`` omitted)
@@ -27,8 +27,10 @@ Endpoints (all JSON):
                           back-off); optional ``threshold=0.5`` and
                           ``top_k=N`` (N >= 1) knobs, ``queries``
                           (pipe-separated) for a batch
-``POST /admin/swap``      hot-swap to a stored snapshot
-                          (body: ``{"snapshot_id": "..."}``; empty body
+``POST /admin/swap``      hot-swap to a stored snapshot (body:
+                          ``{"snapshot_id": "..."}`` activates that
+                          snapshot in the store first, so every process
+                          polling ``CURRENT`` follows; an empty body
                           reloads the store's CURRENT snapshot)
 ========================  =====================================================
 
@@ -48,7 +50,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serving.engine import ServingEngine
-from repro.serving.hotswap import HotSwapper
 from repro.serving.snapshot import SnapshotError, SnapshotStore, variant_from_spec
 
 
@@ -86,11 +87,10 @@ class ServingHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.engine = engine
         self.store = store
-        self.swapper = HotSwapper(engine)
         self.quiet = quiet
         self.max_requests = max_requests
         self.worker_id = worker_id
-        self._handled = 0
+        self.requests_handled = 0  # every reply, errors included
         self._handled_lock = threading.Lock()
         self._serving_thread: threading.Thread | None = None
 
@@ -120,11 +120,12 @@ class ServingHTTPServer(ThreadingHTTPServer):
 
     def note_request_handled(self) -> None:
         """Count a finished request; shut down at ``max_requests``."""
-        if self.max_requests is None:
-            return
         with self._handled_lock:
-            self._handled += 1
-            done = self._handled >= self.max_requests
+            self.requests_handled += 1
+            done = (
+                self.max_requests is not None
+                and self.requests_handled >= self.max_requests
+            )
         if done:
             # shutdown() blocks until serve_forever exits, so it must run
             # off the handler thread.
@@ -393,7 +394,12 @@ class _Handler(BaseHTTPRequestHandler):
                     "snapshot_id must be a string, got "
                     f"{type(snapshot_id).__name__}"
                 )
-        generation = self.server.swapper.swap_from_store(store, snapshot_id)
+        if snapshot_id is not None:
+            # CURRENT stays the one source of truth: every worker's
+            # poller converges on the named snapshot instead of undoing
+            # this swap. Ids outside the store raise SnapshotError (404).
+            store.activate(snapshot_id)
+        generation = self.server.engine.swap(store, snapshot_id)
         self._reply(
             200,
             {

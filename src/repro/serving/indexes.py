@@ -184,26 +184,6 @@ class SnapshotIndexes:
             self._row(ancestor_cid), self._row(cid)
         )
 
-    def paths_to_root_batch(
-        self, cids: Iterable[int]
-    ) -> dict[int, list[int]]:
-        """Root paths for many cids at once (batched ``categorize``).
-
-        Every common path prefix is shared through one pre-order sweep
-        (:meth:`EulerTour.root_paths`). Returns exactly what calling
-        :meth:`path_to_root` per cid would.
-        """
-        rows = {cid: self._row(cid) for cid in set(cids)}
-        get_tracer().count(
-            "serving.succinct.batched_lca", max(0, len(rows) - 1)
-        )
-        row_paths = self._euler.root_paths(rows.values())
-        cat_cids = self._cat_cids
-        return {
-            cid: [cat_cids[r] for r in row_paths[row]]
-            for cid, row in rows.items()
-        }
-
     # -- label search --------------------------------------------------------
 
     def _idf(self, df: int) -> float:

@@ -600,13 +600,12 @@ class _ChildrenMapping(_RowMapping):
 
 
 def prepare_mmap_generation(store, snapshot_id: str | None = None):
-    """Prepare (not publish) a generation over a store's mapped files.
+    """Prepare (not publish) a generation over a store's mapped file.
 
-    The counterpart of :func:`repro.serving.engine.prepare_generation`
-    for store-sourced generations: no tree or instance is deserialized —
-    the flat file is mapped read-only (compiled on demand for stores
-    written before the current format) and the generation carries
-    ``tree=None, instance=None``.
+    No tree or instance is deserialized: the flat file is mapped
+    read-only (compiled on demand for stores written before the current
+    format). :meth:`repro.serving.engine.ServingEngine.swap` publishes
+    the result.
     """
     from repro.serving.engine import Generation
     from repro.serving.indexes import SnapshotIndexes
@@ -618,10 +617,4 @@ def prepare_mmap_generation(store, snapshot_id: str | None = None):
     tracer = get_tracer()
     with tracer.span("serving.prepare_mmap"):
         indexes = SnapshotIndexes.open(store.ensure_flat(snapshot_id))
-    return Generation(
-        tree=None,
-        instance=None,
-        variant=indexes.variant,
-        indexes=indexes,
-        snapshot_id=snapshot_id,
-    )
+    return Generation(indexes, snapshot_id)

@@ -3,15 +3,13 @@
 The read path answers ``browse``/``path``/``categorize`` over a tree
 laid out the way the tree-retrieval literature suggests
 (Belazzougui–Kucherov "Efficient tree-structured categorical
-retrieval"; "The Common Prefix Problem on Trees"), with two structures:
+retrieval"), with two structures:
 
 * **Pre-order intervals** — the categories are laid out in pre-order,
   so each row ``v`` owns the half-open row interval ``[v, tout[v])``
   covering exactly its subtree. Ancestor tests become two integer
-  comparisons instead of a pointer walk, and batched multi-item
-  ``categorize`` computes each root path from its pre-order
-  predecessor's path plus one interval binary search — one sweep,
-  sharing every common prefix, instead of per-item root walks.
+  comparisons instead of a pointer walk; root paths are parent-array
+  walks, O(depth) each.
 * **Delta-compressed varint postings** — item→category lists are
   strictly increasing row sequences, so they store as LEB128 varints of
   gaps (~1-2 bytes per posting instead of 8).
@@ -151,43 +149,3 @@ class EulerTour:
             p = self.parent[p]
         path.reverse()
         return path
-
-    def root_paths(self, rows: Iterable[int]) -> dict[int, list[int]]:
-        """Root paths for many rows with one pre-order sweep.
-
-        Rows are visited in pre-order; each path is its predecessor's
-        path truncated at their lowest common ancestor plus the walk up
-        from the row to that ancestor — every shared prefix is computed
-        once instead of one full root walk per row. The ancestor is an
-        interval binary search over the predecessor's chain: chain
-        ``tout`` values are non-increasing and every chain row precedes
-        ``v``, so "deepest ancestor of v" is the rightmost chain entry
-        with ``tout > v``. Returns exactly what calling
-        :meth:`walk_to_root` per row would.
-        """
-        tout, parent = self.tout, self.parent
-        paths: dict[int, list[int]] = {}
-        prev_path: list[int] = []
-        for v in sorted(set(rows)):
-            if not prev_path:
-                path = self.walk_to_root(v)
-            else:
-                lo, hi = 0, len(prev_path) - 1
-                while lo < hi:
-                    mid = (lo + hi + 1) >> 1
-                    if tout[prev_path[mid]] > v:
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                a = prev_path[lo]
-                path = prev_path[: lo + 1]
-                suffix = []
-                u = v
-                while u != a:
-                    suffix.append(u)
-                    u = parent[u]
-                suffix.reverse()
-                path += suffix
-            paths[v] = path
-            prev_path = path
-        return paths

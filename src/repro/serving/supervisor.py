@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from repro.observability import get_tracer
 from repro.serving.engine import ServingEngine
 from repro.serving.http import make_server
-from repro.serving.shm import prepare_mmap_generation
 from repro.serving.snapshot import SnapshotError, SnapshotStore
 
 
@@ -54,17 +53,19 @@ class WorkerConfig:
     max_requests: int | None = None
 
 
-def _poll_current(server, store: SnapshotStore, interval: float) -> None:
+def _poll_current(
+    engine: ServingEngine, store: SnapshotStore, interval: float
+) -> None:
     """Worker poller: follow the store's CURRENT pointer, flip on change."""
     while True:
         time.sleep(interval)
         try:
+            # Serving first, then CURRENT: a swap that lands in between
+            # can only make this poller follow a newer CURRENT.
+            _, serving = engine.generation_info()
             current = store.current_id()
-            if current is None:
-                continue
-            _, serving = server.engine.generation_info()
-            if current != serving:
-                server.swapper.swap_from_store(store, current)
+            if current is not None and current != serving:
+                engine.swap(store, current)
         except Exception:
             # A half-published snapshot or racing compile: retry on the
             # next tick; the engine keeps serving its generation.
@@ -78,7 +79,7 @@ def _worker_main(config: WorkerConfig, worker_id: int, ready) -> None:
     signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
     store = SnapshotStore(config.store_root)
     engine = ServingEngine(cache_size=config.cache_size)
-    engine.publish(prepare_mmap_generation(store))
+    engine.swap(store)
     server = make_server(
         engine,
         host=config.host,
@@ -91,7 +92,7 @@ def _worker_main(config: WorkerConfig, worker_id: int, ready) -> None:
     )
     threading.Thread(
         target=_poll_current,
-        args=(server, store, config.poll_interval),
+        args=(engine, store, config.poll_interval),
         name="repro-serving-poll",
         daemon=True,
     ).start()

@@ -452,9 +452,6 @@ class TreeOracle:
     def is_ancestor(self, ancestor_cid: int, cid: int) -> bool:
         return ancestor_cid in self.path_to_root(cid)
 
-    def paths_to_root_batch(self, cids: Iterable[int]) -> dict[int, list[int]]:
-        return {cid: self.path_to_root(cid) for cid in set(cids)}
-
     def postings(self, item) -> tuple[int, ...]:
         return tuple(cat.cid for cat in self.cats if item in cat.items)
 
@@ -542,8 +539,6 @@ def assert_reads_match(
         assert (view.cid, view.label, view.depth, view.n_items) == (
             cid, cat.label, cat.depth, len(cat.items)
         )
-    cids = [cat.cid for cat in oracle.cats]
-    assert reader.paths_to_root_batch(cids) == oracle.paths_to_root_batch(cids)
 
     for item in (oracle.items if items is None else items) + UNKNOWN_ITEMS:
         assert reader.placements(item) == oracle.placements(item)

@@ -3,7 +3,7 @@
 End-to-end: serve real queries under a tracer, write real run
 manifests, aggregate them into the category-performance report, then
 feed a synthetically skewed traffic log to the drift detector and act
-on its rebuild recommendation through a ``HotSwapper`` — the full
+on its rebuild recommendation (rebuild, save, hot-swap) — the full
 traffic-to-rebuild loop, in-process.
 """
 
@@ -34,7 +34,6 @@ from repro.maintenance import (
 )
 from repro.observability import RunManifest, Tracer, use_tracer
 from repro.serving import (
-    HotSwapper,
     ServingEngine,
     SnapshotIndexes,
     SnapshotStore,
@@ -252,9 +251,8 @@ class TestDrift:
         }
         counters[f"serving.querycat.traffic.{cids['red hats']}"] = 88.0
         recommendation = detect_traffic_drift(indexes, instance, counters)
-        swapper = HotSwapper(engine)
         generation = apply_recommendation(
-            recommendation, swapper, CTCR(), instance, VARIANT, store=store
+            recommendation, engine, CTCR(), instance, VARIANT, store=store
         )
         assert generation is not None
         assert engine.generation == generation_before + 1
@@ -263,7 +261,7 @@ class TestDrift:
         quiet = detect_traffic_drift(indexes, instance, {})
         assert (
             apply_recommendation(
-                quiet, swapper, CTCR(), instance, VARIANT, store=store
+                quiet, engine, CTCR(), instance, VARIANT, store=store
             )
             is None
         )

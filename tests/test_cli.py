@@ -1,7 +1,17 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+import urllib.error
+import urllib.request
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import _ctcr_config, main, make_parser, parse_variant
 from repro.core import ScoreMode, SimilarityKind
 
@@ -122,8 +132,8 @@ class TestCommands:
 
 
 class TestBuildEngineFlags:
-    """--mis-jobs/--mis-cache are registered only where a CTCR build
-    reads them; the removed engine switches are rejected everywhere."""
+    """--mis-jobs is registered only where a CTCR build reads it; the
+    removed engine switches are rejected everywhere."""
 
     TREE_BUILDERS = ["build", "oct", "compare", "sweep", "serve",
                      "categorize-query"]
@@ -142,12 +152,8 @@ class TestBuildEngineFlags:
 
     @pytest.mark.parametrize("command", TREE_BUILDERS)
     def test_tree_builders_accept_mis_flags(self, command):
-        args = make_parser().parse_args(
-            [command, "--mis-jobs", "2", "--mis-cache", "off"]
-        )
-        config = _ctcr_config(args)
-        assert config.mis.n_jobs == 2
-        assert config.mis.use_cache is False
+        args = make_parser().parse_args([command, "--mis-jobs", "2"])
+        assert _ctcr_config(args).mis.n_jobs == 2
 
     @pytest.mark.parametrize("flag", [
         ["--jobs", "2"],
@@ -155,6 +161,7 @@ class TestBuildEngineFlags:
         ["--cct-cache", "on"],
         ["--cct-cluster", "legacy"],
         ["--delta-from", "snapshots"],
+        ["--mis-cache", "on"],
     ], ids=lambda flag: flag[0])
     def test_removed_engine_switches_exit_2(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -259,7 +266,7 @@ class TestServingCommands:
         # The workers map the store's files; the parent process must not
         # hold an engine of its own for the server's lifetime.
         import repro.cli as cli
-        from repro.serving import ServingEngine
+        from repro.serving import ServingEngine, SnapshotStore
 
         store_dir = tmp_path / "store"
         if stored:
@@ -275,15 +282,80 @@ class TestServingCommands:
         served = []
         monkeypatch.setattr(ServingEngine, "from_snapshot", no_engine)
         monkeypatch.setattr(ServingEngine, "from_tree", no_engine)
+        monkeypatch.setattr(ServingEngine, "swap", no_engine)
         monkeypatch.setattr(
-            cli, "_serve_multi", lambda args, store: served.append(store) or 0
+            cli, "_serve_supervised",
+            lambda args, store: served.append(args.workers) or 0,
         )
-        rc = main(
-            ["serve", *self.COMMON, "--snapshot-dir", str(store_dir),
-             "--workers", "2"]
+        for workers in (["--workers", "2"], []):
+            rc = main(
+                ["serve", *self.COMMON, "--snapshot-dir", str(store_dir),
+                 *workers]
+            )
+            assert rc == 0
+        # A store is always served by the supervisor, one worker or many.
+        assert served == [2, 1]
+        assert SnapshotStore(store_dir).current_id() is not None
+
+    def test_in_memory_serve_counts_every_reply(self, capsys, monkeypatch):
+        import repro.serving
+
+        servers = []
+        make_server = repro.serving.make_server
+
+        def recording(*args, **kwargs):
+            servers.append(make_server(*args, **kwargs))
+            return servers[-1]
+
+        monkeypatch.setattr(repro.serving, "make_server", recording)
+        rcs = []
+        thread = threading.Thread(
+            target=lambda: rcs.append(main(
+                ["serve", *self.COMMON, "--port", "0",
+                 "--max-requests", "4"]
+            )),
+            daemon=True,
         )
-        assert rc == 0
-        assert len(served) == 1 and served[0].current_id() is not None
+        thread.start()
+        while not servers and thread.is_alive():
+            time.sleep(0.05)
+        base = f"http://127.0.0.1:{servers[0].server_port}"
+
+        def status(path):
+            try:
+                with urllib.request.urlopen(base + path, timeout=10) as r:
+                    return r.status
+            except urllib.error.HTTPError as exc:
+                return exc.code
+
+        assert [
+            status("/categorize?item=x"),
+            status("/healthz"),
+            status("/browse?cid=99999"),
+            status("/categorize"),
+        ] == [200, 200, 404, 400]
+        thread.join(timeout=30)
+        assert rcs == [0]
+        assert "served 4 requests" in capsys.readouterr().out
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # The parent closes its end of the pipe before the child writes,
+        # so the child's first flush fails with EPIPE every time.
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "build", *self.COMMON, "--show"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
 
     def test_removed_shards_flag_exits_2(self, capsys):
         # Every snapshot holds one flat file; there is nothing to split.

@@ -25,7 +25,7 @@ from repro.algorithms import CCT, CTCR, CTCRConfig
 from repro.algorithms import ctcr as ctcr_module
 from repro.conflicts import two_conflicts
 from repro.conflicts.two_conflicts import compute_pairwise
-from repro.mis import MISConfig, clear_mis_cache
+from repro.mis import MISConfig
 from repro.core import OCTInstance, Variant, make_instance, score_tree
 from repro.core.input_sets import InputSet
 from repro.io import tree_to_dict
@@ -172,33 +172,8 @@ class TestTreeEquivalence:
 
 
 class TestMISEngineEquivalence:
-    """The MIS engine's knobs must never change the tree.
-
-    Acceptance grid for the kernelized engine: every similarity variant
-    × {serial, pooled components} × cache on/off returns an identical
-    tree and score. The cache grid runs first with a cold cache and
-    again with a warm one, so replayed component solutions are
-    exercised, not just stored.
-    """
-
-    @pytest.mark.parametrize(
-        "variant", EQUIV_VARIANTS, ids=lambda v: str(v)
-    )
-    def test_cache_grid(self, variant):
-        clear_mis_cache()
-        instance = random_instance(37, n_sets=25)
-        base = build_fingerprint(instance, variant)
-        for use_cache in (False, True):
-            got = build_fingerprint(
-                instance, variant, mis=MISConfig(use_cache=use_cache)
-            )
-            assert got == base, f"cache={use_cache}"
-        # Second pass hits the now-warm cache.
-        warm = build_fingerprint(
-            instance, variant, mis=MISConfig(use_cache=True)
-        )
-        assert warm == base
-        clear_mis_cache()
+    """The MIS engine's one knob must never change the tree: serial and
+    pooled components return an identical tree and score."""
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
@@ -207,18 +182,11 @@ class TestMISEngineEquivalence:
         ids=lambda v: str(v),
     )
     def test_pooled_mis_grid(self, variant):
-        """--mis-jobs 4 with and without the cache matches serial."""
-        clear_mis_cache()
+        """--mis-jobs 4 matches serial."""
         instance = random_instance(43, n_sets=35)
         base = build_fingerprint(instance, variant, mis=MISConfig())
-        for use_cache in (False, True):
-            got = build_fingerprint(
-                instance,
-                variant,
-                mis=MISConfig(n_jobs=4, use_cache=use_cache),
-            )
-            assert got == base, f"n_jobs=4 cache={use_cache}"
-        clear_mis_cache()
+        got = build_fingerprint(instance, variant, mis=MISConfig(n_jobs=4))
+        assert got == base, "n_jobs=4"
 
 
 def ctcr_fingerprint_with_diag(instance, variant, **config):

@@ -179,10 +179,11 @@ class TestCondenseInvariants:
 class TestIncrementalCrash:
     """A crash mid-rebuild must not corrupt the snapshot store.
 
-    ``HotSwapper.swap_from_build`` only saves a snapshot after the build
-    succeeds, so an injected failure inside the rebuild must leave
-    CURRENT pointing at the pre-crash snapshot, leave no staged garbage
-    behind, and let the next rebuild publish normally.
+    A rebuild publishes as build -> ``store.save`` -> ``engine.swap``, so
+    the store only sees a snapshot after the build succeeds: an injected
+    failure inside the rebuild must leave CURRENT pointing at the
+    pre-crash snapshot, leave no staged garbage behind, and let the next
+    rebuild publish normally.
     """
 
     def test_crash_mid_delta_leaves_current_untouched(
@@ -191,17 +192,22 @@ class TestIncrementalCrash:
         import random
 
         from repro.serving import ServingEngine, SnapshotStore
-        from repro.serving.hotswap import HotSwapper
         from tests.churn import random_delta
 
         variant = Variant.threshold_jaccard(0.8)
         store = SnapshotStore(tmp_path)
-        swapper = HotSwapper(ServingEngine())
+        engine = ServingEngine()
         builder = CTCR(CTCRConfig())
-        swapper.swap_from_build(builder, figure2_instance, variant, store)
+
+        def rebuild(instance):
+            tree = builder.build(instance, variant)
+            store.save(tree, instance, variant)
+            return engine.swap(store)
+
+        rebuild(figure2_instance)
         current_before = store.current_id()
         assert current_before is not None
-        generation_before = swapper.engine.generation
+        generation_before = engine.generation
 
         delta = random_delta(figure2_instance, random.Random(1), frac=0.4)
         churned = delta.apply(figure2_instance)
@@ -211,16 +217,16 @@ class TestIncrementalCrash:
 
         monkeypatch.setattr(type(builder), "build", boom)
         with pytest.raises(RuntimeError, match="injected crash"):
-            swapper.swap_from_build(builder, churned, variant, store)
+            rebuild(churned)
         monkeypatch.undo()
 
         # CURRENT still points at the pre-crash snapshot, the store has
         # no half-written staging directories, and nothing was published.
         assert store.current_id() == current_before
         assert not [p for p in tmp_path.iterdir() if "staging" in p.name]
-        assert swapper.engine.generation == generation_before
+        assert engine.generation == generation_before
 
         # The next rebuild publishes normally.
-        gen = swapper.swap_from_build(builder, churned, variant, store)
+        gen = rebuild(churned)
         assert store.current_id() == gen.snapshot_id
         assert store.current_id() != current_before

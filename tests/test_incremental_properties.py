@@ -7,9 +7,8 @@ The delta algebra and the build pipeline each carry a law:
   instance (``apply ∘ apply == apply ∘ compose``).
 * **identity** — the empty delta is a no-op on the instance.
 * **weight sensitivity**: a reweight-only delta changes MWIS inputs
-  without changing any member set, so the MIS component-cache key must
-  be weight-inclusive, and reweight-only churn must still build the
-  trees a from-scratch build does.
+  without changing any member set, and reweight-only churn must still
+  build the trees a from-scratch build does.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import pytest
 
 from tests.churn import delta_sequence, random_delta
 from repro.algorithms import CTCR, CTCRConfig
-from repro.conflicts.three_conflicts import compute_three_conflicts
-from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant
 from repro.core.input_sets import InputSet
 from repro.incremental import (
@@ -31,12 +28,6 @@ from repro.incremental import (
     InvalidDeltaError,
 )
 from repro.io import instance_to_dict, tree_to_dict
-from repro.mis import MISConfig, clear_mis_cache
-from repro.mis.cache import MISComponentCache
-from repro.mis.hypergraph_mis import (
-    DEFAULT_MAX_EXACT_COMPONENT,
-    WeightedHypergraph,
-)
 
 VARIANT = Variant.perfect_recall(0.6)
 
@@ -150,64 +141,6 @@ class TestBuildComposition:
 
 
 class TestReweightInvalidation:
-    def test_cache_key_includes_weights(self):
-        """Same member sets, different weights -> different cache keys."""
-        hg1 = WeightedHypergraph(
-            vertices=[0, 1],
-            weights={0: 1.0, 1: 2.0},
-            edges=[frozenset({0, 1})],
-        )
-        hg2 = WeightedHypergraph(
-            vertices=[0, 1],
-            weights={0: 2.0, 1: 1.0},
-            edges=[frozenset({0, 1})],
-        )
-        knobs = (60, False, DEFAULT_MAX_EXACT_COMPONENT)
-        assert MISComponentCache.key(hg1, *knobs) != (
-            MISComponentCache.key(hg2, *knobs)
-        )
-
-    def test_reweight_only_delta_resolves_its_component(
-        self, figure2_instance
-    ):
-        """A reweight that flips the MWIS winner must not replay the
-        stale solution from the process-global component cache.
-
-        Under ``threshold_jaccard(0.8)`` figure2 yields one 3-conflict
-        component that survives kernelization into the MIS cache; an
-        unchanged rebuild replays it (control below), while reweighting
-        a member must re-solve it even though every member set is
-        byte-identical.
-        """
-        variant = Variant.threshold_jaccard(0.8)
-        triples = compute_three_conflicts(
-            compute_pairwise(figure2_instance, variant)
-        )
-        assert triples, "scenario needs a 3-conflict"
-        clear_mis_cache()
-        builder = CTCR(CTCRConfig(mis=MISConfig(use_cache=True)))
-        tree1 = builder.build(figure2_instance, variant)
-
-        # Control: no changes -> the cached component is replayed.
-        builder.build(figure2_instance, variant)
-        assert builder.last_diagnostics.mis_cache_hits >= 1
-        assert builder.last_diagnostics.mis_cache_misses == 0
-
-        flip_sid = sorted(triples)[0][0]
-        delta = CatalogDelta(reweighted=((flip_sid, 50.0),))
-        delta.validate(figure2_instance)
-        churned = delta.apply(figure2_instance)
-
-        tree = builder.build(churned, variant)
-        clear_mis_cache()
-        oracle = CTCR(CTCRConfig()).build(churned, variant)
-        assert tree_json(tree) == tree_json(oracle)
-        # The winner flipped, so the trees genuinely differ...
-        assert tree_json(tree) != tree_json(tree1)
-        # ...because the reweighted component was re-solved, not replayed.
-        assert builder.last_diagnostics.mis_cache_misses >= 1
-        assert builder.last_diagnostics.mis_cache_hits == 0
-
     def test_reweight_differential_over_sequences(self, figure2_instance):
         """Reweight-only churn stays tree-identical to full rebuilds."""
         rng = random.Random(67)

@@ -30,7 +30,6 @@ from repro.conflicts.ranking import rank_sets
 from repro.conflicts.three_conflicts import compute_three_conflicts
 from repro.conflicts.two_conflicts import compute_pairwise
 from repro.core import Variant
-from repro.mis.cache import MISComponentCache, clear_mis_cache, get_mis_cache
 from repro.mis.hypergraph_mis import (
     WeightedHypergraph,
     _HyperBranchAndBound,
@@ -199,7 +198,7 @@ class TestBitsetBranchAndBound:
 
 class TestEngineGrid:
     def test_flag_grid_identical_selections(self):
-        """kernelize x cache x n_jobs all return the same selection."""
+        """kernelize x n_jobs all return the same selection."""
         rng = random.Random(19)
         for trial in range(8):
             n = rng.randint(15, 40)
@@ -215,62 +214,13 @@ class TestEngineGrid:
             baseline = solve_hypergraph_mis(hg)
             for kernelize in (True, False):
                 for n_jobs in (1, 2):
-                    for cache in (None, MISComponentCache()):
-                        got = solve_hypergraph_mis(
-                            hg,
-                            kernelize=kernelize,
-                            n_jobs=n_jobs,
-                            cache=cache,
-                        )
-                        assert got == baseline, (
-                            f"trial {trial}: kernelize={kernelize} "
-                            f"n_jobs={n_jobs} cache={cache is not None}"
-                        )
-
-    def test_cache_replay_is_identical_and_counted(self):
-        hg = random_hypergraph(random.Random(23), 12)
-        cache = MISComponentCache()
-        with use_tracer(Tracer()) as tracer:
-            first = solve_hypergraph_mis(hg, cache=cache)
-            second = solve_hypergraph_mis(hg, cache=cache)
-        assert first == second
-        assert cache.hits > 0
-        assert tracer.counters.get("mis.cache_hits", 0) == cache.hits
-        assert tracer.counters.get("mis.cache_misses", 0) == cache.misses
-
-    def test_cache_key_sensitive_to_weights_and_knobs(self):
-        hg = WeightedHypergraph(
-            vertices=[0, 1],
-            weights={0: 1.0, 1: 2.0},
-            edges=[frozenset({0, 1})],
-        )
-        base = MISComponentCache.key(hg, 100, True, 2000)
-        reweighted = WeightedHypergraph(
-            vertices=[0, 1],
-            weights={0: 1.0, 1: 3.0},
-            edges=[frozenset({0, 1})],
-        )
-        assert MISComponentCache.key(reweighted, 100, True, 2000) != base
-        assert MISComponentCache.key(hg, 101, True, 2000) != base
-        assert MISComponentCache.key(hg, 100, False, 2000) != base
-
-    def test_cache_fifo_eviction_and_clear(self):
-        cache = MISComponentCache(max_entries=2)
-        for i in range(3):
-            cache.put(f"k{i}", {i})
-        assert len(cache) == 2
-        assert cache.get("k0") is None  # evicted first-in
-        assert cache.get("k2") == {2}
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-
-    def test_global_cache_accessor(self):
-        clear_mis_cache()
-        cache = get_mis_cache()
-        assert cache is get_mis_cache()
-        cache.put("probe", {1})
-        clear_mis_cache()
-        assert get_mis_cache().get("probe") is None
+                    got = solve_hypergraph_mis(
+                        hg, kernelize=kernelize, n_jobs=n_jobs
+                    )
+                    assert got == baseline, (
+                        f"trial {trial}: kernelize={kernelize} "
+                        f"n_jobs={n_jobs}"
+                    )
 
 
 class TestThreeConflictDifferential:
@@ -348,19 +298,13 @@ class TestSolverFacade:
             _to_graph(hg)
 
     def test_solve_conflicts_mis_config_grid(self):
-        """solve_conflicts honours n_jobs/use_cache without changing the
-        selection."""
-        clear_mis_cache()
+        """solve_conflicts honours n_jobs without changing the selection."""
         hg = random_hypergraph(random.Random(29), 14)
         if not any(len(e) == 3 for e in hg.edges):  # pragma: no cover
             pytest.skip("generator produced no triples")
         baseline = solve_conflicts(hg, MISConfig())
         for n_jobs in (1, 2):
-            for use_cache in (False, True):
-                got = solve_conflicts(
-                    hg, MISConfig(n_jobs=n_jobs, use_cache=use_cache)
-                )
-                assert got == baseline
+            assert solve_conflicts(hg, MISConfig(n_jobs=n_jobs)) == baseline
 
 
 @pytest.mark.slow

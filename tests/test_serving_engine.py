@@ -13,14 +13,18 @@ import pytest
 from repro.algorithms import CTCR
 from repro.core import Variant, score_tree
 from repro.serving import (
-    HotSwapper,
+    Generation,
     ServingEngine,
     ServingError,
     SnapshotIndexes,
     SnapshotStore,
-    prepare_generation,
 )
 from tests.oracles import TreeOracle
+
+
+def compiled(tree, instance, variant) -> Generation:
+    """An unpublished generation over an in-process compiled buffer."""
+    return Generation(SnapshotIndexes(tree, instance, variant))
 
 
 @pytest.fixture()
@@ -176,7 +180,7 @@ class TestCaching:
         engine.browse()
         engine.browse()
         hits_before = engine.stats()["cache"]["hits"]
-        engine.publish(prepare_generation(tree, instance, variant))
+        engine.publish(compiled(tree, instance, variant))
         engine.browse()  # new generation key: a miss, not a stale hit
         stats = engine.stats()["cache"]
         assert stats["hits"] == hits_before
@@ -194,7 +198,7 @@ class TestHotSwap:
         tree, instance, variant = built
         engine = ServingEngine.from_tree(tree, instance, variant)
         assert engine.generation == 1
-        gen = engine.publish(prepare_generation(tree, instance, variant))
+        gen = engine.publish(compiled(tree, instance, variant))
         assert gen.number == 2
         assert engine.generation == 2
         assert engine.current is gen
@@ -204,37 +208,56 @@ class TestHotSwap:
         store = SnapshotStore(tmp_path)
         store.save(tree, instance, variant)
         engine = ServingEngine.from_snapshot(store.load())
-        swapper = HotSwapper(engine)
 
         other_variant = Variant.perfect_recall(0.5)
         other_tree = CTCR().build(instance, other_variant)
         info = store.save(other_tree, instance, other_variant)
-        gen = swapper.swap_from_store(store)
+        gen = engine.swap(store)
         assert gen.number == 2
         assert engine.current.snapshot_id == info.snapshot_id
         assert engine.stats()["variant"] == other_variant.describe()
 
+    def test_swap_to_named_snapshot_leaves_current(self, tmp_path, built):
+        tree, instance, variant = built
+        store = SnapshotStore(tmp_path)
+        first = store.save(tree, instance, variant)
+        other_variant = Variant.perfect_recall(0.5)
+        other = store.save(
+            CTCR().build(instance, other_variant), instance, other_variant
+        )
+        engine = ServingEngine()
+        assert engine.swap(store).snapshot_id == other.snapshot_id
+        gen = engine.swap(store, first.snapshot_id)
+        assert (gen.number, gen.snapshot_id) == (2, first.snapshot_id)
+        # The engine maps what it is told; CURRENT is the store's.
+        assert store.current_id() == other.snapshot_id
+
     def test_swap_from_build_persists_to_store(self, tmp_path, built):
+        # A rebuild is published by saving it, then swapping to it.
         tree, instance, variant = built
         engine = ServingEngine.from_tree(tree, instance, variant)
         store = SnapshotStore(tmp_path)
-        gen = HotSwapper(engine).swap_from_build(
-            CTCR(), instance, variant, store=store
-        )
-        assert gen.snapshot_id
+        info = store.save(CTCR().build(instance, variant), instance, variant)
+        gen = engine.swap(store)
+        assert gen.snapshot_id == info.snapshot_id
         assert store.current_id() == gen.snapshot_id
 
-    def test_swap_in_background_publishes(self, built):
+    def test_swap_in_background_publishes(self, tmp_path, built):
         tree, instance, variant = built
+        store = SnapshotStore(tmp_path)
+        store.save(tree, instance, variant)
         engine = ServingEngine.from_tree(tree, instance, variant)
-        published = []
-        thread = HotSwapper(engine).swap_in_background(
-            lambda: prepare_generation(tree, instance, variant),
-            on_published=published.append,
-        )
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert published and published[0].number == 2
+        threads = [
+            threading.Thread(target=engine.swap, args=(store,))
+            for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert engine.generation == 5
+        assert engine.current.snapshot_id == store.current_id()
 
     def test_stress_readers_with_mid_flight_swaps(self, built):
         """>= 8 reader threads while generations flip; zero errors."""
@@ -266,7 +289,7 @@ class TestHotSwap:
             t.start()
         barrier.wait()
         for _ in range(10):
-            engine.publish(prepare_generation(tree, instance, variant))
+            engine.publish(compiled(tree, instance, variant))
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)

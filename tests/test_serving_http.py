@@ -161,9 +161,11 @@ class TestErrorMapping:
         # A non-positive top_k would slice the hit list from the end.
         assert _get(server, "/search?q=shirt&top_k=0")[0] == 400
         assert _get(server, "/search?q=shirt&top_k=-1")[0] == 400
+        current = server.store.current_id()
         assert _post(server, "/admin/swap", {"snapshot_id": "snap-missing"})[
             0
         ] == 404
+        assert server.store.current_id() == current
 
     def test_swap_without_store_409(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
@@ -200,6 +202,8 @@ class TestAdminSwap:
         assert status == 200
         assert body["snapshot_id"] == info.snapshot_id
         assert engine.current.snapshot_id == info.snapshot_id
+        # Naming a snapshot activates it, so pollers follow, not undo.
+        assert store.current_id() == info.snapshot_id
 
     def test_swap_body_must_be_json_object(self, served):
         server, _, _, _ = served

@@ -6,7 +6,7 @@ from benchmarks.loadgen import DEFAULT_MIX, build_workload, run_loadgen
 from repro.algorithms import CTCR
 from repro.core import Variant
 from repro.observability import percentile
-from repro.serving import HotSwapper, ServingEngine, SnapshotStore
+from repro.serving import ServingEngine, SnapshotStore
 
 
 @pytest.fixture()
@@ -91,7 +91,6 @@ class TestRunLoadgen:
         store.save(tree, instance, variant)
         loaded = store.load()
         engine = ServingEngine.from_snapshot(loaded)
-        swapper = HotSwapper(engine)
         # cids are reassigned on reload, so draw them from the tree
         # actually being served, not the in-memory build.
         workload = build_workload(instance, loaded.tree, 400, seed=3)
@@ -100,7 +99,7 @@ class TestRunLoadgen:
             workload,
             n_workers=8,
             swap_at=0.5,
-            swap=lambda: swapper.swap_from_store(store),
+            swap=lambda: engine.swap(store),
         )
         assert result.errors == 0, result.error_messages
         assert result.swap_performed is True

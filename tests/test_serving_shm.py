@@ -241,7 +241,7 @@ class TestStoreIntegration:
         info = store.save(tree, figure2_instance, variant)
         generation = prepare_mmap_generation(store)
         assert generation.snapshot_id == info.snapshot_id
-        assert generation.tree is None and generation.instance is None
+        assert generation.number == 0  # prepared, not published
         assert isinstance(generation.indexes, SnapshotIndexes)
         generation.indexes.close()
 

@@ -32,7 +32,6 @@ from repro.core import Variant
 from repro.observability import Tracer, use_tracer
 from repro.serving import (
     FLAT_FORMAT_VERSION,
-    HotSwapper,
     ServingEngine,
     ServingSupervisor,
     SnapshotError,
@@ -93,16 +92,6 @@ class TestInMemorySuccinct:
             for v in cids:
                 assert indexes.is_ancestor(u, v) == oracle.is_ancestor(u, v)
 
-    def test_paths_to_root_batch_matches_loop(self, figure2_instance):
-        indexes = SnapshotIndexes(
-            make_tree(figure2_instance), figure2_instance, VARIANT
-        )
-        cids = list(indexes.sizes)
-        batch = indexes.paths_to_root_batch(cids)
-        assert set(batch) == set(cids)
-        for cid in cids:
-            assert batch[cid] == indexes.path_to_root(cid)
-
     def test_succinct_counters_emitted(self, figure2_instance):
         indexes = SnapshotIndexes(
             make_tree(figure2_instance), figure2_instance, VARIANT
@@ -111,9 +100,7 @@ class TestInMemorySuccinct:
         with use_tracer(Tracer()) as tracer:
             indexes.placements(items[0])
             indexes.intersection_counts(frozenset(items[:2]))
-            indexes.paths_to_root_batch(list(indexes.sizes))
         assert tracer.counters["serving.succinct.postings_decoded"] >= 3
-        assert tracer.counters["serving.succinct.batched_lca"] >= 1
 
 
 class TestMmapDifferential:
@@ -413,10 +400,11 @@ class TestEngineBatched:
         items = sorted(figure2_instance.universe, key=str)
         before = engine.categorize_items(items)
         generation_before = engine.generation
-        swapper = HotSwapper(engine)
-        swapper.swap_from_store(store)
+        engine.swap(store)
         assert engine.generation == generation_before + 1
-        assert engine.current.tree is None  # mapped, not deserialized
+        # Mapped from the store's flat file, not deserialized.
+        mapped = engine.current.indexes._flat.path
+        assert mapped == store.flat_paths(store.current_id())[0]
         assert engine.categorize_items(items) == before
 
     def test_succinct_requests_counter(self, figure2_instance, tmp_path):

@@ -10,6 +10,8 @@ HTTP while the control plane does its worst:
   one of {old, new} generation — no torn reads, no third state;
 - crash injection: ``kill -9`` a worker mid-run; retrying clients see
   zero failed requests and the watchdog respawns the worker;
+- named swap: ``POST /admin/swap`` naming a snapshot moves ``CURRENT``,
+  so every worker's poller converges on it instead of undoing it;
 - cross-process identity: the same request answered by different worker
   processes returns byte-identical bodies.
 
@@ -90,6 +92,21 @@ def get_json(base_url: str, path: str):
             json.loads(response.read()),
             {k: v for k, v in response.getheaders()},
         )
+
+
+def snapshots_by_worker(base_url: str, n_workers: int) -> dict[str, str]:
+    """``X-Repro-Worker`` -> served snapshot id, once every worker answered.
+
+    Each request opens a new connection, so the kernel spreads them over
+    the workers; the loop ends when every worker has been heard from.
+    """
+    seen: dict[str, str] = {}
+    deadline = time.monotonic() + 30
+    while len(seen) < n_workers and time.monotonic() < deadline:
+        _, body, headers = get_json(base_url, "/healthz")
+        seen[headers["X-Repro-Worker"]] = body["snapshot_id"]
+    assert len(seen) == n_workers, "kernel never balanced to every worker"
+    return seen
 
 
 class TestSupervisorBasics:
@@ -221,6 +238,34 @@ class TestMultiprocessStress:
         # The respawned worker serves too.
         status, _, _ = get_json(supervisor.base_url, "/healthz")
         assert status == 200
+
+
+class TestNamedSwap:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_named_swap_holds_on_every_worker(self, tmp_path, n_workers):
+        store = SnapshotStore(tmp_path)
+        first, _, _ = publish(store)
+        second, _, _ = publish(store, extra=1)
+        store.activate(first.snapshot_id)
+        interval = 0.1
+        supervisor = ServingSupervisor(
+            store, n_workers=n_workers, poll_interval=interval
+        )
+        with supervisor:
+            request = urllib.request.Request(
+                supervisor.base_url + "/admin/swap",
+                data=json.dumps({"snapshot_id": second.snapshot_id}).encode(),
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert response.status == 200
+                assert json.loads(response.read())["snapshot_id"] == (
+                    second.snapshot_id
+                )
+            time.sleep(3 * interval)
+            want = {str(w): second.snapshot_id for w in range(n_workers)}
+            assert snapshots_by_worker(supervisor.base_url, n_workers) == want
+            assert store.current_id() == second.snapshot_id
 
 
 @pytest.mark.slow

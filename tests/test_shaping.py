@@ -7,7 +7,7 @@ scorer walk the instance in the same order over the same static
 per-(set, category) scores, so there is no room for drift.  The
 hypothesis properties drive that across random planted catalogs and
 budgets; the directed tests pin the structural operators, the tracer
-counters, the HotSwapper shape-then-publish path, and the CLI.
+counters, shape-then-publish through a snapshot store, and the CLI.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from repro.algorithms import CTCR
 from repro.core import Variant, score_tree
 from repro.observability import Tracer, use_tracer
 from repro.scale import ExtremeCatalog, scaled_spec
-from repro.serving.engine import ServingEngine
-from repro.serving.hotswap import HotSwapper
+from repro.serving import ServingEngine, SnapshotStore
 from repro.shaping import (
     CostModel,
     ShapingBudget,
@@ -199,36 +198,25 @@ class TestShapingDirected:
         assert blob == model
 
 
-class TestHotSwapperShaping:
-    def test_shape_then_publish(self, figure2_instance):
+class TestShapeThenPublish:
+    def test_shaped_tree_is_what_serves(self, figure2_instance, tmp_path):
+        # Callers shape before saving; serving maps what was saved.
         variant = Variant.threshold_jaccard(0.8)
+        tree = CTCR().build(figure2_instance, variant)
+        result = shape_tree(
+            tree, figure2_instance, variant, ShapingBudget(max_children=2)
+        )
+        assert result.met
+        store = SnapshotStore(tmp_path)
+        store.save(result.tree, figure2_instance, variant)
         engine = ServingEngine()
-        swapper = HotSwapper(
-            engine, shaping_budget=ShapingBudget(max_children=2)
+        engine.swap(store)
+        children_of = engine.current.indexes.children_of
+        assert all(len(children_of[cid]) <= 2 for cid in children_of)
+        loaded = store.load()
+        assert score_tree(loaded.tree, figure2_instance, variant) == (
+            score_tree(result.tree, figure2_instance, variant)
         )
-        generation = swapper.swap_from_build(
-            CTCR(), figure2_instance, variant
-        )
-        assert swapper.last_shaping is not None
-        assert swapper.last_shaping.met
-        # Serving only ever sees the shaped tree.
-        for cat in generation.tree.categories():
-            assert len(cat.children) <= 2
-        assert generation.tree is swapper.last_shaping.tree
-
-    def test_no_budget_means_no_shaping(self, figure2_instance):
-        variant = Variant.threshold_jaccard(0.8)
-        swapper = HotSwapper(ServingEngine())
-        swapper.swap_from_build(CTCR(), figure2_instance, variant)
-        assert swapper.last_shaping is None
-
-    def test_unbounded_budget_means_no_shaping(self, figure2_instance):
-        variant = Variant.threshold_jaccard(0.8)
-        swapper = HotSwapper(
-            ServingEngine(), shaping_budget=ShapingBudget()
-        )
-        swapper.swap_from_build(CTCR(), figure2_instance, variant)
-        assert swapper.last_shaping is None
 
 
 class TestShapeCLI:

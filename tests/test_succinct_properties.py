@@ -2,7 +2,7 @@
 
 Random pre-order trees and random posting lists, checked against the
 naive definitions: interval ancestor tests against path containment,
-batched root paths against per-row walks, and the varint codec against
+root walks against naive parent chasing, and the varint codec against
 round-tripping. The serving layers above are covered differentially in
 ``tests/test_serving_succinct.py``; this tier pins the primitives the
 whole read path stands on.
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import Variant, make_instance
 from repro.serving import (
     EulerTour,
-    SnapshotIndexes,
+    ServingEngine,
     decode_postings,
     encode_postings,
 )
@@ -57,27 +57,11 @@ class TestEulerTourProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(preorder_trees())
-    def test_walks_and_batched_paths(self, parent):
+    def test_walks_equal_naive_paths(self, parent):
         tour = EulerTour.build(parent)
-        rows = list(range(len(parent)))
-        batched = tour.root_paths(rows)
-        for v in rows:
-            want = naive_path(parent, v)[::-1]  # walks are root-first
-            assert tour.walk_to_root(v) == want
-            assert batched[v] == want
-
-    @settings(max_examples=60, deadline=None)
-    @given(preorder_trees(), st.data())
-    def test_batched_paths_of_subset(self, parent, data):
-        # Sparse batches make consecutive rows far apart, so the shared
-        # prefix comes from the interval binary search, not a parent hop.
-        rows = data.draw(
-            st.lists(st.integers(0, len(parent) - 1), min_size=1, max_size=6)
-        )
-        batched = EulerTour.build(parent).root_paths(rows)
-        assert set(batched) == set(rows)
-        for v in rows:
-            assert batched[v] == naive_path(parent, v)[::-1]
+        for v in range(len(parent)):
+            # Walks are root-first.
+            assert tour.walk_to_root(v) == naive_path(parent, v)[::-1]
 
     def test_rejects_non_preorder(self):
         with pytest.raises(ValueError, match="parent < row"):
@@ -163,11 +147,9 @@ class TestBatchedCategorizeProperty:
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(instance, variant)
         oracle = TreeOracle(tree, variant)
-        indexes = SnapshotIndexes(tree, instance, variant)
+        engine = ServingEngine.from_tree(tree, instance, variant, cache_size=0)
         items = sorted(instance.universe, key=str)
-        cids = sorted({c for i in items for c in oracle.placements(i)})
-        batched = indexes.paths_to_root_batch(cids)
-        for item in items:
-            assert indexes.placements(item) == oracle.placements(item)
-        for cid in cids:
-            assert batched[cid] == oracle.path_to_root(cid)
+        items.append("__unknown__")
+        batched = engine.categorize_items(items)
+        assert batched == [engine.categorize_item(item) for item in items]
+        assert batched == [oracle.categorize(item) for item in items]
