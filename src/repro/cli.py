@@ -248,6 +248,9 @@ def cmd_serve(args) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
+    if args.max_requests is not None and args.max_requests < 0:
+        print("error: --max-requests must be >= 0", file=sys.stderr)
+        return 2
     if args.workers > 1 and not args.snapshot_dir:
         print(
             "error: --workers > 1 requires --snapshot-dir (worker "
@@ -746,8 +749,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-requests", type=int, default=None, metavar="N",
-        help="shut down after N requests (smoke tests and CI; "
-        "default: serve forever)",
+        help="shut down after N requests; 0 builds and saves, then exits "
+        "without serving (smoke tests and CI; default: serve forever)",
     )
     p_serve.add_argument(
         "--workers", type=int, default=1, metavar="N",

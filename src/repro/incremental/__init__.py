@@ -4,12 +4,10 @@ The paper's pipeline rebuilds from scratch on every publish, and so does
 this package's tree build; what a publish after small catalog churn
 reuses is preprocessing:
 
-* :mod:`repro.incremental.delta` — :class:`CatalogDelta` (added /
-  removed / reweighted sets) with apply/compose algebra.
 * :mod:`repro.incremental.builder` — :class:`IncrementalBuilder`: the
   full/delta build calls of a publisher, each one plain CTCR build.
 * :mod:`repro.incremental.staging` — memoized re-preprocessing of a
-  churned catalog (search-engine result sets are the dominant cost).
+  churned catalog (the one search per query is the dominant cost).
 """
 
 from repro.incremental.builder import (
@@ -17,7 +15,6 @@ from repro.incremental.builder import (
     DeltaBuildResult,
     IncrementalBuilder,
 )
-from repro.incremental.delta import CatalogDelta, InvalidDeltaError
 from repro.incremental.staging import (
     ResultSetCache,
     incremental_preprocess,
@@ -25,10 +22,8 @@ from repro.incremental.staging import (
 
 __all__ = [
     "BuildState",
-    "CatalogDelta",
     "DeltaBuildResult",
     "IncrementalBuilder",
-    "InvalidDeltaError",
     "ResultSetCache",
     "incremental_preprocess",
 ]

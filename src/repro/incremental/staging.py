@@ -1,19 +1,19 @@
 """Memoized re-preprocessing of a churned catalog (the staging layer).
 
 Profiling the publish pipeline shows preprocessing — not tree
-construction — dominates: the cleaning and result-set stages issue one
-:meth:`~repro.search.SearchEngine.result_set` call per query, and on the
-large datasets those two passes cost an order of magnitude more than the
-CTCR build they feed. But ``result_set`` is a pure function of the query
-text and threshold for a fixed engine, and catalog churn leaves most
-query texts untouched — so an incremental publish re-runs the *same*
-preprocessing code through a memoizing engine proxy and pays the engine
-only for queries it has never seen.
+construction — dominates: :func:`~repro.pipeline.compute_result_sets`
+issues one :meth:`~repro.search.SearchEngine.result_set` call per
+frequent query, and on the large datasets those searches cost an order
+of magnitude more than the CTCR build they feed. But ``result_set`` is
+a pure function of the query text and threshold for a fixed engine, and
+catalog churn leaves most query texts untouched — so an incremental
+publish re-runs the *same* preprocessing code through a memoizing
+engine proxy and pays the engine only for queries it has never seen.
 
-Everything downstream of the engine calls (filters, weighting, merging,
-sid assignment) is cheap and re-runs verbatim, which is what makes the
-staged instance byte-identical to a cold ``preprocess`` of the same
-dataset — pinned by the pipeline differential tests.
+Everything downstream of the search (scatter filter, weighting,
+merging, sid assignment) is cheap and re-runs verbatim, which is what
+makes the staged instance byte-identical to a cold ``preprocess`` of
+the same dataset — pinned by the pipeline differential tests.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
-"""Preprocessing pipeline: clean, compute result sets, weight, merge."""
+"""Preprocessing pipeline: filter, compute result sets, weight, merge."""
 
 from repro.pipeline.cleaning import (
     CleaningConfig,
     branch_spread,
-    clean_queries,
     frequency_filter,
     scatter_filter,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "PreprocessReport",
     "QueryResultSet",
     "branch_spread",
-    "clean_queries",
     "compute_result_sets",
     "frequency_filter",
     "frequency_weights",

@@ -4,18 +4,20 @@ Two filters: (1) frequency — only queries submitted at least ``X`` times
 a day *consecutively* over the whole window are demand-indicative;
 (2) scatter — queries whose result sets spread over more than
 ``max_branches`` branches of the existing tree are not indicative of one
-unifying category (fewer than 1% of real queries). Empty or tiny result
-sets are dropped alongside, which is what eliminates incoherent queries
-in practice.
+unifying category (fewer than 1% of real queries). The scatter filter
+reads the thresholded result sets that
+:func:`~repro.pipeline.compute_result_sets` already computed (which
+also drops empty or tiny result sets, what eliminates incoherent
+queries in practice), so preprocessing searches each query once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.catalog.queries import QueryLog, RawQuery
+from repro.catalog.queries import RawQuery
 from repro.core.tree import CategoryTree
-from repro.search.engine import SearchEngine
+from repro.pipeline.result_sets import QueryResultSet
 
 
 @dataclass(frozen=True)
@@ -65,38 +67,14 @@ def branch_spread(
 
 
 def scatter_filter(
-    queries: list[RawQuery],
-    engine: SearchEngine,
+    results: list[QueryResultSet],
     existing_tree: CategoryTree,
-    relevance_threshold: float,
     config: CleaningConfig,
-) -> list[RawQuery]:
-    """Drop queries with scattered or degenerate result sets."""
-    kept = []
-    for q in queries:
-        result = engine.result_set(q.text, relevance_threshold)
-        if len(result) < config.min_result_size:
-            continue
-        spread = branch_spread(result, existing_tree, config.branch_depth)
-        if spread > config.max_branches:
-            continue
-        kept.append(q)
-    return kept
-
-
-def clean_queries(
-    log: QueryLog,
-    engine: SearchEngine,
-    existing_tree: CategoryTree,
-    relevance_threshold: float,
-    config: CleaningConfig | None = None,
-    window: int | None = None,
-) -> list[RawQuery]:
-    """Both cleaning filters in the paper's order."""
-    config = config or CleaningConfig()
-    frequent = frequency_filter(
-        log.queries, config.min_daily_count, window=window
-    )
-    return scatter_filter(
-        frequent, engine, existing_tree, relevance_threshold, config
-    )
+) -> list[QueryResultSet]:
+    """Drop queries whose result sets scatter over too many branches."""
+    return [
+        r
+        for r in results
+        if branch_spread(r.items, existing_tree, config.branch_depth)
+        <= config.max_branches
+    ]

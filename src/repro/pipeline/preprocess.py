@@ -1,10 +1,13 @@
 """End-to-end preprocessing: raw query log -> OCT instance (Section 5.1).
 
-Order matches the paper: clean (frequency + scatter filters), compute
-thresholded result sets, assign weights (frequency-based, uniform for
-public data, or recent-window for trend studies), merge near-duplicate
-queries, and emit an :class:`OCTInstance` whose universe is the whole
-catalog (items no query mentions still need a home in the tree).
+Order: the frequency filter, thresholded result sets (one search per
+remaining query), the scatter filter over those result sets, weights
+(frequency-based, uniform for public data, or recent-window for trend
+studies), merging of near-duplicate queries, and an :class:`OCTInstance`
+whose universe is the whole catalog (items no query mentions still need
+a home in the tree). The paper lists the scatter filter before the
+result sets, but the filter reads those same result sets: running it
+after the search keeps the same queries and searches each one once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,11 @@ from typing import Mapping
 from repro.catalog.datasets import SyntheticDataset
 from repro.core.input_sets import InputSet, OCTInstance
 from repro.core.variants import Variant
-from repro.pipeline.cleaning import CleaningConfig, clean_queries
+from repro.pipeline.cleaning import (
+    CleaningConfig,
+    frequency_filter,
+    scatter_filter,
+)
 from repro.pipeline.merging import MergedQuery, merge_similar_queries
 from repro.pipeline.result_sets import (
     compute_result_sets,
@@ -42,9 +49,7 @@ class PreprocessConfig:
     cleaning: CleaningConfig = field(default_factory=CleaningConfig)
     relevance_threshold: float | None = None  # None -> paper default
     merge_queries: bool = True
-    clean: bool = True
     recent_window: int | None = None  # e.g. 14 to chase trends
-    include_universe: bool = True
     threshold_overrides: Mapping[str, float] | None = None
 
 
@@ -53,8 +58,7 @@ class PreprocessReport:
     """What each stage did (for the paper's ablation discussion)."""
 
     raw_queries: int = 0
-    after_cleaning: int = 0
-    with_result_sets: int = 0
+    after_cleaning: int = 0  # both filters and the minimum result size
     after_merging: int = 0
     relevance_threshold: float = 0.0
 
@@ -76,26 +80,22 @@ def preprocess(
     report.relevance_threshold = threshold
 
     with tracer.span("pipeline.clean"):
-        if config.clean:
-            queries = clean_queries(
-                dataset.query_log,
-                dataset.engine,
-                dataset.existing_tree,
-                threshold,
-                config.cleaning,
-                window=config.recent_window,
-            )
-        else:
-            queries = list(dataset.query_log.queries)
-    report.after_cleaning = len(queries)
-    tracer.count("pipeline.queries_cleaned", len(queries))
-
+        frequent = frequency_filter(
+            dataset.query_log.queries,
+            config.cleaning.min_daily_count,
+            window=config.recent_window,
+        )
     with tracer.span("pipeline.result_sets"):
         results = compute_result_sets(
-            queries, dataset.engine, threshold,
+            frequent, dataset.engine, threshold,
             min_size=config.cleaning.min_result_size,
         )
-    report.with_result_sets = len(results)
+    with tracer.span("pipeline.clean"):
+        results = scatter_filter(
+            results, dataset.existing_tree, config.cleaning
+        )
+    report.after_cleaning = len(results)
+    tracer.count("pipeline.queries_cleaned", len(results))
 
     with tracer.span("pipeline.weighting"):
         if config.recent_window is not None:
@@ -136,8 +136,5 @@ def preprocess(
         for i, m in enumerate(merged)
         if m.weight > 0
     ]
-    universe = (
-        [p.pid for p in dataset.products] if config.include_universe else None
-    )
-    instance = OCTInstance(sets, universe=universe)
+    instance = OCTInstance(sets, universe=[p.pid for p in dataset.products])
     return instance, report

@@ -3,7 +3,8 @@
 Result sets come from the platform search engine; items below a
 relevance threshold are removed to cut the noisy tail. The paper's
 chosen thresholds — 0.8 for Jaccard/F1 inputs, 0.9 for
-Perfect-Recall/Exact — are the defaults here.
+Perfect-Recall/Exact — are the defaults here. :func:`compute_result_sets`
+is the pipeline's only search: the scatter filter reads its output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def relevance_threshold_for(variant: Variant) -> float:
 
 @dataclass(frozen=True)
 class QueryResultSet:
-    """One cleaned query with its thresholded result set."""
+    """One frequent query with its thresholded result set."""
 
     text: str
     items: frozenset

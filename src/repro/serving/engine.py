@@ -36,6 +36,9 @@ from repro.serving.querycat import record_query_counters
 from repro.serving.shm import prepare_mmap_generation
 from repro.serving.snapshot import LoadedSnapshot, SnapshotStore
 
+# ``stats()`` takes latency percentiles over this many latest requests.
+LATENCY_WINDOW = 65536
+
 Item = Hashable
 
 
@@ -101,9 +104,7 @@ class _OpStats:
 class ServingEngine:
     """Concurrent query interface over hot-swappable tree generations."""
 
-    def __init__(
-        self, cache_size: int = 4096, latency_window: int = 65536
-    ) -> None:
+    def __init__(self, cache_size: int = 4096) -> None:
         self._gen: Generation | None = None
         # Re-entrant: swap() holds it across prepare + publish, so two
         # swaps cannot publish out of order.
@@ -113,7 +114,7 @@ class ServingEngine:
         self._op_stats: dict[str, _OpStats] = {}
         self._stats_lock = threading.Lock()
         # deque.append is atomic; percentile readers copy a snapshot.
-        self._latencies: deque[float] = deque(maxlen=latency_window)
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         # Per-thread record of the generation the last op *actually*
         # used, so the HTTP layer can attribute each response exactly —
         # a concurrent publish between compute and reply cannot skew it.

@@ -77,7 +77,6 @@ class ServingHTTPServer(ThreadingHTTPServer):
         engine: ServingEngine,
         store: SnapshotStore | None = None,
         max_requests: int | None = None,
-        quiet: bool = True,
         reuse_port: bool = False,
         worker_id: int | None = None,
     ) -> None:
@@ -87,7 +86,6 @@ class ServingHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.engine = engine
         self.store = store
-        self.quiet = quiet
         self.max_requests = max_requests
         self.worker_id = worker_id
         self.requests_handled = 0  # every reply, errors included
@@ -118,6 +116,14 @@ class ServingHTTPServer(ThreadingHTTPServer):
             thread.join(timeout)
         self.server_close()
 
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Serve until shut down; a budget of 0 requests returns at once."""
+        if self.max_requests is not None and self.max_requests <= 0:
+            # note_request_handled checks the budget after each reply, so
+            # a budget spent before the first request stops the loop here.
+            threading.Thread(target=self.shutdown, daemon=True).start()
+        super().serve_forever(poll_interval)
+
     def note_request_handled(self) -> None:
         """Count a finished request; shut down at ``max_requests``."""
         with self._handled_lock:
@@ -140,8 +146,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.server.quiet:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
+        """No per-request access log on stderr."""
 
     def _reply(self, status: int, payload: dict | list) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -416,7 +421,6 @@ def make_server(
     port: int = 0,
     store: SnapshotStore | None = None,
     max_requests: int | None = None,
-    quiet: bool = True,
     reuse_port: bool = False,
     worker_id: int | None = None,
 ) -> ServingHTTPServer:
@@ -428,7 +432,7 @@ def make_server(
     """
     return ServingHTTPServer(
         (host, port), engine, store=store,
-        max_requests=max_requests, quiet=quiet,
+        max_requests=max_requests,
         reuse_port=reuse_port, worker_id=worker_id,
     )
 

@@ -49,7 +49,6 @@ class WorkerConfig:
     port: int
     cache_size: int = 4096
     poll_interval: float = 0.25
-    quiet: bool = True
     max_requests: int | None = None
 
 
@@ -86,7 +85,6 @@ def _worker_main(config: WorkerConfig, worker_id: int, ready) -> None:
         port=config.port,
         store=store,
         max_requests=config.max_requests,
-        quiet=config.quiet,
         reuse_port=True,
         worker_id=worker_id,
     )
@@ -124,9 +122,7 @@ class ServingSupervisor:
         port: int = 0,
         cache_size: int = 4096,
         poll_interval: float = 0.25,
-        quiet: bool = True,
         max_requests: int | None = None,
-        start_method: str | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -138,12 +134,9 @@ class ServingSupervisor:
         self.port = port  # 0 -> resolved by start()
         self.cache_size = cache_size
         self.poll_interval = poll_interval
-        self.quiet = quiet
         self.max_requests = max_requests
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = mp.get_context(start_method)
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self._procs: list = [None] * n_workers
         self._events: list = [None] * n_workers
         self.respawns = 0
@@ -182,7 +175,6 @@ class ServingSupervisor:
             port=self.port,
             cache_size=self.cache_size,
             poll_interval=self.poll_interval,
-            quiet=self.quiet,
             max_requests=self.max_requests,
         )
 

@@ -1,14 +1,12 @@
-"""Churn simulator: randomized delta sequences for the differential tier.
+"""Churn simulator: randomized catalog churn for the differential tier.
 
-Two levels of churn, matching the two levels the incremental pipeline
-operates on:
+Two levels of churn, matching the two inputs a publish can see change:
 
-* **instance-level** — :func:`random_delta` / :func:`delta_sequence`
-  produce :class:`~repro.incremental.CatalogDelta` objects (adds,
-  removes, reweights) against an :class:`~repro.core.input_sets.OCTInstance`.
-  These drive the conflict-graph maintenance differential: after every
-  step the delta-built tree must be byte-identical to a from-scratch
-  build of the churned instance.
+* **instance-level** — :func:`churn_instance` / :func:`churn_sequence`
+  add, remove and reweight sets of an
+  :class:`~repro.core.input_sets.OCTInstance`. After every step the
+  publish path's tree must be byte-identical to a from-scratch build of
+  the churned instance.
 * **query-log-level** — :func:`churn_query_log` perturbs a synthetic
   dataset's raw query log (new conjunction queries, dropped queries,
   scaled daily counts), driving the staged-preprocess differential.
@@ -29,23 +27,24 @@ from repro.catalog.queries import (
     _daily_counts,
 )
 from repro.core.input_sets import InputSet, OCTInstance
-from repro.incremental import CatalogDelta
 
 
-def random_delta(
+def churn_instance(
     instance: OCTInstance,
     rng: random.Random,
     frac: float = 0.1,
     mix: tuple[float, float, float] = (1.0, 1.0, 1.0),
     tag: str = "churn",
-) -> CatalogDelta:
-    """One randomized delta touching roughly ``frac`` of the sets.
+) -> OCTInstance:
+    """``instance`` after one random step touching about ``frac`` of its sets.
 
     ``mix`` weights the add/remove/reweight draw. Added sets sample
     2-6 items from the instance universe and get fresh sids above the
     current maximum; removals and reweights pick uniformly among the
-    surviving sets. Always returns a valid (possibly small) delta for
-    instances with at least one set.
+    surviving original sets. The step applies removals, then reweights,
+    then additions: survivors keep their order, added sets are appended,
+    the universe grows by the added items (it never shrinks) and item
+    bounds carry over.
     """
     sids = sorted(q.sid for q in instance.sets)
     universe = sorted(instance.universe)
@@ -78,34 +77,46 @@ def random_delta(
         else:  # reweight
             sid = rng.choice(live)
             reweighted[sid] = round(rng.uniform(0.5, 20.0), 3)
-    return CatalogDelta(
-        added=tuple(added),
-        removed=frozenset(removed),
-        reweighted=tuple(sorted(reweighted.items())),
+
+    sets = [
+        dataclasses.replace(q, weight=reweighted[q.sid])
+        if q.sid in reweighted
+        else q
+        for q in instance.sets
+        if q.sid not in removed
+    ]
+    sets.extend(added)
+    return OCTInstance(
+        sets,
+        universe=set(instance.universe).union(*(q.items for q in added)),
+        item_bounds={
+            item: instance.bound(item)
+            for item in instance.universe
+            if instance.bound(item) != instance.default_bound
+        },
+        default_bound=instance.default_bound,
     )
 
 
-def delta_sequence(
+def churn_sequence(
     instance: OCTInstance,
     rng: random.Random,
     steps: int,
     frac: float = 0.1,
     mix: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ):
-    """Yield ``(delta, churned_instance)`` pairs for ``steps`` rounds.
+    """Yield the churned instance of each of ``steps`` rounds.
 
-    Each delta is drawn against the previous round's instance, so the
-    sequence models sustained catalog churn rather than independent
+    Each round churns the previous round's instance, so the sequence
+    models sustained catalog churn rather than independent
     perturbations of one snapshot.
     """
     current = instance
     for step in range(steps):
-        delta = random_delta(
+        current = churn_instance(
             current, rng, frac=frac, mix=mix, tag=f"churn{step}"
         )
-        delta.validate(current)
-        current = delta.apply(current)
-        yield delta, current
+        yield current
 
 
 def churn_query_log(dataset, rng: random.Random, frac: float = 0.05):

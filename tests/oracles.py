@@ -17,7 +17,10 @@ verbatim so every kernel can be checked pair for pair and tree for tree:
   re-scoring every uncovered set in every round;
 * :func:`add_intermediate_categories_reference` picks each merge with a
   ``max`` over all sibling pairs and re-intersects every live child
-  after it.
+  after it;
+* :func:`preprocess_reference` is the two-pass preprocessing flow: the
+  scatter filter searches every frequent query, then the result-set
+  stage searches every survivor again.
 
 Serving side — :class:`TreeOracle` answers every read op of
 :class:`repro.serving.SnapshotIndexes` by walking a
@@ -63,6 +66,19 @@ from repro.core.similarity import (
 )
 from repro.core.tree import Category, CategoryTree
 from repro.core.variants import Variant
+from repro.pipeline import (
+    MergedQuery,
+    PreprocessConfig,
+    PreprocessReport,
+    branch_spread,
+    compute_result_sets,
+    frequency_filter,
+    frequency_weights,
+    merge_similar_queries,
+    recent_window_weights,
+    relevance_threshold_for,
+    uniform_weights,
+)
 from repro.search.engine import SearchEngine
 from repro.serving import BestCategory
 
@@ -399,6 +415,77 @@ def add_intermediate_categories_reference(ctx: BuildContext) -> int:
     for parent in queue:
         added += _recombine_children_reference(ctx, parent)
     return added
+
+
+def preprocess_reference(
+    dataset, variant: Variant, config: PreprocessConfig | None = None
+) -> tuple[OCTInstance, PreprocessReport]:
+    """What ``preprocess`` must return, in the paper's two-pass order:
+    clean first (the scatter filter searches each frequent query), then
+    search every cleaned query again for its result set."""
+    config = config or PreprocessConfig()
+    cleaning = config.cleaning
+    threshold = (
+        relevance_threshold_for(variant)
+        if config.relevance_threshold is None
+        else config.relevance_threshold
+    )
+    report = PreprocessReport(
+        raw_queries=len(dataset.query_log), relevance_threshold=threshold
+    )
+    cleaned = []
+    for q in frequency_filter(
+        dataset.query_log.queries,
+        cleaning.min_daily_count,
+        window=config.recent_window,
+    ):
+        result = dataset.engine.result_set(q.text, threshold)
+        if len(result) < cleaning.min_result_size:
+            continue
+        spread = branch_spread(
+            result, dataset.existing_tree, cleaning.branch_depth
+        )
+        if spread > cleaning.max_branches:
+            continue
+        cleaned.append(q)
+    report.after_cleaning = len(cleaned)
+    results = compute_result_sets(
+        cleaned, dataset.engine, threshold,
+        min_size=cleaning.min_result_size,
+    )
+    if config.recent_window is not None:
+        weights = recent_window_weights(
+            results, dataset.query_log, config.recent_window
+        )
+    elif dataset.uniform_weights:
+        weights = uniform_weights(results)
+    else:
+        weights = frequency_weights(results)
+    if config.merge_queries:
+        merged = merge_similar_queries(results, weights, variant)
+    else:
+        merged = [
+            MergedQuery(
+                text=r.text, items=r.items, weight=w, merged_texts=(r.text,)
+            )
+            for r, w in zip(results, weights)
+        ]
+    report.after_merging = len(merged)
+    overrides = config.threshold_overrides or {}
+    sets = [
+        InputSet(
+            sid=i,
+            items=m.items,
+            weight=m.weight,
+            threshold=overrides.get(m.text),
+            label=m.text,
+            source="query",
+        )
+        for i, m in enumerate(merged)
+        if m.weight > 0
+    ]
+    universe = [p.pid for p in dataset.products]
+    return OCTInstance(sets, universe=universe), report
 
 
 # ---------------------------------------------------------------------------

@@ -383,13 +383,13 @@ class TestStageLevel:
 
         from repro.incremental import IncrementalBuilder
         from repro.pipeline import preprocess
-        from tests.churn import delta_sequence
+        from tests.churn import churn_sequence
 
         variant = Variant.threshold_jaccard(0.8)
         instance, _report = preprocess(dataset_a, variant)
         builder = IncrementalBuilder()
         _tree, state = builder.full_build(instance, variant)
-        for _delta, churned in delta_sequence(
+        for churned in churn_sequence(
             instance, random.Random(5), steps=3, frac=0.05
         ):
             state = builder.delta_build(state, churned, variant).state

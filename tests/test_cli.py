@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -356,6 +357,47 @@ class TestServingCommands:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert err == b""
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_zero_request_budget_exits_without_serving(self, tmp_path, stored):
+        # The docs/cli.md example: build (and save), then return at once
+        # instead of waiting for a first request.
+        from repro.serving import SnapshotStore
+
+        store_dir = tmp_path / "snapshots"
+        store_args = ["--snapshot-dir", str(store_dir)] if stored else []
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--dataset", "A",
+             "--scale", "0.05", *store_args, "--max-requests", "0",
+             "--port", "0"],
+            stdout=subprocess.DEVNULL,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                # Still serving: end the server and any worker it forked.
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        if stored:
+            assert SnapshotStore(store_dir).current_id() is not None
+
+    def test_negative_request_budget_exits_2(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def no_build(args):
+            raise AssertionError("built before checking the budget")
+
+        monkeypatch.setattr(cli, "_serving_source", no_build)
+        rc = main(["serve", *self.COMMON, "--max-requests", "-1"])
+        assert rc == 2
+        assert "--max-requests must be >= 0" in capsys.readouterr().err
 
     def test_removed_shards_flag_exits_2(self, capsys):
         # Every snapshot holds one flat file; there is nothing to split.

@@ -192,7 +192,7 @@ class TestIncrementalCrash:
         import random
 
         from repro.serving import ServingEngine, SnapshotStore
-        from tests.churn import random_delta
+        from tests.churn import churn_instance
 
         variant = Variant.threshold_jaccard(0.8)
         store = SnapshotStore(tmp_path)
@@ -209,8 +209,9 @@ class TestIncrementalCrash:
         assert current_before is not None
         generation_before = engine.generation
 
-        delta = random_delta(figure2_instance, random.Random(1), frac=0.4)
-        churned = delta.apply(figure2_instance)
+        churned = churn_instance(
+            figure2_instance, random.Random(1), frac=0.4
+        )
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected crash mid-rebuild")

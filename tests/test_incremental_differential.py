@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from tests.churn import churn_query_log, delta_sequence, random_delta
+from tests.churn import churn_instance, churn_query_log, churn_sequence
 from repro.algorithms import CTCR, CTCRConfig
 from repro.core import Variant
 from repro.incremental import (
@@ -52,8 +52,8 @@ def run_differential(instance, variant, *, steps, frac, seed) -> None:
     builder = IncrementalBuilder(CTCRConfig())
     tree, state = builder.full_build(instance, variant)
     assert tree_json(tree) == tree_json(oracle_tree(instance, variant))
-    for step, (_delta, churned) in enumerate(
-        delta_sequence(instance, rng, steps=steps, frac=frac)
+    for step, churned in enumerate(
+        churn_sequence(instance, rng, steps=steps, frac=frac)
     ):
         result = builder.delta_build(state, churned, variant)
         state = result.state
@@ -83,8 +83,7 @@ class TestInstanceChurnDifferential:
         _tree, state = builder.full_build(figure2_instance, variant)
         current = figure2_instance
         for _ in range(20):
-            delta = random_delta(current, rng, frac=0.5, mix=(1, 3, 1))
-            current = delta.apply(current)
+            current = churn_instance(current, rng, frac=0.5, mix=(1, 3, 1))
             result = builder.delta_build(state, current, variant)
             state = result.state
             assert tree_json(result.tree) == tree_json(

@@ -18,6 +18,7 @@ from repro.pipeline import (
     preprocess,
     recent_window_weights,
     relevance_threshold_for,
+    scatter_filter,
     uniform_weights,
 )
 from repro.pipeline.result_sets import QueryResultSet
@@ -51,31 +52,26 @@ class TestCleaning:
         assert branch_spread(frozenset(), tree, depth=1) == 0
 
     def test_cleaning_drops_incoherent_queries(self, tiny_dataset):
-        from repro.pipeline import clean_queries
-
-        kept = clean_queries(
-            tiny_dataset.query_log,
-            tiny_dataset.engine,
-            tiny_dataset.existing_tree,
-            relevance_threshold=0.8,
-            config=CleaningConfig(min_daily_count=1),
+        config = CleaningConfig(min_daily_count=1)
+        frequent = frequency_filter(
+            tiny_dataset.query_log.queries, config.min_daily_count
         )
-        assert all(q.coherent for q in kept)
+        results = compute_result_sets(frequent, tiny_dataset.engine, 0.8)
+        kept = scatter_filter(results, tiny_dataset.existing_tree, config)
+        coherent = {q.text for q in frequent if q.coherent}
+        assert kept and all(r.text in coherent for r in kept)
 
-    def test_scatter_filter_drops_wide_queries(self, tiny_dataset):
-        from repro.pipeline import scatter_filter
-
+    def test_scatter_filter_drops_wide_queries(self, dataset_a):
         config = CleaningConfig(max_branches=1)
-        queries = [q for q in tiny_dataset.query_log.queries if q.coherent]
-        kept = scatter_filter(
-            queries,
-            tiny_dataset.engine,
-            tiny_dataset.existing_tree,
-            0.8,
-            config,
-        )
+        queries = [q for q in dataset_a.query_log.queries if q.coherent]
+        results = compute_result_sets(queries, dataset_a.engine, 0.8)
+        kept = scatter_filter(results, dataset_a.existing_tree, config)
         # With one allowed branch only type-specific queries survive.
-        assert len(kept) < len(queries)
+        assert 0 < len(kept) < len(results)
+        assert all(
+            branch_spread(r.items, dataset_a.existing_tree, 1) <= 1
+            for r in kept
+        )
 
 
 class TestResultSets:
@@ -217,12 +213,26 @@ class TestPreprocess:
         s_plain = score_tree(tree_plain, plain_inst, variant).normalized
         assert s_merged >= s_plain - 0.05
 
-    def test_no_clean_keeps_raw_queries(self, tiny_dataset):
-        variant = Variant.threshold_jaccard(0.8)
-        _, report = preprocess(
-            tiny_dataset, variant, PreprocessConfig(clean=False)
+    def test_one_search_per_frequent_query(self, monkeypatch):
+        """The scatter filter reads the result sets; nothing searches twice."""
+        from repro.catalog import load_dataset
+        from repro.search.engine import SearchEngine
+
+        dataset = load_dataset("B", seed=42)
+        searched = []
+        result_set = SearchEngine.result_set
+
+        def spy(self, query, *args, **kwargs):
+            searched.append(query)
+            return result_set(self, query, *args, **kwargs)
+
+        monkeypatch.setattr(SearchEngine, "result_set", spy)
+        preprocess(dataset, Variant.threshold_jaccard(0.8))
+        frequent = frequency_filter(
+            dataset.query_log.queries, CleaningConfig().min_daily_count
         )
-        assert report.after_cleaning == report.raw_queries
+        assert searched == [q.text for q in frequent]
+        assert len(searched) == 216
 
     def test_uniform_weights_for_public_dataset(self):
         from repro.catalog import load_dataset

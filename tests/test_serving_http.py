@@ -277,6 +277,20 @@ class TestMaxRequests:
             server.server_close()
 
 
+    def test_zero_budget_serves_nothing(self, figure2_instance):
+        variant = Variant.threshold_jaccard(0.6)
+        tree = CTCR().build(figure2_instance, variant)
+        engine = ServingEngine.from_tree(tree, figure2_instance, variant)
+        server = make_server(engine, max_requests=0)
+        thread = serve_in_background(server)
+        try:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert server.requests_handled == 0
+        finally:
+            server.server_close()
+
+
 class TestShutdownOrdering:
     def _serve_one(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
