@@ -174,7 +174,7 @@ def run_point(
     tree_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    indexes = SnapshotIndexes(tree, instance, variant)
+    indexes = SnapshotIndexes(tree, variant)
     index_s = time.perf_counter() - t0
 
     postings_bytes = sum(

@@ -11,7 +11,7 @@ Finally, every universe item absent from the tree lands in a fresh
 from __future__ import annotations
 
 from repro.core.input_sets import OCTInstance
-from repro.core.scoring import score_tree
+from repro.core.scoring import best_cover, category_intersections, score_tree
 from repro.core.tree import Category, CategoryTree
 from repro.core.variants import Variant
 
@@ -45,37 +45,16 @@ def _best_nonroot_covers(
     miscellaneous category is added later, so a cover that exists only
     at the root cannot justify retaining anything.
     """
-    from repro.core.similarity import variant_score_from_sizes
-
-    cats = [c for c in tree.non_root_categories()]
+    cats = list(tree.non_root_categories())
     sizes = {c.cid: len(c.items) for c in cats}
     depths = {c.cid: c.depth for c in cats}
-    item_to_cids: dict = {}
-    for cat in cats:
-        for item in cat.items:
-            item_to_cids.setdefault(item, []).append(cat.cid)
+    inter = category_intersections(cats, instance)
     retained: set[int] = set()
     for q in instance:
         delta = instance.effective_threshold(q, variant.delta)
-        counts: dict[int, int] = {}
-        for item in q.items:
-            for cid in item_to_cids.get(item, ()):
-                counts[cid] = counts.get(cid, 0) + 1
-        best = None  # (score, precision, depth, -cid)
-        best_cid = None
-        for cid, common in counts.items():
-            s = variant_score_from_sizes(
-                variant, len(q.items), sizes[cid], common, delta
-            )
-            if s <= 0.0:
-                continue
-            prec = common / sizes[cid] if sizes[cid] else 0.0
-            key = (s, prec, depths[cid], -cid)
-            if best is None or key > best:
-                best = key
-                best_cid = cid
-        if best_cid is not None:
-            retained.add(best_cid)
+        best = best_cover(inter[q.sid], len(q), sizes, depths, variant, delta)
+        if best is not None:
+            retained.add(best[0])
     return retained
 
 
@@ -84,10 +63,10 @@ def remove_noncovering_categories(
 ) -> int:
     """Splice out categories that are no set's best cover; returns count.
 
-    When several categories cover a set, only the highest-precision one
-    is considered covering and retained. Covers provided solely by the
-    root retain nothing — the root is not final until the miscellaneous
-    category lands.
+    When several categories cover a set, only its best cover
+    (:func:`repro.core.scoring.best_cover`) is retained. Covers provided
+    solely by the root retain nothing — the root is not final until the
+    miscellaneous category lands.
     """
     covering_cids = _best_nonroot_covers(tree, instance, variant)
     doomed = [

@@ -129,14 +129,8 @@ class CTCR(TreeBuilder):
             with tracer.span("ctcr.two_conflicts"):
                 analysis = compute_pairwise(instance, variant, ranking)
             with tracer.span("ctcr.conflict_structure"):
-                conflict_structure = self._conflict_structure(
+                hypergraph = self._conflict_structure(
                     instance, variant, analysis, diag
-                )
-                hypergraph = WeightedHypergraph(
-                    vertices=conflict_structure.vertices,
-                    weights=conflict_structure.weights,
-                    edges=[frozenset(e) for e in conflict_structure.pairs]
-                    + [frozenset(e) for e in conflict_structure.triples],
                 )
             with tracer.span("ctcr.mis"):
                 selected_sids = solve_conflicts(hypergraph, self.config.mis)
@@ -185,14 +179,15 @@ class CTCR(TreeBuilder):
         variant: Variant,
         analysis: PairwiseAnalysis,
         diag: CTCRDiagnostics,
-    ):
+    ) -> WeightedHypergraph:
         if variant.is_exact or not self.config.use_three_conflicts:
             graph = build_conflict_graph(instance, analysis)
         else:
             graph = build_conflict_hypergraph(instance, analysis)
-        diag.num_two_conflicts = len(graph.pairs)
-        diag.num_three_conflicts = len(graph.triples)
-        diag.c2_weighted_avg = conflict_statistics(graph)["c2_weighted_avg"]
+        stats = conflict_statistics(graph)
+        diag.num_two_conflicts = int(stats["pair_edges"])
+        diag.num_three_conflicts = int(stats["triple_edges"])
+        diag.c2_weighted_avg = stats["c2_weighted_avg"]
         return graph
 
     def _build_skeleton(

@@ -234,7 +234,7 @@ def _serving_source(args):
     if store is None:
         cache_size = getattr(args, "cache_size", 4096)
         return None, ServingEngine.from_tree(
-            tree, instance, variant, cache_size=cache_size
+            tree, variant, cache_size=cache_size
         )
     info = store.save(tree, instance, variant)
     print(f"built and saved snapshot {info.snapshot_id}")
@@ -397,7 +397,7 @@ def cmd_analytics(args) -> int:
         )
         return 2
     loaded = store.load(args.snapshot)
-    indexes = SnapshotIndexes(loaded.tree, loaded.instance, loaded.variant)
+    indexes = SnapshotIndexes(loaded.tree, loaded.variant)
     counters = load_serving_counters(args.manifests)
 
     if args.action == "report":
@@ -621,25 +621,32 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_input(
+        p: argparse.ArgumentParser, instance: bool = True, variant: bool = True
+    ) -> None:
+        # Only the flags the command reads: an unread flag is an error.
         p.add_argument(
             "--dataset",
             choices=sorted(DATASET_SPECS),
             default="A",
             help="synthetic dataset to generate (default: A)",
         )
-        p.add_argument(
-            "--instance",
-            help="path to an instance JSON (overrides --dataset)",
-        )
+        if instance:
+            p.add_argument(
+                "--instance",
+                help="path to an instance JSON (overrides --dataset)",
+            )
         p.add_argument("--scale", type=float, default=None,
                        help="scale relative to paper size (default: repro)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--variant",
-            default="threshold-jaccard:0.8",
-            help="e.g. threshold-jaccard:0.8, perfect-recall:0.6, exact",
-        )
+        if variant:
+            p.add_argument(
+                "--variant",
+                default="threshold-jaccard:0.8",
+                help="e.g. threshold-jaccard:0.8, perfect-recall:0.6, exact",
+            )
+
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--trace",
             action="store_true",
@@ -677,6 +684,7 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         p_build = sub.add_parser(cmd_name, help=cmd_help)
         add_common(p_build)
+        add_input(p_build)
         add_mis_engine(p_build)
         p_build.add_argument(
             "--algorithm",
@@ -690,16 +698,19 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="score a saved tree")
     add_common(p_eval)
+    add_input(p_eval)
     p_eval.add_argument("--tree", required=True, help="tree JSON path")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_cmp = sub.add_parser("compare", help="run all algorithms")
     add_common(p_cmp)
+    add_input(p_cmp)
     add_mis_engine(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sweep = sub.add_parser("sweep", help="CTCR threshold sweep")
     add_common(p_sweep)
+    add_input(p_sweep)
     add_mis_engine(p_sweep)
     p_sweep.add_argument("--start", type=float, default=0.5)
     p_sweep.add_argument("--stop", type=float, default=1.0)
@@ -710,11 +721,13 @@ def make_parser() -> argparse.ArgumentParser:
         "preprocess", help="export a preprocessed instance JSON"
     )
     add_common(p_prep)
+    add_input(p_prep, instance=False)
     p_prep.add_argument("--output", required=True, help="instance JSON path")
     p_prep.set_defaults(func=cmd_preprocess)
 
     p_trends = sub.add_parser("trends", help="trending/fading queries")
     add_common(p_trends)
+    add_input(p_trends, instance=False, variant=False)
     p_trends.add_argument("--window", type=int, default=14)
     p_trends.set_defaults(func=cmd_trends)
 
@@ -722,6 +735,7 @@ def make_parser() -> argparse.ArgumentParser:
         "serve", help="serve a tree over HTTP (snapshots + hot swap)"
     )
     add_common(p_serve)
+    add_input(p_serve)
     add_mis_engine(p_serve)
     p_serve.add_argument(
         "--algorithm",
@@ -771,6 +785,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="map free-text queries onto the tree (staged back-off)",
     )
     add_common(p_querycat)
+    add_input(p_querycat)
     add_mis_engine(p_querycat)
     p_querycat.add_argument(
         "--algorithm",
@@ -915,6 +930,7 @@ def make_parser() -> argparse.ArgumentParser:
         "budget cannot be met)",
     )
     add_common(p_shape)
+    add_input(p_shape)
     p_shape.add_argument("--tree", required=True, help="tree JSON path")
     p_shape.add_argument(
         "--max-query-ns",
@@ -963,6 +979,10 @@ def make_parser() -> argparse.ArgumentParser:
         "byte-reproducible across processes and Python versions)",
     )
     add_common(p_synth)
+    p_synth.add_argument(
+        "--seed", type=int, default=0,
+        help="generator seed: one seed, one catalog (default: 0)",
+    )
     p_synth.add_argument(
         "--items", type=int, default=100000,
         help="catalog item universe size (default: 100000)",

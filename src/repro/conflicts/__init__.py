@@ -1,33 +1,21 @@
-"""Conflict detection: rankings, pairwise predicates, 2-/3-conflicts."""
+"""Conflict detection: rankings, 2-/3-conflicts, the conflict hypergraph."""
 
 from repro.conflicts.hypergraph import (
-    ConflictHypergraph,
     build_conflict_graph,
     build_conflict_hypergraph,
     conflict_statistics,
-)
-from repro.conflicts.pairwise import (
-    can_cover_separately,
-    can_cover_together,
-    max_removable_items,
-    min_cover_size,
 )
 from repro.conflicts.ranking import Ranking, rank_sets
 from repro.conflicts.three_conflicts import compute_three_conflicts
 from repro.conflicts.two_conflicts import PairwiseAnalysis, compute_pairwise
 
 __all__ = [
-    "ConflictHypergraph",
     "PairwiseAnalysis",
     "Ranking",
     "build_conflict_graph",
     "build_conflict_hypergraph",
-    "can_cover_separately",
-    "can_cover_together",
     "compute_pairwise",
     "compute_three_conflicts",
     "conflict_statistics",
-    "max_removable_items",
-    "min_cover_size",
     "rank_sets",
 ]

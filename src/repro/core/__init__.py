@@ -12,6 +12,7 @@ from repro.core.scoring import (
     ScoreReport,
     SetScore,
     annotate_matches,
+    best_cover,
     category_intersections,
     covering_categories,
     score_tree,
@@ -46,6 +47,7 @@ __all__ = [
     "SolverError",
     "Variant",
     "annotate_matches",
+    "best_cover",
     "category_intersections",
     "covering_categories",
     "covers",

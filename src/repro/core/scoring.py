@@ -9,10 +9,11 @@ for reporting, as in the paper's experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from repro.core.input_sets import OCTInstance
 from repro.core.similarity import variant_score_from_sizes
-from repro.core.tree import CategoryTree
+from repro.core.tree import Category, CategoryTree
 from repro.core.variants import Variant
 
 
@@ -56,9 +57,9 @@ class ScoreReport:
 
 
 def category_intersections(
-    tree: CategoryTree, instance: OCTInstance
+    categories: Iterable[Category], instance: OCTInstance
 ) -> dict[int, dict[int, int]]:
-    """``{sid: {cid: |q ∩ C|}}`` via an item -> category inverted index.
+    """``{sid: {cid: |q ∩ C|}}`` over ``categories``, via an inverted index.
 
     Only nonzero intersections are materialized, which keeps scoring
     near-linear on the sparse instances the paper targets. Public
@@ -66,7 +67,7 @@ def category_intersections(
     incremental score bookkeeping bit-identical to :func:`score_tree`.
     """
     item_to_cids: dict = {}
-    for cat in tree.categories():
+    for cat in categories:
         for item in cat.items:
             item_to_cids.setdefault(item, []).append(cat.cid)
     inter: dict[int, dict[int, int]] = {}
@@ -79,8 +80,40 @@ def category_intersections(
     return inter
 
 
-# Backwards-compatible alias (pre-shaping internal name).
-_category_intersections = category_intersections
+def best_cover(
+    counts: Mapping[int, int],
+    q_size: int,
+    sizes: Mapping[int, int],
+    depths: Mapping[int, int],
+    variant: Variant,
+    delta: float,
+) -> tuple[int, float, float] | None:
+    """``(cid, score, precision)`` of a set's best category, or None.
+
+    ``counts`` is the set's ``{cid: |q ∩ C|}`` row; ``delta`` its
+    effective threshold. The highest score wins. Exact ties break
+    towards higher precision (fewer extraneous items — the rule the
+    paper's condensing step uses to pick the retained cover), then
+    towards the deeper category (so a cover is never attributed to the
+    root, whose contents shift when the miscellaneous category is added,
+    when an equally good specific category exists), then towards the
+    lower cid. None when no category scores above 0. This is the one
+    rule: scoring, condensing, serving and shaping all call it.
+    """
+    best = None
+    for cid, common in counts.items():
+        c_size = sizes[cid]
+        score = variant_score_from_sizes(
+            variant, q_size, c_size, common, delta
+        )
+        if score > 0.0:
+            key = (score, common / c_size, depths[cid], -cid)
+            if best is None or key > best:
+                best = key
+    if best is None:
+        return None
+    score, precision, _depth, neg_cid = best
+    return -neg_cid, score, precision
 
 
 def score_tree(
@@ -89,51 +122,27 @@ def score_tree(
     """Evaluate a tree over an OCT instance under a similarity variant.
 
     Per-set thresholds on the input sets override the variant's default
-    ``delta``. Ties between categories achieving the same score are broken
-    towards higher precision (fewer extraneous items) — the rule the
-    paper's condensing step uses to pick the retained cover — and then
-    towards the deeper category, so a cover is never attributed to the
-    root (whose contents shift when the miscellaneous category is added)
-    when an equally good specific category exists.
+    ``delta``; each set's best category is picked by :func:`best_cover`.
     """
-    sizes: dict[int, int] = {
-        cat.cid: len(cat.items) for cat in tree.categories()
-    }
-    depths: dict[int, int] = {
-        cat.cid: cat.depth for cat in tree.categories()
-    }
-    inter = _category_intersections(tree, instance)
+    cats = list(tree.categories())
+    sizes = {cat.cid: len(cat.items) for cat in cats}
+    depths = {cat.cid: cat.depth for cat in cats}
+    inter = category_intersections(cats, instance)
     per_set: dict[int, SetScore] = {}
     total = 0.0
     for q in instance:
         delta = instance.effective_threshold(q, variant.delta)
-        best_score = 0.0
-        best_cid: int | None = None
-        best_precision = 0.0
-        best_depth = -1
-        for cid, common in inter[q.sid].items():
-            c_size = sizes[cid]
-            s = variant_score_from_sizes(variant, len(q), c_size, common, delta)
-            if s <= 0.0:
-                continue
-            prec = common / c_size if c_size else 0.0
-            if s > best_score or (
-                s == best_score
-                and (prec, depths[cid]) > (best_precision, best_depth)
-            ):
-                best_score = s
-                best_cid = cid
-                best_precision = prec
-                best_depth = depths[cid]
+        best = best_cover(inter[q.sid], len(q), sizes, depths, variant, delta)
+        cid, score, precision = best if best is not None else (None, 0.0, 0.0)
         per_set[q.sid] = SetScore(
             sid=q.sid,
-            score=best_score,
+            score=score,
             weight=q.weight,
-            best_cid=best_cid,
-            best_precision=best_precision,
-            covered=best_score > 0.0,
+            best_cid=cid,
+            best_precision=precision,
+            covered=best is not None,
         )
-        total += q.weight * best_score
+        total += q.weight * score
     denominator = instance.total_weight
     normalized = total / denominator if denominator > 0 else 0.0
     return ScoreReport(total=total, normalized=normalized, per_set=per_set)

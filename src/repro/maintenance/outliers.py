@@ -26,11 +26,6 @@ from repro.embeddings.vectors import centroid, cosine
 
 Item = Hashable
 
-# Back-compat aliases: these helpers started here before being promoted
-# to repro.embeddings.vectors.
-_centroid = centroid
-_cosine = cosine
-
 
 @dataclass(frozen=True)
 class OutlierReport:

@@ -4,7 +4,6 @@ from repro.mis.exact import BudgetExceededError, clique_cover_bound, solve_exact
 from repro.mis.graph import WeightedGraph
 from repro.mis.greedy import (
     greedy_mwis,
-    iterated_local_search,
     local_search,
     solve_greedy,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "expand_solution",
     "greedy_hypergraph_mis",
     "greedy_mwis",
-    "iterated_local_search",
     "local_search",
     "reduce_graph",
     "reduce_hypergraph",

@@ -83,35 +83,3 @@ def solve_greedy(graph: WeightedGraph, max_rounds: int = 50) -> set[Vertex]:
     """Greedy construction followed by local search."""
     return local_search(graph, greedy_mwis(graph), max_rounds=max_rounds)
 
-
-def iterated_local_search(
-    graph: WeightedGraph,
-    iterations: int = 30,
-    perturbation: float = 0.25,
-    seed: int = 0,
-) -> set[Vertex]:
-    """Iterated local search: perturb, re-optimize, keep the best.
-
-    Each round evicts a random fraction of the incumbent (plus their
-    blocking effect) and lets the local search rebuild — the standard
-    plateau-escape scheme of practical MIS heuristics. Deterministic for
-    a fixed seed.
-    """
-    from repro.utils.rng import make_rng
-
-    rng = make_rng(seed)
-    best = solve_greedy(graph)
-    best_weight = graph.weight_of(best)
-    current = set(best)
-    for _ in range(iterations):
-        if current:
-            k = max(1, int(len(current) * perturbation))
-            evicted = set(rng.sample(sorted(current, key=str), k))
-            current -= evicted
-        current = local_search(graph, current)
-        weight = graph.weight_of(current)
-        if weight > best_weight + 1e-12:
-            best, best_weight = set(current), weight
-        else:
-            current = set(best)
-    return best

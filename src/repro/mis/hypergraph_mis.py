@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Hashable, Iterable
 
 from repro.core.bitset import iter_bits
@@ -271,10 +272,7 @@ def _subhypergraph(
 
 
 def _solve_component(
-    sub: WeightedHypergraph,
-    node_budget: int,
-    exact: bool,
-    max_exact_component: int,
+    sub: WeightedHypergraph, node_budget: int, exact: bool
 ) -> set[Vertex]:
     """Solve one edged component; runs in the parent or a pool worker.
 
@@ -283,7 +281,7 @@ def _solve_component(
     """
     tracer = get_tracer()
     warm = greedy_hypergraph_mis(sub)
-    if not (exact and len(sub.vertices) <= max_exact_component):
+    if not (exact and len(sub.vertices) <= DEFAULT_MAX_EXACT_COMPONENT):
         tracer.count("mis.greedy_fallbacks")
         return warm
     needed_depth = len(sub.vertices) + 100
@@ -302,23 +300,18 @@ def _solve_component(
         return solver.best_set
 
 
-def _solve_component_chunk(chunk: list[tuple]) -> list[set]:
-    """Module-level chunk worker for :func:`parallel_map`."""
-    return [_solve_component(*payload) for payload in chunk]
-
-
 def solve_hypergraph_mis(
     hg: WeightedHypergraph,
     node_budget: int = 50_000,
     exact: bool = True,
-    max_exact_component: int = DEFAULT_MAX_EXACT_COMPONENT,
     kernelize: bool = True,
     n_jobs: int = 1,
 ) -> set[Vertex]:
     """Kernelize, split into components, solve each, expand back.
 
     ``node_budget`` applies per component; ``n_jobs > 1`` fans the
-    components out to a process pool.
+    components out to a process pool, one task each (they arrive sorted
+    by size and their costs are wildly uneven).
     """
     tracer = get_tracer()
     if kernelize:
@@ -332,22 +325,18 @@ def solve_hypergraph_mis(
         kernel = hg
 
     kernel_solution: set[Vertex] = set()
-    payloads: list[tuple] = []
+    subs: list[WeightedHypergraph] = []
     for component in sorted(kernel.connected_components(), key=len):
         sub = _subhypergraph(kernel, component)
         if not sub.edges:
             kernel_solution |= component
             continue
         tracer.count("mis.components")
-        payloads.append((sub, node_budget, exact, max_exact_component))
+        subs.append(sub)
 
-    if payloads:
-        # chunk_size=1: component costs are wildly uneven (they arrive
-        # sorted by size), so each gets its own pool task.
-        for solution in parallel_map(
-            _solve_component_chunk, payloads, n_jobs=n_jobs, chunk_size=1
-        ):
-            kernel_solution |= solution
+    solve = partial(_solve_component, node_budget=node_budget, exact=exact)
+    for solution in parallel_map(solve, subs, n_jobs=n_jobs):
+        kernel_solution |= solution
 
     if reduction is not None:
         return expand_solution(reduction, kernel_solution)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from repro.core.exceptions import ReproError
-from repro.core.input_sets import OCTInstance
 from repro.core.tree import CategoryTree
 from repro.core.variants import Variant
 from repro.observability import get_tracer, percentile
@@ -130,7 +129,7 @@ class ServingEngine:
     ) -> "ServingEngine":
         """An engine serving one loaded snapshot (generation 1)."""
         engine = cls(cache_size=cache_size)
-        indexes = SnapshotIndexes(loaded.tree, loaded.instance, loaded.variant)
+        indexes = SnapshotIndexes(loaded.tree, loaded.variant)
         engine.publish(Generation(indexes, loaded.info.snapshot_id))
         return engine
 
@@ -138,13 +137,12 @@ class ServingEngine:
     def from_tree(
         cls,
         tree: CategoryTree,
-        instance: OCTInstance,
         variant: Variant,
         cache_size: int = 4096,
     ) -> "ServingEngine":
         """An engine serving an in-memory tree (no snapshot store)."""
         engine = cls(cache_size=cache_size)
-        engine.publish(Generation(SnapshotIndexes(tree, instance, variant)))
+        engine.publish(Generation(SnapshotIndexes(tree, variant)))
         return engine
 
     def publish(self, generation: Generation) -> Generation:

@@ -91,6 +91,11 @@ class ServingHTTPServer(ThreadingHTTPServer):
         self.requests_handled = 0  # every reply, errors included
         self._handled_lock = threading.Lock()
         self._serving_thread: threading.Thread | None = None
+        # shutdown() waits for an event only serve_forever sets, so
+        # stop() must know whether the loop ever started.
+        self._loop_lock = threading.Lock()
+        self._loop_started = False
+        self._stopped = False
 
     def server_bind(self) -> None:
         if self.reuse_port:
@@ -108,9 +113,14 @@ class ServingHTTPServer(ThreadingHTTPServer):
         the accept loop, the join waits for :func:`serve_in_background`'s
         thread to actually exit, and ``server_close()`` closes the
         listening socket — on return the port is rebindable and no
-        serving thread is leaked.
+        serving thread is leaked. A server whose loop never started is
+        only closed, and its loop will not start afterwards.
         """
-        self.shutdown()
+        with self._loop_lock:
+            self._stopped = True
+            started = self._loop_started
+        if started:
+            self.shutdown()
         thread = self._serving_thread
         if thread is not None and thread.is_alive():
             thread.join(timeout)
@@ -118,6 +128,10 @@ class ServingHTTPServer(ThreadingHTTPServer):
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         """Serve until shut down; a budget of 0 requests returns at once."""
+        with self._loop_lock:
+            if self._stopped:
+                return
+            self._loop_started = True
         if self.max_requests is not None and self.max_requests <= 0:
             # note_request_handled checks the budget after each reply, so
             # a budget spent before the first request stops the loop here.

@@ -14,19 +14,17 @@ walking or mutating the tree:
   (:class:`repro.serving.succinct.EulerTour`).
 
 The reader is built one of two ways, and both construct this class:
-``SnapshotIndexes(tree, instance, variant)`` compiles the tree into an
+``SnapshotIndexes(tree, variant)`` compiles the tree into an
 in-process ``bytes`` buffer, and :meth:`SnapshotIndexes.open` reads a
 compiled buffer or maps a store's flat file read-only. "In-memory vs
 mmap" is only "buffer vs mapping", so the answers of the two are
 identical by construction.
 
-Scoring reuses the scalar
-:func:`repro.core.similarity.variant_score_from_sizes` on the
-intersection counts, so ``best_category`` returns bit-identical scores
-to the offline :func:`repro.core.scoring.score_tree` reference. Ties
-between equally scoring categories break exactly like the offline
-scorer — higher precision, then greater depth — with the lower cid as
-the final deterministic tie-break.
+``best_category`` picks its answer from the intersection counts with
+:func:`repro.core.scoring.best_cover`, the rule the offline
+:func:`repro.core.scoring.score_tree` uses, so scores and tie-breaks
+(higher precision, then greater depth, then lower cid) are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
-from repro.core.input_sets import OCTInstance
-from repro.core.similarity import variant_score_from_sizes
+from repro.core.scoring import best_cover
 from repro.core.tree import CategoryTree
 from repro.core.variants import Variant
 from repro.observability import get_tracer
@@ -78,14 +75,8 @@ class SnapshotIndexes:
     or mapping is this object and the tiny header dicts.
     """
 
-    def __init__(
-        self, tree: CategoryTree, instance: OCTInstance, variant: Variant
-    ) -> None:
-        """Compile ``tree`` into one in-process buffer and open it.
-
-        ``instance`` is accepted for symmetry with the snapshot payload;
-        the indexes are a function of the tree and variant alone.
-        """
+    def __init__(self, tree: CategoryTree, variant: Variant) -> None:
+        """Compile ``tree`` into one in-process buffer and open it."""
         self._open(compile_flat_indexes(tree, variant))
 
     @classmethod
@@ -264,37 +255,28 @@ class SnapshotIndexes:
     ) -> BestCategory | None:
         """The category scoring best against a query item set.
 
-        Scoring follows the offline reference bit for bit: the scalar
-        ``variant_score_from_sizes`` on each nonzero intersection, ties
-        broken towards higher precision, then greater depth, then lower
-        cid. Returns None when no category scores above zero (the query
-        is not covered by this tree under the variant).
+        Scoring is the offline rule itself,
+        :func:`repro.core.scoring.best_cover`, over the nonzero
+        intersections. Returns None when no category scores above zero
+        (the query is not covered by this tree under the variant).
         """
         variant = variant if variant is not None else self.variant
         effective_delta = delta if delta is not None else variant.delta
         q = items if isinstance(items, frozenset) else frozenset(items)
-        q_size = len(q)
-        best: BestCategory | None = None
-        for cid, common in self.intersection_counts(q).items():
-            c_size = self.sizes[cid]
-            score = variant_score_from_sizes(
-                variant, q_size, c_size, common, effective_delta
-            )
-            if score <= 0.0:
-                continue
-            precision = common / c_size if c_size else 0.0
-            depth = self.depths[cid]
-            if best is None or (score, precision, depth, -cid) > (
-                best.score, best.precision, best.depth, -best.cid
-            ):
-                best = BestCategory(
-                    cid=cid,
-                    label=self.label_of(cid),
-                    score=score,
-                    precision=precision,
-                    depth=depth,
-                )
-        return best
+        best = best_cover(
+            self.intersection_counts(q), len(q), self.sizes, self.depths,
+            variant, effective_delta,
+        )
+        if best is None:
+            return None
+        cid, score, precision = best
+        return BestCategory(
+            cid=cid,
+            label=self.label_of(cid),
+            score=score,
+            precision=precision,
+            depth=self.depths[cid],
+        )
 
     # -- lifecycle -----------------------------------------------------------
 

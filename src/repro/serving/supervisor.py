@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.observability import get_tracer
+from repro.observability import Tracer, get_tracer, set_tracer
 from repro.serving.engine import ServingEngine
 from repro.serving.http import make_server
 from repro.serving.snapshot import SnapshotError, SnapshotStore
@@ -71,11 +71,20 @@ def _poll_current(
             get_tracer().count("serving.workers.poll_errors")
 
 
-def _worker_main(config: WorkerConfig, worker_id: int, ready) -> None:
-    """One worker process: mmap the CURRENT snapshot and serve it."""
+def _worker_main(
+    config: WorkerConfig, worker_id: int, ready, report=None
+) -> None:
+    """One worker process: mmap the CURRENT snapshot and serve it.
+
+    ``report`` is the send end of a pipe when the parent traces: the
+    worker then counts into a fresh tracer and, when it leaves its loop
+    by itself (request budget spent), sends its counters back.
+    """
     # A clean SIGTERM exit keeps 'supervisor.stop()' quiet; anything
     # harder (SIGKILL) is what the watchdog respawn path is for.
     signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
+    if report is not None:
+        set_tracer(Tracer())
     store = SnapshotStore(config.store_root)
     engine = ServingEngine(cache_size=config.cache_size)
     engine.swap(store)
@@ -99,6 +108,9 @@ def _worker_main(config: WorkerConfig, worker_id: int, ready) -> None:
         server.serve_forever()
     finally:
         server.server_close()
+    if report is not None:
+        report.send(dict(get_tracer().counters))
+        report.close()
 
 
 def _free_port(host: str) -> int:
@@ -139,6 +151,10 @@ class ServingSupervisor:
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self._procs: list = [None] * n_workers
         self._events: list = [None] * n_workers
+        # Receive ends of the workers' counter pipes; None when the
+        # parent's tracer was disabled at start().
+        self._reports: list = [None] * n_workers
+        self._trace = False
         self.respawns = 0
         self._stopping = threading.Event()
         self._watchdog: threading.Thread | None = None
@@ -158,6 +174,7 @@ class ServingSupervisor:
             # reserve-and-release probe picks it (the tiny window before
             # the first worker binds is test-only surface).
             self.port = _free_port(self.host)
+        self._trace = get_tracer().enabled
         for worker_id in range(self.n_workers):
             self._spawn(worker_id)
         self.wait_ready(ready_timeout)
@@ -180,15 +197,29 @@ class ServingSupervisor:
 
     def _spawn(self, worker_id: int) -> None:
         event = self._ctx.Event()
+        receive = send = None
+        if self._trace:
+            receive, send = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(self._config(), worker_id, event),
+            args=(self._config(), worker_id, event, send),
             name=f"repro-serving-worker-{worker_id}",
             daemon=True,
         )
         proc.start()
+        if send is not None:
+            # Only the worker holds the send end: its exit reads as EOF.
+            send.close()
+        self._close_report(worker_id)
         self._procs[worker_id] = proc
         self._events[worker_id] = event
+        self._reports[worker_id] = receive
+
+    def _close_report(self, worker_id: int) -> None:
+        report = self._reports[worker_id]
+        if report is not None:
+            report.close()
+            self._reports[worker_id] = None
 
     def wait_ready(self, timeout: float = 60.0) -> None:
         """Block until every worker has bound its socket (or raise)."""
@@ -238,13 +269,31 @@ class ServingSupervisor:
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.kill()
                 proc.join(1.0)
+        for worker_id in range(self.n_workers):
+            self._close_report(worker_id)
         self._gauge()
 
     def join(self) -> None:
-        """Wait for every worker to exit on its own (max_requests runs)."""
-        for proc in self._procs:
-            if proc is not None:
-                proc.join()
+        """Wait for every worker to exit on its own (max_requests runs).
+
+        When the parent traced at :meth:`start`, each worker's counters
+        are merged into the parent's tracer, as the pool workers of
+        :func:`repro.utils.parallel.parallel_map` do. Workers ended by
+        :meth:`stop` (SIGTERM) report nothing.
+        """
+        tracer = get_tracer()
+        for worker_id, proc in enumerate(self._procs):
+            if proc is None:
+                continue
+            report = self._reports[worker_id]
+            if report is not None:
+                # Read before joining: a large report fills the pipe.
+                try:
+                    tracer.merge_counters(report.recv())
+                except EOFError:
+                    pass  # the worker died without reporting
+                self._close_report(worker_id)
+            proc.join()
 
     def __enter__(self) -> "ServingSupervisor":
         return self.start()

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from repro.core.input_sets import OCTInstance
-from repro.core.scoring import category_intersections
+from repro.core.scoring import best_cover, category_intersections
 from repro.core.tree import CategoryTree
 from repro.core.variants import Variant
 from repro.serving.succinct import encode_postings
@@ -114,34 +114,20 @@ def workload_features(
     When ``inter`` is supplied it must describe exactly the categories
     present in ``tree`` (the shaper passes an alive-filtered table).
     """
-    from repro.core.similarity import variant_score_from_sizes
-
+    cats = list(tree.categories())
     if inter is None:
-        inter = category_intersections(tree, instance)
-    sizes = {cat.cid: len(cat.items) for cat in tree.categories()}
-    depths = {cat.cid: cat.depth for cat in tree.categories()}
+        inter = category_intersections(cats, instance)
+    sizes = {cat.cid: len(cat.items) for cat in cats}
+    depths = {cat.cid: cat.depth for cat in cats}
     feats: dict[int, tuple[int, int, int]] = {}
     for q in instance:
         counts = inter[q.sid]
         delta = instance.effective_threshold(q, variant.delta)
-        best_key = (0.0, 0.0, -1)
-        best_cid = None
-        for cid, common in counts.items():
-            c_size = sizes[cid]
-            s = variant_score_from_sizes(
-                variant, len(q.items), c_size, common, delta
-            )
-            if s <= 0.0:
-                continue
-            prec = common / c_size if c_size else 0.0
-            key = (s, prec, depths[cid])
-            if key > best_key:
-                best_key = key
-                best_cid = cid
+        best = best_cover(counts, len(q), sizes, depths, variant, delta)
         feats[q.sid] = (
             sum(counts.values()),
             len(counts),
-            depths[best_cid] + 1 if best_cid is not None else 0,
+            depths[best[0]] + 1 if best is not None else 0,
         )
     return feats
 
@@ -211,7 +197,7 @@ def calibrate_cost_model(
 
     from repro.serving.indexes import SnapshotIndexes
 
-    indexes = SnapshotIndexes(tree, instance, variant)
+    indexes = SnapshotIndexes(tree, variant)
     feats = workload_features(tree, instance, variant)
     queries = sorted(instance, key=lambda q: -q.weight)[:samples]
 

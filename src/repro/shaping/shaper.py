@@ -11,7 +11,7 @@ Four operations, applied in a fixed order on a **copy** of the input:
    subtree collapsed into it (descendant items are already present by
    the tree invariant, so this only deletes candidate categories).
 2. **Hub splitting** — every category with more than ``max_children``
-   children has them chunked under inserted intermediate nodes (the
+   children has them grouped under inserted intermediate nodes (the
    paper's intermediate-category operation) until the fan-out bound
    holds everywhere. This *adds* categories, trading snapshot bytes
    for bounded fan-out.
@@ -37,7 +37,7 @@ bit for bit — a property test in ``tests/test_shaping.py`` holds it to
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.input_sets import OCTInstance
 from repro.core.scoring import category_intersections
@@ -119,7 +119,6 @@ class ShapingResult:
     hub_splits: int = 0
     depth_capped: int = 0
     width_pruned: int = 0
-    actions: dict[str, int] = field(default_factory=dict)
 
     @property
     def quality_given_up(self) -> float:
@@ -156,7 +155,7 @@ class _Bookkeeping:
         self, tree: CategoryTree, instance: OCTInstance, variant: Variant
     ) -> None:
         self.instance = instance
-        self.inter = category_intersections(tree, instance)
+        self.inter = category_intersections(tree.categories(), instance)
         self.sizes = {cat.cid: len(cat.items) for cat in tree.categories()}
         self.alive: dict[int, bool] = {
             cat.cid: True for cat in tree.categories()

@@ -2,15 +2,16 @@
 
 :func:`parallel_map` is the single switch point between serial and
 process-pool execution — with ``n_jobs=1`` (the default) everything runs
-serially and deterministically, while ``n_jobs>1`` fans chunks out to a
-process pool. Its consumer is the per-component hypergraph MIS solve
-(``MISConfig.n_jobs``, ``--mis-jobs``): independent conflict components
-are solved in parallel.
+serially and deterministically, while ``n_jobs>1`` gives every item its
+own pool task, so one expensive item cannot strand the others behind
+it. Its consumer is the per-component hypergraph MIS solve
+(``MISConfig.n_jobs``, ``--mis-jobs``): independent conflict components,
+whose costs are wildly uneven, are solved in parallel.
 
 Tracing (:mod:`repro.observability`) survives the pool: when the parent
 has an enabled tracer, each worker is given a fresh tracer through the
-pool initializer and every chunk ships its counter deltas back alongside
-its results, so parent counters are identical to a serial run.  Worker
+pool initializer and every task ships its counter deltas back alongside
+its result, so parent counters are identical to a serial run.  Worker
 span timings are deliberately *not* merged — concurrent wall clocks do
 not add up; the parent's enclosing span already times the fan-out.
 """
@@ -37,31 +38,6 @@ def resolve_jobs(n_jobs: int) -> int:
     return n_jobs
 
 
-def chunked(seq: Sequence[T], n_chunks: int) -> list[list[T]]:
-    """Split a sequence into at most ``n_chunks`` contiguous chunks."""
-    if not seq:
-        return []
-    n_chunks = max(1, min(n_chunks, len(seq)))
-    size, extra = divmod(len(seq), n_chunks)
-    chunks: list[list[T]] = []
-    start = 0
-    for i in range(n_chunks):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(list(seq[start:end]))
-        start = end
-    return chunks
-
-
-def chunked_by_size(seq: Sequence[T], chunk_size: int) -> list[list[T]]:
-    """Split a sequence into contiguous chunks of ``chunk_size`` items."""
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [
-        list(seq[start : start + chunk_size])
-        for start in range(0, len(seq), chunk_size)
-    ]
-
-
 # -- tracing shims (module-level so they pickle into workers) --------------
 
 
@@ -70,61 +46,43 @@ def _traced_initializer() -> None:
     set_tracer(Tracer())
 
 
-def _traced_chunk(fn: Callable, chunk: list) -> tuple[list, dict[str, int]]:
-    """Run one chunk and return its results plus worker counter deltas.
+def _traced_call(fn: Callable, item) -> tuple:
+    """Run ``fn(item)``; return its result plus worker counter deltas.
 
-    Workers persist across chunks, so deltas are measured against a
-    snapshot taken at chunk entry rather than assuming zeroed counters.
+    Workers persist across tasks, so deltas are measured against a
+    snapshot taken at task entry rather than assuming zeroed counters.
     """
     tracer = get_tracer()
     before = dict(tracer.counters)
-    results = fn(chunk)
+    result = fn(item)
     delta = {
         name: value - before.get(name, 0)
         for name, value in tracer.counters.items()
         if value != before.get(name, 0)
     }
-    return results, delta
+    return result, delta
 
 
 def parallel_map(
-    fn: Callable[[list[T]], list[R]],
-    items: Sequence[T],
-    n_jobs: int = 1,
-    chunk_size: int | None = None,
+    fn: Callable[[T], R], items: Sequence[T], n_jobs: int = 1
 ) -> list[R]:
-    """Apply a chunk-level function over ``items``, preserving order.
+    """``[fn(item) for item in items]``, identical for any ``n_jobs``.
 
-    ``fn`` receives a chunk (list) of items and returns a list of results;
-    chunk results are concatenated in order, so the output is identical
-    for any ``n_jobs``. ``fn`` must be picklable (a module-level function)
-    when ``n_jobs > 1``.
-
-    By default items split into ``n_jobs * 4`` even chunks — right for
-    homogeneous work. Pass ``chunk_size`` when item costs are wildly
-    uneven (e.g. MIS components sorted by size): ``chunk_size=1`` gives
-    every item its own pool task so one giant item cannot strand the
-    other workers behind it.
+    With ``n_jobs > 1`` each item is its own pool task, and ``fn`` must
+    be picklable (a module-level function or a ``partial`` of one).
     """
     n_jobs = resolve_jobs(n_jobs)
     if n_jobs == 1 or len(items) <= 1:
-        return fn(list(items))
-    if chunk_size is not None:
-        chunks = chunked_by_size(items, chunk_size)
-    else:
-        chunks = chunked(items, n_jobs * 4)
-    results: list[R] = []
+        return [fn(item) for item in items]
     tracer = get_tracer()
     if tracer.enabled:
-        wrapped = partial(_traced_chunk, fn)
+        results: list[R] = []
         with ProcessPoolExecutor(
             max_workers=n_jobs, initializer=_traced_initializer
         ) as pool:
-            for part, delta in pool.map(wrapped, chunks):
-                results.extend(part)
+            for result, delta in pool.map(partial(_traced_call, fn), items):
+                results.append(result)
                 tracer.merge_counters(delta)
         return results
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        for part in pool.map(fn, chunks):
-            results.extend(part)
-    return results
+        return list(pool.map(fn, items))

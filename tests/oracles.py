@@ -4,8 +4,11 @@ Build side — the serial loops the production kernels replaced, kept
 verbatim so every kernel can be checked pair for pair and tree for tree:
 
 * :func:`pairwise_reference` classifies 2-conflicts through a per-item
-  inverted index and the scalar closed forms of
-  :mod:`repro.conflicts.pairwise`, one pair at a time;
+  inverted index and the scalar closed forms of the pair predicates
+  (:func:`can_cover_separately`, :func:`can_cover_together`,
+  :func:`max_removable_items`, :func:`min_cover_size`), one pair at a
+  time — the arrays of :mod:`repro.conflicts.pairwise` mirror them term
+  for term;
 * :func:`set_embeddings_reference` builds CCT's similarity embeddings
   with one scalar ``raw_similarity_from_sizes`` call per intersecting
   pair;
@@ -37,6 +40,7 @@ exact values, floats and dict orders.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -55,7 +59,7 @@ from repro.algorithms.assignment import (
 from repro.algorithms.base import BuildContext
 from repro.clustering.agglomerative import _lance_williams
 from repro.clustering.dendrogram import Dendrogram, Merge
-from repro.conflicts.pairwise import can_cover_separately, can_cover_together
+from repro.conflicts.pairwise import _EPS as _PAIR_EPS
 from repro.conflicts.ranking import Ranking, rank_sets
 from repro.conflicts.three_conflicts import Triple
 from repro.conflicts.two_conflicts import PairwiseAnalysis
@@ -65,7 +69,7 @@ from repro.core.similarity import (
     variant_score_from_sizes,
 )
 from repro.core.tree import Category, CategoryTree
-from repro.core.variants import Variant
+from repro.core.variants import SimilarityKind, Variant
 from repro.pipeline import (
     MergedQuery,
     PreprocessConfig,
@@ -107,6 +111,90 @@ def _intersection_counts(
                 if bound_one:
                     entry[1] += 1
     return counts
+
+
+def _floor(x: float) -> int:
+    return math.floor(x + _PAIR_EPS)
+
+
+def _ceil(x: float) -> int:
+    return math.ceil(x - _PAIR_EPS)
+
+
+def max_removable_items(variant: Variant, size: int, delta: float) -> int:
+    """``x_i``: how many of a set's items its covering category may drop.
+
+    With precision kept perfect (the category a subset of the set), the
+    similarity is a function of recall alone; this returns the largest
+    item deficit that still clears the threshold.
+    """
+    if delta >= 1.0 or variant.kind is SimilarityKind.PERFECT_RECALL:
+        return 0
+    if variant.kind is SimilarityKind.JACCARD:
+        return _floor(size * (1.0 - delta))
+    # F1 with p = 1: F1 = 2r / (1 + r) >= delta  <=>  r >= delta / (2 - delta)
+    return _floor(size * (2.0 * (1.0 - delta)) / (2.0 - delta))
+
+
+def min_cover_size(variant: Variant, size: int, delta: float) -> int:
+    """Minimum size of a covering category that is a subset of the set."""
+    return size - max_removable_items(variant, size, delta)
+
+
+def can_cover_separately(
+    variant: Variant,
+    q1: InputSet,
+    q2: InputSet,
+    delta1: float,
+    delta2: float,
+    shared_bound1: int | None = None,
+) -> bool:
+    """Can the two sets be covered on different branches?
+
+    ``shared_bound1`` is the number of shared items that must be
+    partitioned (those with branch bound 1); when ``None`` it defaults to
+    the full intersection size.
+    """
+    if shared_bound1 is None:
+        shared_bound1 = len(q1.items & q2.items)
+    if shared_bound1 == 0:
+        return True
+    x1 = min(max_removable_items(variant, len(q1), delta1), shared_bound1)
+    x2 = min(max_removable_items(variant, len(q2), delta2), shared_bound1)
+    return shared_bound1 <= x1 + x2
+
+
+def can_cover_together(
+    variant: Variant,
+    upper: InputSet,
+    lower: InputSet,
+    delta_upper: float,
+    delta_lower: float,
+    intersection: int | None = None,
+) -> bool:
+    """Can the two sets be covered on one branch, ``upper`` placed above?
+
+    ``upper`` must be the lower-ranked (larger) set — callers order the
+    pair via :meth:`Ranking.upper_lower`.
+    """
+    if intersection is None:
+        intersection = len(upper.items & lower.items)
+    if variant.kind is SimilarityKind.PERFECT_RECALL:
+        # The lower category can be exactly its set (precision 1); the
+        # upper one must contain the union, so only its precision w.r.t.
+        # the upper set constrains the pair. At delta = 1 this degenerates
+        # to the Exact condition "lower is a subset of upper".
+        union = len(upper) + len(lower) - intersection
+        return len(upper) >= delta_upper * union - _PAIR_EPS
+
+    if variant.kind is SimilarityKind.JACCARD:
+        needed_lower = _ceil(delta_lower * len(lower))
+        budget_upper = len(upper) * (1.0 - delta_upper) / delta_upper
+    else:  # F1
+        needed_lower = _ceil(len(lower) * delta_lower / (2.0 - delta_lower))
+        budget_upper = 2.0 * len(upper) * (1.0 - delta_upper) / delta_upper
+    y2 = max(0, needed_lower - intersection)
+    return y2 <= budget_upper + _PAIR_EPS
 
 
 def pairwise_reference(

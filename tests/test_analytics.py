@@ -70,7 +70,7 @@ def build_stack():
     instance = shop_instance()
     tree = CTCR().build(instance, VARIANT)
     apply_label_suggestions(tree, suggest_labels(tree, instance, VARIANT))
-    indexes = SnapshotIndexes(tree, instance, VARIANT)
+    indexes = SnapshotIndexes(tree, VARIANT)
     return instance, tree, indexes
 
 
@@ -105,7 +105,7 @@ class TestOutlierPrimitive:
 class TestReport:
     def test_manifest_roundtrip_and_rollup(self, tmp_path):
         instance, tree, indexes = build_stack()
-        engine = ServingEngine.from_tree(tree, instance, VARIANT)
+        engine = ServingEngine.from_tree(tree, VARIANT)
         queries = (
             ["dress shoes"] * 3
             + ["trail running shoes"] * 2

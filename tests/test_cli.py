@@ -171,6 +171,42 @@ class TestBuildEngineFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestInputFlags:
+    """An input flag is registered only on the commands that read it."""
+
+    BASE = {
+        "analytics": ["analytics", "report", "--manifests", "m.json",
+                      "--snapshot-dir", "snapshots"],
+        "inspect-snapshot": ["inspect-snapshot", "snapshots"],
+        "synthesize": ["synthesize", "--items", "200", "--sets", "20"],
+        "trends": ["trends"],
+        "preprocess": ["preprocess", "--output", "instance.json"],
+    }
+    ALL_INPUTS = ["--dataset", "--instance", "--scale", "--seed", "--variant"]
+    UNREAD = {
+        "analytics": ALL_INPUTS,
+        "inspect-snapshot": ALL_INPUTS,
+        "synthesize": ["--dataset", "--instance", "--scale", "--variant"],
+        "trends": ["--instance", "--variant"],
+        "preprocess": ["--instance"],
+    }
+    VALUES = {"--dataset": "B", "--instance": "/nonexistent.json",
+              "--scale": "3", "--seed": "1", "--variant": "exact"}
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, f) for c, flags in UNREAD.items() for f in flags],
+        ids=lambda value: value,
+    )
+    def test_unread_input_flag_exits_2(self, command, flag, capsys):
+        argv = self.BASE[command]
+        make_parser().parse_args(argv)  # valid without the flag
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, self.VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestObservabilityFlags:
     COMMON = ["--dataset", "A", "--scale", "0.01", "--seed", "7"]
 
@@ -387,6 +423,57 @@ class TestServingCommands:
                 proc.wait()
         if stored:
             assert SnapshotStore(store_dir).current_id() is not None
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_manifest_records_what_was_served(self, tmp_path, stored):
+        # With a store the requests are served by a worker process; its
+        # counters reach the parent's manifest when its budget is spent.
+        import json
+        import socket
+
+        from repro.serving.supervisor import _free_port
+
+        manifest = tmp_path / "m.json"
+        store_args = (
+            ["--snapshot-dir", str(tmp_path / "snapshots")] if stored else []
+        )
+        port = _free_port("127.0.0.1")
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--dataset", "A",
+             "--scale", "0.05", *store_args, "--port", str(port),
+             "--max-requests", "4", "--manifest", str(manifest)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            # A bare connect sends no request, so it spends no budget.
+            deadline = time.monotonic() + 120
+            while True:
+                try:
+                    socket.create_connection(("127.0.0.1", port), 1).close()
+                    break
+                except OSError:
+                    assert proc.poll() is None, "serve exited before serving"
+                    assert time.monotonic() < deadline, "serve never bound"
+                    time.sleep(0.2)
+            for query in ("shirt", "red+shoes", "phone+case", "zzz"):
+                url = f"http://127.0.0.1:{port}/categorize-query?q={query}"
+                with urllib.request.urlopen(url, timeout=30) as response:
+                    assert response.status == 200
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        counters = json.loads(manifest.read_text())["counters"]
+        assert counters["serving.requests"] == 4
+        assert counters["serving.querycat.requests"] == 4
 
     def test_negative_request_budget_exits_2(self, capsys, monkeypatch):
         import repro.cli as cli

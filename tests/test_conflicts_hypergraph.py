@@ -1,4 +1,8 @@
-"""Tests for conflict graph/hypergraph construction and statistics."""
+"""Tests for conflict graph/hypergraph construction and statistics.
+
+Both builders return the ``WeightedHypergraph`` the MIS stage takes:
+2-conflicts are its 2-edges, 3-conflicts its 3-edges.
+"""
 
 import math
 
@@ -17,16 +21,15 @@ class TestConstruction:
         graph = build_conflict_graph(figure2_instance, analysis)
         assert set(graph.vertices) == {0, 1, 2, 3}
         assert graph.weights[0] == 2.0
-        assert len(graph.pairs) == 3
-        assert not graph.triples
+        assert len(graph.edges) == 3
+        assert all(len(edge) == 2 for edge in graph.edges)
 
     def test_hypergraph_adds_triples(self, example32_instance):
         analysis = compute_pairwise(
             example32_instance, Variant.perfect_recall(0.61)
         )
         hg = build_conflict_hypergraph(example32_instance, analysis)
-        assert len(hg.triples) == 1
-        assert hg.num_edges == 1
+        assert hg.edges == [frozenset({0, 1, 2})]
 
     def test_is_independent(self, figure2_instance):
         analysis = compute_pairwise(figure2_instance, Variant.exact())
@@ -53,8 +56,9 @@ class TestConstruction:
     def test_degree(self, figure2_instance):
         analysis = compute_pairwise(figure2_instance, Variant.exact())
         graph = build_conflict_graph(figure2_instance, analysis)
-        assert graph.degree(0) == 2  # conflicts with q3 and q4
-        assert graph.degree(1) == 0
+        incidence = graph.incidence()
+        assert len(incidence[0]) == 2  # conflicts with q3 and q4
+        assert len(incidence[1]) == 0
 
 
 class TestStatistics:

@@ -1,15 +1,21 @@
-"""Tests for the pairwise cover predicates against the paper's algebra."""
+"""Tests for the pairwise cover predicates against the paper's algebra.
+
+The scalar predicates are the oracle ``pairwise_reference`` classifies
+with (``tests/oracles.py``); ``compute_pairwise`` must agree with it pair
+for pair (``tests/test_ctcr_equivalence.py``).
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conflicts import (
+from repro.core import InputSet, Variant
+
+from tests.oracles import (
     can_cover_separately,
     can_cover_together,
     max_removable_items,
     min_cover_size,
 )
-from repro.core import InputSet, Variant
 
 
 def iset(sid: int, items: set) -> InputSet:

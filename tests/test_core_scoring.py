@@ -1,6 +1,10 @@
 """Tests for tree scoring against the naive definition."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +138,66 @@ class TestScoreTree:
         ):
             report = score_tree(tree, inst, variant)
             assert math.isclose(report.total, naive_score(tree, inst, variant))
+
+
+# One set {1, 2, 3, 4} under cutoff-Jaccard 0.5 against root children
+# b = {2, 3, 4, 8} (created first, so the lower cid), a = {1, 2, 3, 9} and
+# c = {20, ..., 29}: a and b tie on score 0.6, precision 0.75 and depth 1.
+# NAME spells each item, so the same tie can be built over strings.
+TIE_SNIPPET = """
+from repro.core import CategoryTree, Variant, make_instance
+VARIANT = Variant.cutoff_jaccard(0.5)
+tree = CategoryTree()
+b = tree.add_category({NAME(i) for i in (2, 3, 4, 8)}, label="b")
+a = tree.add_category({NAME(i) for i in (1, 2, 3, 9)}, label="a")
+tree.add_category({NAME(i) for i in range(20, 30)}, label="c")
+instance = make_instance([{NAME(i) for i in (1, 2, 3, 4)}])
+"""
+
+
+def tied_tree(name=lambda i: i) -> dict:
+    scope = {"NAME": name}
+    exec(TIE_SNIPPET, scope)
+    return scope
+
+
+class TestOneBestCoverRule:
+    """Scoring, condensing and serving break an exact tie one way:
+    higher precision, then greater depth, then the lower cid."""
+
+    def test_tie_breaks_to_the_lower_cid_everywhere(self):
+        from repro.algorithms.condense import _best_nonroot_covers
+        from repro.serving import SnapshotIndexes
+
+        tie = tied_tree()
+        tree, instance, variant = tie["tree"], tie["instance"], tie["VARIANT"]
+        b = tie["b"]
+        assert b.cid < tie["a"].cid
+        entry = score_tree(tree, instance, variant).per_set[0]
+        assert (entry.score, entry.best_precision) == (0.6, 0.75)
+        assert entry.best_cid == b.cid
+        q = next(iter(instance)).items
+        assert SnapshotIndexes(tree, variant).best_category(q).cid == b.cid
+        assert _best_nonroot_covers(tree, instance, variant) == {b.cid}
+
+    def test_string_item_tie_ignores_the_hash_seed(self):
+        # Set iteration order over strings follows PYTHONHASHSEED; the
+        # answer must not.
+        code = TIE_SNIPPET.replace("NAME(i)", "f'x{i}'") + (
+            "from repro.core import score_tree\n"
+            "print(score_tree(tree, instance, VARIANT).per_set[0].best_cid,"
+            " b.cid)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        answers = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            answers.add(out.stdout.strip())
+        assert answers == {"1 1"}
 
 
 class TestAttribution:

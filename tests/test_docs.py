@@ -92,7 +92,7 @@ class TestCliReference:
             make_parser().parse_args([name, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--variant" in out  # the common block is attached
+        assert "--trace" in out  # the observability block is attached
 
 
 def _github_slug(heading: str) -> str:

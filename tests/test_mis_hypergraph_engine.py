@@ -9,8 +9,7 @@ Four contracts:
 * the bitset 3-conflict enumeration matches the nested-loop reference
   in ``tests/oracles.py`` on randomized instances and every variant
   family;
-* the conflict-hypergraph incidence index and the solver façade's
-  hyperedge guard behave as documented.
+* the solver façade's hyperedge guard behaves as documented.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.conflicts.hypergraph import (
-    ConflictHypergraph,
-    build_conflict_hypergraph,
-)
 from repro.conflicts.ranking import rank_sets
 from repro.conflicts.three_conflicts import compute_three_conflicts
 from repro.conflicts.two_conflicts import compute_pairwise
@@ -248,43 +243,6 @@ class TestThreeConflictDifferential:
         assert compute_three_conflicts(
             analysis
         ) == three_conflicts_reference(analysis)
-
-
-class TestConflictHypergraphIncidence:
-    def test_degree_counts_pairs_and_triples(self):
-        graph = ConflictHypergraph(
-            vertices=[0, 1, 2, 3],
-            weights={v: 1.0 for v in range(4)},
-            pairs={(0, 1), (1, 2)},
-            triples={(0, 1, 2)},
-        )
-        assert graph.degree(1) == 3
-        assert graph.degree(0) == 2
-        assert graph.degree(3) == 0
-
-    def test_incidence_refreshes_when_triples_land(self):
-        """build_conflict_hypergraph assigns triples after construction;
-        the cached index must notice the edge-count change."""
-        graph = ConflictHypergraph(
-            vertices=[0, 1, 2],
-            weights={v: 1.0 for v in range(3)},
-            pairs={(0, 1)},
-        )
-        assert graph.degree(2) == 0  # builds the pair-only index
-        graph.triples = {(0, 1, 2)}
-        assert graph.degree(2) == 1
-        assert graph.degree(0) == 2
-
-    def test_matches_ctcr_construction(self):
-        instance = random_instance(5, n_sets=25)
-        variant = Variant.perfect_recall(0.5)
-        analysis = compute_pairwise(instance, variant)
-        graph = build_conflict_hypergraph(instance, analysis)
-        for v in graph.vertices:
-            expected = sum(1 for e in graph.pairs if v in e) + sum(
-                1 for e in graph.triples if v in e
-            )
-            assert graph.degree(v) == expected
 
 
 class TestSolverFacade:

@@ -309,35 +309,3 @@ class TestNewReductions:
         assert g.is_independent_set(solution)
         assert math.isclose(g.weight_of(solution), brute_force_mwis(g))
 
-
-class TestIteratedLocalSearch:
-    def test_returns_independent_set(self):
-        from repro.mis import iterated_local_search
-
-        g = WeightedGraph.from_edges(
-            range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
-        )
-        solution = iterated_local_search(g, iterations=10)
-        assert g.is_independent_set(solution)
-        assert g.weight_of(solution) >= 3.0  # 6-cycle optimum
-
-    def test_deterministic(self):
-        from repro.mis import iterated_local_search
-
-        g = WeightedGraph.from_edges(
-            range(8),
-            [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (2, 6)],
-        )
-        a = iterated_local_search(g, iterations=15, seed=3)
-        b = iterated_local_search(g, iterations=15, seed=3)
-        assert a == b
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_graphs())
-    def test_never_below_plain_greedy(self, g):
-        from repro.mis import iterated_local_search
-
-        ils = iterated_local_search(g, iterations=8)
-        plain = solve_greedy(g)
-        assert g.is_independent_set(ils)
-        assert g.weight_of(ils) >= g.weight_of(plain) - 1e-9

@@ -188,9 +188,9 @@ class TestActiveTracer:
 # ---------------------------------------------------------------------------
 
 
-def _traced_double(chunk):
-    get_tracer().count("test.items_seen", len(chunk))
-    return [x * 2 for x in chunk]
+def _traced_double(x):
+    get_tracer().count("test.items_seen")
+    return x * 2
 
 
 class TestWorkerAggregation:

@@ -82,7 +82,7 @@ def build_indexes():
     instance = shop_instance()
     tree = CTCR().build(instance, VARIANT)
     apply_label_suggestions(tree, suggest_labels(tree, instance, VARIANT))
-    return SnapshotIndexes(tree, instance, VARIANT), tree
+    return SnapshotIndexes(tree, VARIANT), tree
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +202,7 @@ class TestEngineOps:
         apply_label_suggestions(
             tree, suggest_labels(tree, instance, VARIANT)
         )
-        return ServingEngine.from_tree(tree, instance, VARIANT)
+        return ServingEngine.from_tree(tree, VARIANT)
 
     def test_single_and_batch_agree(self, engine):
         batch = engine.categorize_queries(QUERIES, threshold=0.8)
@@ -253,7 +253,7 @@ class TestHTTPEndpoint:
         apply_label_suggestions(
             tree, suggest_labels(tree, instance, VARIANT)
         )
-        engine = ServingEngine.from_tree(tree, instance, VARIANT)
+        engine = ServingEngine.from_tree(tree, VARIANT)
         server = make_server(engine, port=0)
         serve_in_background(server)
         host, port = server.server_address[:2]
@@ -336,9 +336,7 @@ class TestDifferential:
         store, info = store_info
         loaded = store.load(info.snapshot_id)
         if buffered:
-            indexes = SnapshotIndexes(
-                loaded.tree, loaded.instance, loaded.variant
-            )
+            indexes = SnapshotIndexes(loaded.tree, loaded.variant)
         else:
             indexes = TreeOracle(loaded.tree, loaded.variant)
         return [

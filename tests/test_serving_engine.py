@@ -24,7 +24,7 @@ from tests.oracles import TreeOracle
 
 def compiled(tree, instance, variant) -> Generation:
     """An unpublished generation over an in-process compiled buffer."""
-    return Generation(SnapshotIndexes(tree, instance, variant))
+    return Generation(SnapshotIndexes(tree, variant))
 
 
 @pytest.fixture()
@@ -37,14 +37,14 @@ def built(figure2_instance):
 @pytest.fixture()
 def engine(built):
     tree, instance, variant = built
-    return ServingEngine.from_tree(tree, instance, variant)
+    return ServingEngine.from_tree(tree, variant)
 
 
 class TestDifferentialScoring:
     """Engine answers must match the offline score_tree reference."""
 
     def _assert_matches_reference(self, tree, instance, variant):
-        indexes = SnapshotIndexes(tree, instance, variant)
+        indexes = SnapshotIndexes(tree, variant)
         report = score_tree(tree, instance, variant)
         oracle = TreeOracle(tree, variant)
         for q in instance:
@@ -76,7 +76,7 @@ class TestDifferentialScoring:
     def test_tie_break_is_deterministic_lowest_cid(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(figure2_instance, variant)
-        ix = SnapshotIndexes(tree, instance=figure2_instance, variant=variant)
+        ix = SnapshotIndexes(tree, variant=variant)
         best = ix.best_category(frozenset({"a", "b"}))
         again = ix.best_category(frozenset({"b", "a"}))
         assert best == again
@@ -167,7 +167,7 @@ class TestCaching:
 
     def test_cache_disabled(self, built):
         tree, instance, variant = built
-        engine = ServingEngine.from_tree(tree, instance, variant, cache_size=0)
+        engine = ServingEngine.from_tree(tree, variant, cache_size=0)
         engine.browse()
         engine.browse()
         cache = engine.stats()["cache"]
@@ -176,7 +176,7 @@ class TestCaching:
 
     def test_swap_invalidates_cache_logically(self, built):
         tree, instance, variant = built
-        engine = ServingEngine.from_tree(tree, instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         engine.browse()
         engine.browse()
         hits_before = engine.stats()["cache"]["hits"]
@@ -196,7 +196,7 @@ class TestCaching:
 class TestHotSwap:
     def test_publish_increments_generation(self, built):
         tree, instance, variant = built
-        engine = ServingEngine.from_tree(tree, instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         assert engine.generation == 1
         gen = engine.publish(compiled(tree, instance, variant))
         assert gen.number == 2
@@ -235,7 +235,7 @@ class TestHotSwap:
     def test_swap_from_build_persists_to_store(self, tmp_path, built):
         # A rebuild is published by saving it, then swapping to it.
         tree, instance, variant = built
-        engine = ServingEngine.from_tree(tree, instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         store = SnapshotStore(tmp_path)
         info = store.save(CTCR().build(instance, variant), instance, variant)
         gen = engine.swap(store)
@@ -246,7 +246,7 @@ class TestHotSwap:
         tree, instance, variant = built
         store = SnapshotStore(tmp_path)
         store.save(tree, instance, variant)
-        engine = ServingEngine.from_tree(tree, instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         threads = [
             threading.Thread(target=engine.swap, args=(store,))
             for _ in range(4)
@@ -262,7 +262,7 @@ class TestHotSwap:
     def test_stress_readers_with_mid_flight_swaps(self, built):
         """>= 8 reader threads while generations flip; zero errors."""
         tree, instance, variant = built
-        engine = ServingEngine.from_tree(tree, instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         item = next(iter(tree.root.items))
         q = instance.get(0).items
         reference = engine.best_category(q)

@@ -4,6 +4,7 @@ import http.client
 import json
 import os
 import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -170,7 +171,7 @@ class TestErrorMapping:
     def test_swap_without_store_409(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(figure2_instance, variant)
-        engine = ServingEngine.from_tree(tree, figure2_instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         server = make_server(engine)  # no store attached
         serve_in_background(server)
         try:
@@ -265,7 +266,7 @@ class TestMaxRequests:
     def test_server_stops_after_max_requests(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(figure2_instance, variant)
-        engine = ServingEngine.from_tree(tree, figure2_instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         server = make_server(engine, max_requests=3)
         thread = serve_in_background(server)
         try:
@@ -280,7 +281,7 @@ class TestMaxRequests:
     def test_zero_budget_serves_nothing(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(figure2_instance, variant)
-        engine = ServingEngine.from_tree(tree, figure2_instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         server = make_server(engine, max_requests=0)
         thread = serve_in_background(server)
         try:
@@ -295,7 +296,7 @@ class TestShutdownOrdering:
     def _serve_one(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(figure2_instance, variant)
-        engine = ServingEngine.from_tree(tree, figure2_instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         server = make_server(engine)
         thread = serve_in_background(server)
         return server, thread
@@ -306,6 +307,10 @@ class TestShutdownOrdering:
         assert _get(server, "/healthz")[0] == 200
         server.stop()
         assert not thread.is_alive()
+        self._assert_rebindable(port)
+
+    @staticmethod
+    def _assert_rebindable(port):
         # The port must be immediately rebindable — no TIME_WAIT listener,
         # no leaked socket (SO_REUSEADDR is set by the server class, so a
         # fresh bind on the same port proves the listener is gone).
@@ -321,10 +326,27 @@ class TestShutdownOrdering:
         server.stop()
         server.stop()  # second stop must not raise or hang
 
+    def test_stop_returns_on_a_server_that_never_served(
+        self, figure2_instance
+    ):
+        # A caller that fails between make_server and serve_in_background
+        # must not hang in its cleanup.
+        variant = Variant.threshold_jaccard(0.6)
+        tree = CTCR().build(figure2_instance, variant)
+        server = make_server(ServingEngine.from_tree(tree, variant))
+        port = server.server_port
+        for target in (server.stop, server.serve_forever):
+            # The loop does not start after stop() either.
+            runner = threading.Thread(target=target, daemon=True)
+            runner.start()
+            runner.join(5.0)
+            assert not runner.is_alive(), target.__name__
+        self._assert_rebindable(port)
+
     def test_reuse_port_allows_second_binding(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(figure2_instance, variant)
-        engine = ServingEngine.from_tree(tree, figure2_instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         first = make_server(engine, reuse_port=True)
         second = make_server(
             engine, port=first.server_port, reuse_port=True
@@ -351,7 +373,7 @@ class TestAttributionHeaders:
     def test_worker_header_when_configured(self, figure2_instance):
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(figure2_instance, variant)
-        engine = ServingEngine.from_tree(tree, figure2_instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         server = make_server(engine, worker_id=7)
         serve_in_background(server)
         try:

@@ -70,7 +70,7 @@ class TestPercentile:
 class TestRunLoadgen:
     def test_result_sanity(self, built):
         tree, instance, variant = built
-        engine = ServingEngine.from_tree(tree, instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         workload = build_workload(instance, tree, 300, seed=2)
         result = run_loadgen(engine, workload, n_workers=4)
         assert result.errors == 0
@@ -107,7 +107,7 @@ class TestRunLoadgen:
 
     def test_single_worker(self, built):
         tree, instance, variant = built
-        engine = ServingEngine.from_tree(tree, instance, variant)
+        engine = ServingEngine.from_tree(tree, variant)
         workload = build_workload(instance, tree, 50, seed=4)
         result = run_loadgen(engine, workload, n_workers=1)
         assert result.errors == 0

@@ -157,9 +157,7 @@ class TestScaleCatalogDifferential:
     def test_engine_answers_match_oracle(self, catalog, tmp_path, source):
         tree, instance, variant, oracle = catalog
         if source == "buffer":
-            engine = ServingEngine.from_tree(
-                tree, instance, variant, cache_size=0
-            )
+            engine = ServingEngine.from_tree(tree, variant, cache_size=0)
         else:
             store = SnapshotStore(tmp_path)
             store.save(tree, instance, variant)
@@ -324,7 +322,7 @@ class TestEncoding:
         with pytest.raises(SnapshotError, match="JSON-representable"):
             compile_flat_indexes(tree, variant)
         with pytest.raises(SnapshotError, match="JSON-representable"):
-            SnapshotIndexes(tree, instance, variant)
+            SnapshotIndexes(tree, variant)
 
     def test_encode_item_canonical(self):
         assert encode_item("a") == b'"a"'

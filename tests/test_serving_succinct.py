@@ -67,7 +67,7 @@ class TestInMemorySuccinct:
                 tree = build_labeled_tree(figure2_instance, variant)
             else:
                 tree = CTCR().build(figure2_instance, variant)
-            indexes = SnapshotIndexes(tree, figure2_instance, variant)
+            indexes = SnapshotIndexes(tree, variant)
             assert_reads_match(
                 indexes, TreeOracle(tree, variant),
                 queries_for(figure2_instance),
@@ -78,14 +78,14 @@ class TestInMemorySuccinct:
 
         instance, _ = preprocess(tiny_dataset, VARIANT)
         tree = make_tree(instance)
-        indexes = SnapshotIndexes(tree, instance, VARIANT)
+        indexes = SnapshotIndexes(tree, VARIANT)
         assert_reads_match(
             indexes, TreeOracle(tree, VARIANT), queries_for(instance)
         )
 
     def test_is_ancestor_matches_paths(self, figure2_instance):
         tree = make_tree(figure2_instance)
-        indexes = SnapshotIndexes(tree, figure2_instance, VARIANT)
+        indexes = SnapshotIndexes(tree, VARIANT)
         oracle = TreeOracle(tree, VARIANT)
         cids = list(oracle.sizes)
         for u in cids:
@@ -93,9 +93,7 @@ class TestInMemorySuccinct:
                 assert indexes.is_ancestor(u, v) == oracle.is_ancestor(u, v)
 
     def test_succinct_counters_emitted(self, figure2_instance):
-        indexes = SnapshotIndexes(
-            make_tree(figure2_instance), figure2_instance, VARIANT
-        )
+        indexes = SnapshotIndexes(make_tree(figure2_instance), VARIANT)
         items = sorted(figure2_instance.universe, key=str)
         with use_tracer(Tracer()) as tracer:
             indexes.placements(items[0])
@@ -363,7 +361,7 @@ class TestFlatShardLifecycle:
         mm = SnapshotIndexes.open(write_flat(tmp_path, tree, VARIANT))
         mm.close()
         mm.close()
-        buffered = SnapshotIndexes(tree, figure2_instance, VARIANT)
+        buffered = SnapshotIndexes(tree, VARIANT)
         buffered.close()
         buffered.close()
 

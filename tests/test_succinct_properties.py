@@ -147,7 +147,7 @@ class TestBatchedCategorizeProperty:
         variant = Variant.threshold_jaccard(0.6)
         tree = CTCR().build(instance, variant)
         oracle = TreeOracle(tree, variant)
-        engine = ServingEngine.from_tree(tree, instance, variant, cache_size=0)
+        engine = ServingEngine.from_tree(tree, variant, cache_size=0)
         items = sorted(instance.universe, key=str)
         items.append("__unknown__")
         batched = engine.categorize_items(items)

@@ -5,47 +5,26 @@ import time
 import pytest
 
 from repro.utils import Timer, make_rng, parallel_map
-from repro.utils.parallel import chunked, resolve_jobs
+from repro.utils.parallel import resolve_jobs
 from repro.utils.rng import derive_rng
 
 
-def double_chunk(chunk):
-    return [x * 2 for x in chunk]
+def double(x):
+    return x * 2
 
 
 class TestParallel:
     def test_serial_map(self):
-        assert parallel_map(double_chunk, [1, 2, 3]) == [2, 4, 6]
+        assert parallel_map(double, [1, 2, 3]) == [2, 4, 6]
 
     def test_parallel_map_matches_serial(self):
         items = list(range(50))
-        assert parallel_map(double_chunk, items, n_jobs=2) == [
+        assert parallel_map(double, items, n_jobs=2) == [
             x * 2 for x in items
         ]
 
     def test_empty_input(self):
-        assert parallel_map(double_chunk, []) == []
-
-    def test_chunked_partitions(self):
-        chunks = chunked(list(range(10)), 3)
-        assert [x for c in chunks for x in c] == list(range(10))
-        assert len(chunks) == 3
-
-    def test_chunked_more_chunks_than_items(self):
-        assert chunked([1, 2], 10) == [[1], [2]]
-
-    def test_chunked_empty_sequence(self):
-        assert chunked([], 4) == []
-
-    def test_chunked_single_chunk(self):
-        assert chunked([1, 2, 3], 1) == [[1, 2, 3]]
-
-    def test_chunked_nonpositive_chunks_clamp_to_one(self):
-        assert chunked([1, 2, 3], 0) == [[1, 2, 3]]
-
-    def test_chunked_balanced_sizes(self):
-        chunks = chunked(list(range(11)), 3)
-        assert sorted(len(c) for c in chunks) == [3, 4, 4]
+        assert parallel_map(double, []) == []
 
     def test_resolve_jobs(self):
         assert resolve_jobs(1) == 1
