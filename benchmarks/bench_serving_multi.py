@@ -16,11 +16,16 @@ second, larger snapshot) fired in **every** cell.  Written to
 - ``scaling``: aggregate throughput at 4 workers over 1 worker.  The
   >= 2.5x floor is only *enforced* where it can physically hold — the
   host must actually have >= 4 CPUs; the JSON records the honest curve
-  either way, with the gate spelled out in ``scaling_floor``.
+  either way, with the gate spelled out in ``scaling_floor``;
+- ``sequential``: the same requests from 1 keep-alive connection to 1
+  worker, no swap, so each request's latency is the edge's own, with
+  nothing queued behind it.  Its p50 is asserted at most 1 ms on C.
 
 ``--tiny`` runs a seconds-scale 1-vs-2-worker version on dataset A for
 CI smoke (own file ``BENCH_serving_multi_tiny.json``; the zero-error
-and balance assertions still hold).
+and balance assertions still hold, and the sequential p50 must be at
+most 20 ms, half the ~40 ms delayed-ACK wait that a keep-alive reply
+written as two small packets under Nagle's algorithm pays).
 """
 
 from __future__ import annotations
@@ -44,9 +49,9 @@ from repro.serving import SnapshotStore
 
 VARIANT = Variant.threshold_jaccard(0.8)
 
-# dataset, requests per cell, worker counts.
-FULL = ("C", 2_000, (1, 2, 4, 8))
-TINY = ("A", 300, (1, 2))
+# dataset, requests per cell, worker counts, sequential p50 gate (ms).
+FULL = ("C", 2_000, (1, 2, 4, 8), 1.0)
+TINY = ("A", 300, (1, 2), 20.0)
 
 SCALING_FLOOR = 2.5  # x aggregate throughput at 4 workers vs 1
 SCALING_WORKERS = 4
@@ -72,7 +77,9 @@ def _grown_instance(instance, extra: int):
 
 
 def run(tiny: bool = False) -> dict:
-    dataset_name, n_requests, worker_counts = TINY if tiny else FULL
+    dataset_name, n_requests, worker_counts, sequential_gate_ms = (
+        TINY if tiny else FULL
+    )
     cpus = available_cpus()
     instance = instance_for(dataset_name, VARIANT)
 
@@ -95,6 +102,17 @@ def run(tiny: bool = False) -> dict:
         loaded = store.load(base_info.snapshot_id)
         workload = build_workload(
             loaded.instance, loaded.tree, n_requests, seed=1234
+        )
+
+        store.activate(base_info.snapshot_id)
+        with ServingSupervisor(store, n_workers=1) as supervisor:
+            sequential = run_http_loadgen(
+                supervisor.base_url, workload, n_connections=1
+            )
+        assert sequential.errors == 0, sequential.error_messages
+        assert sequential.p50_ms <= sequential_gate_ms, (
+            f"sequential keep-alive p50 {sequential.p50_ms:.2f} ms "
+            f"over the {sequential_gate_ms} ms gate"
         )
 
         cells = []
@@ -153,7 +171,8 @@ def run(tiny: bool = False) -> dict:
     bench_report(
         f"Multi-process serving — {dataset_name}, {n_requests} requests "
         f"per cell, CURRENT flip mid-run, {cpus} CPUs",
-        "every cell swaps hot with zero failed requests; "
+        "every cell swaps hot with zero failed requests; sequential "
+        f"(1 connection, no swap) p50 <= {sequential_gate_ms} ms; "
         + (
             f"4-worker scaling floor {SCALING_FLOOR}x enforced"
             if enforce_floor
@@ -166,6 +185,11 @@ def run(tiny: bool = False) -> dict:
              r.p95_ms, r.p99_ms, f"{r.min_fair_share_ratio():.2f}",
              r.retries, r.errors]
             for n, r in cells
+        ]
+        + [
+            ["1 seq", 1, round(sequential.throughput_rps), sequential.p50_ms,
+             sequential.p95_ms, sequential.p99_ms, "-", sequential.retries,
+             sequential.errors]
         ],
     )
 
@@ -186,6 +210,10 @@ def run(tiny: bool = False) -> dict:
             "required": SCALING_FLOOR,
             "enforced": enforce_floor,
             "cpus": cpus,
+        },
+        "sequential": {
+            **sequential.to_dict(),
+            "p50_gate_ms": sequential_gate_ms,
         },
     }
     write_bench_json(

@@ -11,10 +11,16 @@ they started on.
 
 Read results are memoized in an LRU cache keyed by (generation, op,
 args), so a swap invalidates logically without a stop-the-world flush:
-new-generation keys miss, old-generation entries age out. Per-request
-latency and cache counters go both to the engine's local stats (exposed
-by :meth:`stats` and the ``/stats`` HTTP endpoint) and to the PR 2
-tracer (``serving.*`` counters) when tracing is enabled.
+new-generation keys miss, old-generation entries age out. A batch op
+caches nothing of its own: it looks each element up under the key of
+its single op (``categorize`` / ``categorize_query``) and stores only
+the misses, so the cache holds single-element answers whatever the
+batch length, and an element seen in a batch hits when asked alone.
+Per-request latency goes to the engine's local stats (exposed by
+:meth:`stats` and the ``/stats`` HTTP endpoint); each cache lookup is
+counted once, in the cache, which feeds both ``/stats`` and the
+tracer's ``serving.cache_hits`` / ``serving.cache_misses`` when tracing
+is enabled.
 """
 
 from __future__ import annotations
@@ -45,6 +51,23 @@ class ServingError(ReproError):
     """Raised on serving-layer misuse (e.g. querying before publish)."""
 
 
+def _placements(ix: SnapshotIndexes, items) -> list[list[dict]]:
+    """Each item's placements, resolving each distinct cid's path once."""
+    placements = [ix.placements(item) for item in items]
+    paths = {
+        cid: [ix.label_of(p) for p in ix.path_to_root(cid)]
+        for cids in placements
+        for cid in cids
+    }
+    return [
+        [
+            {"cid": cid, "label": ix.label_of(cid), "path": paths[cid]}
+            for cid in cids
+        ]
+        for cids in placements
+    ]
+
+
 @dataclass
 class Generation:
     """One immutable, queryable build of the category tree.
@@ -60,7 +83,11 @@ class Generation:
 
 
 class _LRUCache:
-    """A tiny thread-safe LRU with hit/miss counters; size 0 disables."""
+    """A tiny thread-safe LRU with hit/miss counters; size 0 disables.
+
+    Every lookup is counted here, in ``hits`` / ``misses`` and in the
+    tracer, so ``/stats`` and the trace report the same number.
+    """
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = max(0, int(maxsize))
@@ -71,14 +98,18 @@ class _LRUCache:
 
     def get(self, key) -> tuple[bool, object]:
         with self._lock:
-            try:
+            hit = key in self._data
+            if hit:
+                self._data.move_to_end(key)
                 value = self._data[key]
-            except KeyError:
+                self.hits += 1
+            else:
+                value = None
                 self.misses += 1
-                return False, None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return True, value
+        get_tracer().count(
+            "serving.cache_hits" if hit else "serving.cache_misses"
+        )
+        return hit, value
 
     def put(self, key, value) -> None:
         if self.maxsize == 0:
@@ -219,10 +250,7 @@ class ServingEngine:
             else:
                 full_key = (gen.number, op, key)
                 hit, value = self._cache.get(full_key)
-                if hit:
-                    tracer.count("serving.cache_hits")
-                else:
-                    tracer.count("serving.cache_misses")
+                if not hit:
                     value = compute(gen)
                     self._cache.put(full_key, value)
             return value
@@ -242,6 +270,29 @@ class ServingEngine:
             tracer.count(f"serving.op.{op}")
             tracer.count("serving.latency_us", int(wall * 1e6))
 
+    def _serve_each(self, batch_op: str, op: str, keys: list, compute):
+        """One ``batch_op`` request, cached per element under ``op``'s keys.
+
+        Each key is one cache lookup under ``(generation, op, key)``, the
+        key the single op uses. ``compute(gen, missed)`` answers the
+        distinct keys that missed, in order, and each answer is stored;
+        the batch as a whole is never cached.
+        """
+
+        def answer(gen: Generation) -> list:
+            answers = {}
+            for key in keys:
+                hit, value = self._cache.get((gen.number, op, key))
+                if hit:
+                    answers[key] = value
+            missed = [key for key in dict.fromkeys(keys) if key not in answers]
+            for key, value in zip(missed, compute(gen, missed)):
+                self._cache.put((gen.number, op, key), value)
+                answers[key] = value
+            return [answers[key] for key in keys]
+
+        return self._serve(batch_op, None, answer)
+
     # -- read operations ----------------------------------------------------
 
     def categorize_item(self, item: Item) -> list[dict]:
@@ -250,50 +301,22 @@ class ServingEngine:
         Each placement carries the cid, label, and the root-to-category
         label path. Unknown items yield an empty list.
         """
-
-        def compute(gen: Generation) -> list[dict]:
-            ix = gen.indexes
-            return [
-                {
-                    "cid": cid,
-                    "label": ix.label_of(cid),
-                    "path": [ix.label_of(p) for p in ix.path_to_root(cid)],
-                }
-                for cid in ix.placements(item)
-            ]
-
-        return self._serve("categorize", item, compute)
+        return self._serve(
+            "categorize", item, lambda gen: _placements(gen.indexes, [item])[0]
+        )
 
     def categorize_items(self, items: Iterable[Item]) -> list[list[dict]]:
         """Batched :meth:`categorize_item`: one result list per item.
 
-        Each distinct placement cid resolves its root path once, however
-        many items share it. Results are exactly what the per-item op
-        returns, in input order.
+        Each item is looked up in the cache as :meth:`categorize_item`
+        would; among the misses, each distinct placement cid resolves its
+        root path once. Results are exactly what the per-item op returns,
+        in input order.
         """
-        batch = tuple(items)
-
-        def compute(gen: Generation) -> list[list[dict]]:
-            ix = gen.indexes
-            placements = [ix.placements(item) for item in batch]
-            paths = {
-                cid: [ix.label_of(p) for p in ix.path_to_root(cid)]
-                for cids in placements
-                for cid in cids
-            }
-            return [
-                [
-                    {
-                        "cid": cid,
-                        "label": ix.label_of(cid),
-                        "path": paths[cid],
-                    }
-                    for cid in cids
-                ]
-                for cids in placements
-            ]
-
-        return self._serve("categorize_batch", batch, compute)
+        return self._serve_each(
+            "categorize_batch", "categorize", list(items),
+            lambda gen, missed: _placements(gen.indexes, missed),
+        )
 
     def best_category(
         self,
@@ -412,20 +435,22 @@ class ServingEngine:
         """Batched :meth:`categorize_query`: one result per query.
 
         The whole batch resolves against a single generation read, so a
-        mid-batch hot swap can never split the batch across trees.
+        mid-batch hot swap can never split the batch across trees. Each
+        query is looked up in the cache as :meth:`categorize_query`
+        would, and only the misses are computed.
         """
-        batch = tuple(texts)
 
-        def compute(gen: Generation) -> list[dict]:
+        def compute(gen: Generation, missed: list) -> list[dict]:
             return [
                 _categorize_query(
                     gen.indexes, text, threshold=threshold, top_k=top_k
                 )
-                for text in batch
+                for text, _, _ in missed
             ]
 
-        results = self._serve(
-            "categorize_query_batch", (batch, threshold, top_k), compute
+        results = self._serve_each(
+            "categorize_query_batch", "categorize_query",
+            [(text, threshold, top_k) for text in texts], compute,
         )
         for result in results:
             record_query_counters(result)

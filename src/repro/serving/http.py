@@ -39,6 +39,20 @@ a swap request with a bad ``Content-Length``, a body that is not a JSON
 object or a ``snapshot_id`` that is not a string; 404 on unknown
 paths/cids and on a ``snapshot_id`` the store does not hold; 409 when
 ``/admin/swap`` is called on a server without a snapshot store.
+
+Every accepted socket gets ``TCP_NODELAY`` (the handler's
+``disable_nagle_algorithm``). A reply leaves as two writes, headers then
+body; under Nagle's algorithm the second small write of a keep-alive
+reply waited for the client's delayed ACK, about 40 ms, so each request
+on a connection cost ~44 ms whatever the engine did. With Nagle off
+both writes leave at once, for every reply size and on every TCP stack
+(one buffer per reply would escape the wait only while the reply fits
+one segment, or under Linux's Minshall variant of Nagle).
+
+Every accepted socket also gets a socket timeout of
+:data:`IDLE_TIMEOUT_S`. A connection that sends nothing, half a request
+or part of a swap body for that long is closed and its handler thread
+ends; without it such a client held its thread forever.
 """
 
 from __future__ import annotations
@@ -51,6 +65,12 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.serving.engine import ServingEngine
 from repro.serving.snapshot import SnapshotError, SnapshotStore, variant_from_spec
+
+# Seconds a connection may wait between reads or writes before the
+# server closes it. Well above every idle gap a real client makes: the
+# e2e readers send every 50-100 ms per connection, and load generators
+# and tests send their next request at once.
+IDLE_TIMEOUT_S = 60.0
 
 
 class _BadRequest(Exception):
@@ -156,6 +176,12 @@ class _Handler(BaseHTTPRequestHandler):
     server: ServingHTTPServer  # narrowed for readability
 
     protocol_version = "HTTP/1.1"
+    # StreamRequestHandler.setup applies both to every accepted socket.
+    disable_nagle_algorithm = True
+
+    @property
+    def timeout(self) -> float:
+        return IDLE_TIMEOUT_S
 
     # -- plumbing ------------------------------------------------------------
 
@@ -255,6 +281,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(400, {"error": str(exc)})
         except SnapshotError as exc:
             self._reply(404, {"error": str(exc)})
+        except TimeoutError:
+            # A swap body that stopped arriving: handle_one_request
+            # closes the connection, as for a stalled request line.
+            raise
         except Exception as exc:  # pragma: no cover - defensive 500
             self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
 

@@ -237,6 +237,15 @@ class TestEngineOps:
         ]
         assert backoff_traffic
 
+    def test_batch_query_hits_when_asked_alone(self, engine):
+        batch = engine.categorize_queries(QUERIES, threshold=0.8)
+        hits = engine.stats()["cache"]["hits"]
+        assert engine.categorize_query(QUERIES[1], threshold=0.8) == batch[1]
+        assert engine.stats()["cache"]["hits"] == hits + 1
+        # Another threshold is another key.
+        engine.categorize_query(QUERIES[1], threshold=0.5)
+        assert engine.stats()["cache"]["hits"] == hits + 1
+
     def test_op_stats_exposed(self, engine):
         engine.categorize_query("dress shoes")
         engine.categorize_queries(["red", "shoes"])

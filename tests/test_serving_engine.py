@@ -12,6 +12,7 @@ import pytest
 
 from repro.algorithms import CTCR
 from repro.core import Variant, score_tree
+from repro.observability import Tracer, use_tracer
 from repro.serving import (
     Generation,
     ServingEngine,
@@ -191,6 +192,77 @@ class TestCaching:
         for cid in [c["cid"] for c in engine.browse()["children"]]:
             engine.path_to_root(cid)
         assert engine.stats()["cache"]["size"] <= engine._cache.maxsize
+
+
+class TestBatchCaching:
+    """A batch op caches each element under its single op's key."""
+
+    def test_batch_item_hits_when_asked_alone(self, engine):
+        engine.categorize_items(["a", "b", "c"])
+        hits = engine.stats()["cache"]["hits"]
+        assert engine.categorize_item("b") == engine.categorize_items(["b"])[0]
+        assert engine.stats()["cache"]["hits"] == hits + 2
+
+    def test_single_item_hits_inside_a_batch(self, engine):
+        engine.categorize_item("b")
+        cache = engine.stats()["cache"]
+        engine.categorize_items(["a", "b", "c"])
+        after = engine.stats()["cache"]
+        assert after["hits"] == cache["hits"] + 1
+        assert after["misses"] == cache["misses"] + 2
+
+    @pytest.mark.parametrize("maxsize", [4096, 100])
+    def test_cache_holds_one_entry_per_item(self, built, maxsize):
+        tree, _, variant = built
+        engine = ServingEngine.from_tree(tree, variant, cache_size=maxsize)
+        n_batches = 5
+        items = [f"item-{i}" for i in range(32 * n_batches)]
+        for k in range(n_batches):
+            engine.categorize_items(items[32 * k:32 * (k + 1)])
+        keys = list(engine._cache._data)
+        assert len(keys) == min(maxsize, 32 * n_batches)
+        assert keys == [
+            (engine.generation, "categorize", item)
+            for item in items[-len(keys):]
+        ]
+
+    def test_one_lookup_per_element_in_stats_and_trace(self, engine):
+        with use_tracer(Tracer()) as tracer:
+            engine.categorize_items(["a", "b", "a", "zz"])
+            engine.categorize_item("b")
+            engine.categorize_items(["b", "c"])
+        # The repeated "a" misses twice in one batch (it is computed once).
+        cache = engine.stats()["cache"]
+        assert (cache["hits"], cache["misses"]) == (2, 5)
+        assert tracer.counters["serving.cache_hits"] == 2
+        assert tracer.counters["serving.cache_misses"] == 5
+        assert tracer.counters["serving.requests"] == 3
+
+    def test_duplicate_items_are_computed_once(self, built, monkeypatch):
+        tree, _, variant = built
+        engine = ServingEngine.from_tree(tree, variant, cache_size=0)
+        calls = []
+        placements = SnapshotIndexes.placements
+        monkeypatch.setattr(
+            SnapshotIndexes, "placements",
+            lambda ix, item: calls.append(item) or placements(ix, item),
+        )
+        batch = engine.categorize_items(["a", "b", "a"])
+        assert calls == ["a", "b"]
+        assert batch[0] == batch[2] == engine.categorize_item("a")
+
+    def test_cache_disabled_engine_answers_every_batch(self, built):
+        # Uncached item batches are checked against the oracle in
+        # test_serving_shm.py and test_succinct_properties.py.
+        tree, _, variant = built
+        engine = ServingEngine.from_tree(tree, variant, cache_size=0)
+        for _ in range(2):
+            assert engine.categorize_queries(["shirt", "nike"]) == [
+                engine.categorize_query("shirt"),
+                engine.categorize_query("nike"),
+            ]
+        cache = engine.stats()["cache"]
+        assert (cache["size"], cache["hits"], cache["misses"]) == (0, 0, 8)
 
 
 class TestHotSwap:

@@ -5,6 +5,7 @@ import json
 import os
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -13,6 +14,8 @@ import pytest
 from repro.algorithms import CTCR
 from repro.core import Variant
 from repro.serving import ServingEngine, SnapshotStore, make_server, serve_in_background
+from repro.serving import http as http_module
+from repro.serving.http import _Handler
 
 
 def _get(server, path):
@@ -402,3 +405,94 @@ class TestAttributionHeaders:
             urllib.request.urlopen(url, timeout=10)
         except urllib.error.HTTPError as exc:
             assert exc.headers["X-Repro-Generation"] == str(engine.generation)
+
+
+class TestConnectionEdge:
+    """Accepted sockets get TCP_NODELAY and an idle timeout."""
+
+    @pytest.fixture()
+    def accepted(self, monkeypatch):
+        """(server-side socket, handler thread) of every connection."""
+        seen = []
+        setup = _Handler.setup
+
+        def spy(handler):
+            setup(handler)
+            seen.append((handler.connection, threading.current_thread()))
+
+        monkeypatch.setattr(_Handler, "setup", spy)
+        return seen
+
+    @pytest.fixture()
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.5)
+        return 0.5
+
+    def test_accepted_socket_has_tcp_nodelay(self, served, accepted):
+        # Without it the body write of a keep-alive reply waits for the
+        # client's delayed ACK (Nagle's algorithm).
+        server = served[0]
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_port, timeout=10
+        )
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            [(sock, _)] = accepted
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "sent", [b"", b"GET /healthz HT"], ids=["silent", "half_request_line"]
+    )
+    def test_idle_connection_is_closed_and_frees_its_thread(
+        self, served, accepted, short_timeout, sent
+    ):
+        server = served[0]
+        threads_before = threading.active_count()
+        with socket.create_connection(
+            ("127.0.0.1", server.server_port), timeout=10 * short_timeout
+        ) as sock:
+            sock.sendall(sent)
+            assert sock.recv(1024) == b""  # closed by the server
+        [(_, thread)] = accepted
+        thread.join(10 * short_timeout)
+        assert not thread.is_alive()
+        assert threading.active_count() <= threads_before
+
+    def test_stalled_swap_body_closes_the_connection(
+        self, served, short_timeout
+    ):
+        # A read timeout inside do_POST closes the connection; it is not
+        # answered as a 500.
+        server, engine, _, _ = served
+        with socket.create_connection(
+            ("127.0.0.1", server.server_port), timeout=10 * short_timeout
+        ) as sock:
+            sock.sendall(
+                b"POST /admin/swap HTTP/1.1\r\nHost: test\r\n"
+                b'Content-Length: 40\r\n\r\n{"snapshot_id"'
+            )
+            assert sock.recv(1024) == b""
+        assert engine.generation == 1
+
+    def test_requests_below_the_timeout_share_a_connection(
+        self, served, accepted, short_timeout
+    ):
+        server = served[0]
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_port, timeout=10 * short_timeout
+        )
+        try:
+            for _ in range(2):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                time.sleep(short_timeout / 5)
+        finally:
+            conn.close()
+        assert len(accepted) == 1
